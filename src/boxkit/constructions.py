@@ -23,6 +23,7 @@ so the final size is the sum of per-part subproblem sizes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -65,18 +66,9 @@ def trivial_odd_partition(n: int, d: int) -> BoxFamily:
         raise GeometryError("d must be >= 1")
     pieces = [(1,), tuple(range(2, n)), (n,)]
     boxes = [
-        DiscreteBox(combo) for combo in _product_tuples([pieces] * d)
+        DiscreteBox(combo) for combo in itertools.product(pieces, repeat=d)
     ]
     return BoxFamily(Ambient.cube(n, d), tuple(boxes))
-
-
-def _product_tuples(per_axis):
-    if not per_axis:
-        yield ()
-        return
-    for head in per_axis[0]:
-        for rest in _product_tuples(per_axis[1:]):
-            yield (head,) + rest
 
 
 def _even_split(n: int, parts: int) -> list[tuple[int, ...]]:
@@ -100,7 +92,7 @@ def grid_partition(d: int, k: int, n: int | None = None) -> BoxFamily:
     if n < k:
         raise GeometryError(f"side {n} too small for {k} slabs")
     pieces = _even_split(n, k)
-    boxes = [DiscreteBox(combo) for combo in _product_tuples([pieces] * d)]
+    boxes = [DiscreteBox(combo) for combo in itertools.product(pieces, repeat=d)]
     return BoxFamily(Ambient.cube(n, d), tuple(boxes))
 
 
@@ -487,7 +479,7 @@ def _largest_proper_prefix_union(parts, sides):
             for a in range(d)]
     cuts = [[c for c in cs if c < sides[a]] for a, cs in enumerate(cuts)]
     best = None
-    for u in _product_tuples([tuple(cs) for cs in cuts]):
+    for u in itertools.product(*cuts):
         covered = []
         ok = True
         for idx, (box, _) in enumerate(parts):

@@ -87,6 +87,11 @@ def _parse_factor(text: str, lineno: int) -> tuple[int, ...]:
     return tuple(sorted(cells))
 
 
+def _inferred_sides(boxes, dim: int) -> tuple[int, ...]:
+    """Per-axis maximum coordinate, raised to 2 so the ambient is legal."""
+    return tuple(max([2, *(b.factors[i][-1] for b in boxes)]) for i in range(dim))
+
+
 def parse_partition_text(text: str) -> PartitionDocument:
     """Parse the listing format; boxes are returned in id order."""
     ambient_sides: tuple[int, ...] | None = None
@@ -132,28 +137,15 @@ def parse_partition_text(text: str) -> PartitionDocument:
 
     if ambient_sides is None:
         assert dim is not None
-        ambient_sides = tuple(
-            max(max(b.factors[i]) for b in boxes) for i in range(dim)
-        )
-        # inference must still produce a legal ambient (sides >= 2)
-        ambient_sides = tuple(max(n, 2) for n in ambient_sides)
+        ambient_sides = _inferred_sides(boxes, dim)
     return PartitionDocument(Ambient(ambient_sides), boxes)
-
-
-def _inferred_sides(doc: PartitionDocument) -> tuple[int, ...]:
-    dim = doc.ambient.dim
-    sides = tuple(
-        max(max(b.factors[i]) for b in doc.boxes) if doc.boxes else 2
-        for i in range(dim)
-    )
-    return tuple(max(n, 2) for n in sides)
 
 
 def write_partition_text(doc: PartitionDocument) -> str:
     """Emit the listing format; ascending elements, single spaces, one box
     per line.  The Ambient header appears only when inference would differ."""
     lines = []
-    if _inferred_sides(doc) != doc.ambient.sides:
+    if _inferred_sides(doc.boxes, doc.ambient.dim) != doc.ambient.sides:
         lines.append("Ambient = " + " x ".join(str(n) for n in doc.ambient.sides))
     for i, box in enumerate(doc.boxes, start=1):
         factors = " x ".join(
@@ -175,12 +167,20 @@ def write_partition_structured(doc: PartitionDocument) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
+def _reject(token: str):
+    raise ParseError(f"non-integer number {token}")
+
+
 def parse_partition_structured(text: str) -> PartitionDocument:
-    obj = json.loads(text)
-    ambient = Ambient(tuple(obj["ambient"]))
-    boxes = tuple(DiscreteBox(tuple(tuple(f) for f in b)) for b in obj["boxes"])
-    labels = None
-    if obj.get("labels") is not None:
-        labels = tuple(PiercingVector(tuple(v)) for v in obj["labels"])
-    meta = tuple(sorted(obj.get("meta", {}).items()))
+    """Parse the JSON format; a missing or ill-typed field raises ParseError."""
+    obj = json.loads(text, parse_float=_reject, parse_constant=_reject)
+    try:
+        ambient = Ambient(tuple(obj["ambient"]))
+        boxes = tuple(DiscreteBox(tuple(tuple(f) for f in b)) for b in obj["boxes"])
+        labels = None
+        if obj.get("labels") is not None:
+            labels = tuple(PiercingVector(tuple(v)) for v in obj["labels"])
+        meta = tuple(sorted(obj.get("meta", {}).items()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed partition document ({type(exc).__name__}: {exc})")
     return PartitionDocument(ambient, boxes, labels, meta)

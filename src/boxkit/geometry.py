@@ -12,16 +12,20 @@ the package relies on:
 * ``piercing_number``   -- per-axis minimum of distinct boxes met by a line
 * ``weighted_piercing_ok`` -- label-sum piercing test for labeled partitions
 
-Verification scans every ambient point (or axis line) explicitly with small
-numpy tensors; at desk scale this is exact and fast, and there is nothing to
-get wrong.  All types are frozen dataclasses, safe to share across threads.
+Verification stays exhaustive: it scatters every cell of every box into a
+dense tensor over the ambient (or over the lines of one axis) and checks
+every entry, so its cost grows with the total cardinality of the boxes plus
+the ambient volume.  Tensors above ``_CELL_LIMIT`` cells raise GeometryError
+instead of being allocated.  All types are frozen dataclasses, safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -198,11 +202,13 @@ class IntermediatePartition:
             box.validate_in(self.ambient)
             if len(vec.labels) != self.ambient.dim:
                 raise GeometryError("label/dimension mismatch")
-        report = verify_cover(self.family(), 1, "exact")
-        if not report.is_partition:
+        boxes = [box for box, _ in self.parts]
+        csr = _factor_csr(boxes, self.ambient.dim)
+        bad = _scatter_sum(csr, self.ambient.sides) != 1
+        if bad.any():
             raise GeometryError(
                 "parts of an intermediate partition must tile the ambient; "
-                f"first bad point {report.first_violation}"
+                f"first bad point {_first_point(bad)}"
             )
 
     def family(self) -> BoxFamily:
@@ -234,42 +240,87 @@ def boxes_disjoint(b1: DiscreteBox, b2: DiscreteBox) -> bool:
     return any(set(f1).isdisjoint(f2) for f1, f2 in zip(b1.factors, b2.factors))
 
 
-def _indicator(cells: tuple[int, ...], n: int) -> np.ndarray:
-    ind = np.zeros(n, dtype=np.int64)
-    ind[np.asarray(cells) - 1] = 1
-    return ind
+# Largest dense tensor (in cells) the checks below allocate; a bigger
+# ambient or line tensor raises GeometryError instead.
+_CELL_LIMIT = 1 << 27
+# Cells expanded per scatter step; bounds the incidence's working memory.
+_BATCH_CELLS = 1 << 13
 
 
-def _coverage_tensor(family: BoxFamily) -> np.ndarray:
-    """Multiplicity of every ambient point, as an integer tensor."""
-    sides = family.ambient.sides
-    cover = np.zeros(sides, dtype=np.int64)
-    for box in family.boxes:
-        vecs = [_indicator(f, n) for f, n in zip(box.factors, sides)]
-        cover += functools.reduce(np.multiply.outer, vecs)
-    return cover
-
-
-def _line_counts(family: BoxFamily) -> list[np.ndarray]:
-    """For each axis i, the number of distinct boxes met by every line in
-    direction i (a tensor over the remaining axes)."""
-    sides = family.ambient.sides
-    d = family.ambient.dim
-    counts: list[np.ndarray] = [
-        np.zeros(tuple(n for j, n in enumerate(sides) if j != i), dtype=np.int64)
-        if d > 1
-        else np.zeros((), dtype=np.int64)
-        for i in range(d)
+def _factor_csr(boxes: Sequence[DiscreteBox], dim: int):
+    """Factors of all boxes as per-axis CSR arrays: ``vals[j]`` holds the
+    0-based axis-j coordinates of every box back to back, and box b's run of
+    them starts at ``starts[b, j]`` and has length ``lens[b, j]``."""
+    lens = np.array([[len(f) for f in b.factors] for b in boxes], dtype=np.int64)
+    lens = lens.reshape(len(boxes), dim)
+    chain = itertools.chain.from_iterable
+    vals = [
+        np.fromiter(chain(b.factors[j] for b in boxes), np.int64) - 1
+        for j in range(dim)
     ]
-    for box in family.boxes:
-        vecs = [_indicator(f, n) for f, n in zip(box.factors, sides)]
-        for i in range(d):
-            rest = [v for j, v in enumerate(vecs) if j != i]
-            if rest:
-                counts[i] += functools.reduce(np.multiply.outer, rest)
-            else:
-                counts[i] += 1
-    return counts
+    return vals, np.cumsum(lens, axis=0) - lens, lens
+
+
+def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):
+    """Every cell of every box over ``axes``: yields batches of (row-major
+    flat index into the tensor of shape ``sides[axes]``, number of the box
+    owning the cell).  A batch is a run of consecutive boxes of at most about
+    ``_BATCH_CELLS`` cells; a bigger box is cut into runs of its own cells."""
+    vals, starts, lens = csr
+    # below[b, t]: cells of box b over axes[t:]
+    below = np.ones((len(lens), len(axes) + 1), dtype=np.int64)
+    below[:, :-1] = np.cumprod(lens[:, axes[::-1]], axis=1)[:, ::-1]
+
+    def expand(flat, owner, t):
+        # each entry becomes one entry per coordinate of its box's axis-t factor
+        a, n = axes[t], lens[owner, axes[t]]
+        run = starts[owner, a] - n.cumsum() + n
+        pos = np.arange(int(n.sum())) + run.repeat(n)
+        return (flat * sides[a]).repeat(n) + vals[a][pos], owner.repeat(n)
+
+    def batches(flat, owner, t):
+        # runs ending in the same budget window; an oversized entry stands alone
+        size = below[owner, t]
+        big = size > _BATCH_CELLS
+        window = (size.cumsum() - 1) // _BATCH_CELLS
+        cuts = np.flatnonzero((window[1:] != window[:-1]) | big[1:] | big[:-1]) + 1
+        bounds = [0, *cuts.tolist(), len(owner)]
+        for i, j in zip(bounds, bounds[1:]):
+            f, o = flat[i:j], owner[i:j]
+            if j - i == 1 and big[i]:
+                yield from batches(*expand(f, o, t), t + 1)
+                continue
+            for u in range(t, len(axes)):
+                f, o = expand(f, o, u)
+            yield f, o
+
+    boxes = np.arange(len(lens))
+    yield from batches(np.zeros_like(boxes), boxes, 0)
+
+
+def _scatter_sum(
+    csr, sides: Sequence[int], skip: int | None = None, weights=None
+) -> np.ndarray:
+    """Weighted line sums: the tensor over every axis but ``skip`` whose cell
+    c sums the weights (1 by default) of the boxes whose projection contains
+    c, i.e. that the axis-``skip`` line through c meets.  With no axis
+    skipped this is the coverage tensor."""
+    axes = [j for j in range(len(sides)) if j != skip]
+    shape = tuple(sides[a] for a in axes)
+    size = functools.reduce(operator.mul, shape, 1)
+    if size > _CELL_LIMIT:
+        raise GeometryError(
+            f"a {'x'.join(map(str, shape))} tensor exceeds the {_CELL_LIMIT}-cell limit"
+        )
+    out = np.zeros(size, dtype=np.int64)
+    for flat, owner in _incidence(csr, sides, axes):
+        np.add.at(out, flat, 1 if weights is None else weights[owner])
+    return out.reshape(shape)
+
+
+def _first_point(bad: np.ndarray) -> tuple[int, ...]:
+    """1-based coordinates of the first True cell, in row-major order."""
+    return tuple(int(c) + 1 for c in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
 def verify_cover(
@@ -285,21 +336,9 @@ def verify_cover(
     if mode not in ("exact", "at_least"):
         raise GeometryError(f"unknown mode {mode!r}")
 
-    if not family.boxes:
-        return VerificationReport(
-            is_partition=False,
-            cover_multiplicity_min=0,
-            cover_multiplicity_max=0,
-            all_proper=True,
-            all_odd=True,
-            all_brick=True,
-            piercing_number=0,
-            per_axis_piercing=(0,) * family.ambient.dim,
-            multiplicity_ok=False,
-            first_violation=tuple(1 for _ in family.ambient.sides),
-        )
-
-    cover = _coverage_tensor(family)
+    sides = family.ambient.sides
+    csr = _factor_csr(family.boxes, family.ambient.dim)
+    cover = _scatter_sum(csr, sides)
     cmin = int(cover.min())
     cmax = int(cover.max())
     if mode == "exact":
@@ -307,53 +346,48 @@ def verify_cover(
     else:
         bad = cover < multiplicity
     ok = not bool(bad.any())
-    first = None
-    if not ok:
-        idx = np.argwhere(bad)[0]
-        first = tuple(int(c) + 1 for c in idx)
 
-    flags = [classify_box(b, family.ambient) for b in family.boxes]
-    overall, per_axis = piercing_number(family)
+    vals, starts, lens = csr
+    brick = all(
+        bool((v[s + n - 1] - v[s] + 1 == n).all())
+        for v, s, n in zip(vals, starts.T, lens.T)
+    )
+    per_axis = _line_minima(csr, sides)
     return VerificationReport(
         is_partition=(cmin == 1 and cmax == 1),
         cover_multiplicity_min=cmin,
         cover_multiplicity_max=cmax,
-        all_proper=all(f.proper for f in flags),
-        all_odd=all(f.odd for f in flags),
-        all_brick=all(f.brick for f in flags),
-        piercing_number=overall,
+        all_proper=bool((lens != np.array(sides)).all()),
+        all_odd=bool((lens % 2 == 1).all()),
+        all_brick=brick,
+        piercing_number=min(per_axis),
         per_axis_piercing=per_axis,
         multiplicity_ok=ok,
-        first_violation=first,
+        first_violation=None if ok else _first_point(bad),
+    )
+
+
+def _line_minima(csr, sides: Sequence[int], weights=None) -> tuple[int, ...]:
+    """Per axis i, the least weighted line sum over all axis-i lines; the
+    weight of box b on axis i is ``weights[b, i]``, or 1 by default."""
+    w = np.ones_like(csr[2]) if weights is None else weights
+    return tuple(
+        int(_scatter_sum(csr, sides, i, w[:, i]).min()) for i in range(len(sides))
     )
 
 
 def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
     """Minimum, over all axis-parallel lines, of the number of distinct boxes
     the line meets; reported overall and per axis."""
-    if not family.boxes:
-        return 0, (0,) * family.ambient.dim
-    counts = _line_counts(family)
-    per_axis = tuple(int(c.min()) for c in counts)
+    csr = _factor_csr(family.boxes, family.ambient.dim)
+    per_axis = _line_minima(csr, family.ambient.sides)
     return min(per_axis), per_axis
 
 
 def weighted_piercing_ok(ip: IntermediatePartition, k: int) -> bool:
     """True iff along every axis-j line the labels a_{.,j} of the parts the
     line crosses sum to at least k."""
-    sides = ip.ambient.sides
-    d = ip.ambient.dim
-    for i in range(d):
-        shape = tuple(n for j, n in enumerate(sides) if j != i)
-        sums = np.zeros(shape if shape else (), dtype=np.int64)
-        for box, vec in ip.parts:
-            vecs = [
-                _indicator(f, n)
-                for j, (f, n) in enumerate(zip(box.factors, sides))
-                if j != i
-            ]
-            touch = functools.reduce(np.multiply.outer, vecs) if vecs else 1
-            sums += vec.labels[i] * touch
-        if int(np.min(sums)) < k:
-            return False
-    return True
+    csr = _factor_csr([box for box, _ in ip.parts], ip.ambient.dim)
+    labels = np.array([vec.labels for _, vec in ip.parts], dtype=np.int64)
+    labels = labels.reshape(len(ip.parts), ip.ambient.dim)
+    return min(_line_minima(csr, ip.ambient.sides, labels)) >= k

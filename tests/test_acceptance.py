@@ -237,3 +237,13 @@ def test_criterion_11_graphs():
     assert value / k > 3.5
     assert value <= 4 * (k - 1) + 1
     assert not math.isnan(value)
+
+
+@criterion(12, "product of three 25-box partitions: 15,625 boxes over [5]^9 verify within 30 s")
+def test_criterion_12_product_15625():
+    p25 = partition_25()
+    fam = product(product(p25, p25), p25)
+    rep = timed(30.0, verify_cover, fam)
+    assert len(fam) == 15_625 and fam.ambient.sides == (5,) * 9
+    assert rep.is_partition and rep.all_odd and rep.all_proper
+    assert rep.piercing_number == 3

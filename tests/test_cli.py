@@ -30,6 +30,31 @@ class TestVerify:
     def test_missing_file_is_usage_error(self):
         assert main(["verify", "/nonexistent/file.txt"]) == 2
 
+    def test_oversized_ambient_is_usage_error(self, tmp_path, capsys):
+        # refused by the tensor cell limit before anything is allocated
+        path = tmp_path / "huge.txt"
+        path.write_text("Ambient = 100000 x 100000 x 100000\nBox(1) = {1} x {1} x {1}\n")
+        assert main(["verify", str(path)]) == 2
+        assert "cell limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"boxes": []}',
+            '{"ambient": [2, 2]}',
+            '{"ambient": 5, "boxes": []}',
+            '{"ambient": [2.5, 2], "boxes": []}',
+            '{"ambient": [2, 2], "boxes": 3}',
+            '{"ambient": [2, 2], "boxes": [["1", "2"]]}',
+            '{"ambient": [2, 2], "boxes": [[[1, 2], [1, 2]]], "meta": []}',
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_json_is_usage_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["verify", str(path)]) == 2
+
 
 class TestConstruct:
     def test_p25_bytes(self, capsys):

@@ -1,7 +1,12 @@
+import itertools
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkit import geometry
 from boxkit.geometry import (
     Ambient,
     BoxFamily,
@@ -13,6 +18,7 @@ from boxkit.geometry import (
     classify_box,
     piercing_number,
     verify_cover,
+    weighted_piercing_ok,
 )
 
 
@@ -221,3 +227,152 @@ def test_dropping_a_box_breaks_the_partition(fam, rng):
     keep = list(fam.boxes)
     keep.pop(rng.randrange(len(keep)))
     assert not verify_cover(BoxFamily(fam.ambient, tuple(keep))).is_partition
+
+
+# -- differential tests against a point-membership oracle ---------------------
+
+
+def _points(ambient):
+    """All ambient points in row-major order."""
+    return itertools.product(*(range(1, n + 1) for n in ambient.sides))
+
+
+def _oracle_multiplicity(fam):
+    return {p: sum(b.contains(p) for b in fam.boxes) for p in _points(fam.ambient)}
+
+
+def _oracle_line_sums(fam, axis, weights):
+    """Per axis-``axis`` line: summed weight of the boxes the line meets."""
+    sums = {}
+    for p in _points(fam.ambient):
+        if p[axis] != 1:
+            continue
+        line = [p[:axis] + (c,) + p[axis + 1 :] for c in range(1, fam.ambient.sides[axis] + 1)]
+        sums[p] = sum(w for b, w in zip(fam.boxes, weights) if any(b.contains(q) for q in line))
+    return sums
+
+
+@st.composite
+def random_families(draw):
+    """Small families of arbitrary boxes: overlaps, gaps and non-bricks."""
+    sides = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    boxes = draw(
+        st.lists(
+            st.tuples(*(st.sets(st.integers(1, n), min_size=1) for n in sides)),
+            max_size=8,
+        )
+    )
+    return BoxFamily(Ambient(tuple(sides)), tuple(DiscreteBox(b) for b in boxes))
+
+
+@st.composite
+def random_partitions(draw):
+    """Partitions into general boxes: repeatedly cut one part in two along an
+    axis by an arbitrary (not necessarily contiguous) split of its factor."""
+    sides = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    parts = [tuple(tuple(range(1, n + 1)) for n in sides)]
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, len(parts) - 1))
+        axis = draw(st.integers(0, len(sides) - 1))
+        f = parts[i][axis]
+        if len(f) < 2:
+            continue
+        left = draw(st.sets(st.sampled_from(f), min_size=1, max_size=len(f) - 1))
+        right = tuple(c for c in f if c not in left)
+        parts[i : i + 1] = [
+            parts[i][:axis] + (tuple(sorted(left)),) + parts[i][axis + 1 :],
+            parts[i][:axis] + (right,) + parts[i][axis + 1 :],
+        ]
+    return BoxFamily(Ambient(tuple(sides)), tuple(DiscreteBox(p) for p in parts))
+
+
+# 1 and 3 cut almost every box into runs of its own cells; the default budget
+# keeps these families in a single batch.
+batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
+
+
+@given(random_families(), batch_budgets)
+@settings(max_examples=150, deadline=None)
+def test_verify_cover_matches_oracle(fam, budget):
+    mult = _oracle_multiplicity(fam)
+    with mock.patch.object(geometry, "_BATCH_CELLS", budget):
+        reports = {
+            (t, mode): verify_cover(fam, t, mode)
+            for t in (1, 2, 3)
+            for mode in ("exact", "at_least")
+        }
+        overall, per_axis = piercing_number(fam)
+    flags = [classify_box(b, fam.ambient) for b in fam.boxes]
+    for (t, mode), rep in reports.items():
+        bad = [p for p, m in mult.items() if (m != t if mode == "exact" else m < t)]
+        assert rep.cover_multiplicity_min == min(mult.values())
+        assert rep.cover_multiplicity_max == max(mult.values())
+        assert rep.is_partition == all(m == 1 for m in mult.values())
+        assert rep.multiplicity_ok == (not bad)
+        assert rep.first_violation == (bad[0] if bad else None)
+        assert rep.all_proper == all(f.proper for f in flags)
+        assert rep.all_odd == all(f.odd for f in flags)
+        assert rep.all_brick == all(f.brick for f in flags)
+        assert rep.per_axis_piercing == per_axis
+    expected = tuple(
+        min(_oracle_line_sums(fam, i, [1] * len(fam)).values())
+        for i in range(fam.ambient.dim)
+    )
+    assert per_axis == expected
+    assert overall == min(expected)
+
+
+@given(random_partitions(), batch_budgets, st.data())
+@settings(max_examples=100, deadline=None)
+def test_weighted_piercing_matches_oracle(fam, budget, data):
+    d = fam.ambient.dim
+    labels = [data.draw(st.tuples(*[st.integers(1, 3)] * d)) for _ in fam.boxes]
+    k = data.draw(st.integers(1, 8))
+    with mock.patch.object(geometry, "_BATCH_CELLS", budget):
+        ip = IntermediatePartition(
+            fam.ambient, tuple(zip(fam.boxes, map(PiercingVector, labels)))
+        )
+        got = weighted_piercing_ok(ip, k)
+    expected = all(
+        min(_oracle_line_sums(fam, i, [a[i] for a in labels]).values()) >= k
+        for i in range(d)
+    )
+    assert got == expected
+
+
+@given(random_families())
+@settings(max_examples=60, deadline=None)
+def test_intermediate_partition_names_first_bad_point(fam):
+    bad = [p for p, m in _oracle_multiplicity(fam).items() if m != 1]
+    parts = tuple((b, PiercingVector((1,) * fam.ambient.dim)) for b in fam.boxes)
+    if not bad:
+        assert len(IntermediatePartition(fam.ambient, parts)) == len(fam)
+        return
+    with pytest.raises(GeometryError, match=f"first bad point {re.escape(str(bad[0]))}"):
+        IntermediatePartition(fam.ambient, parts)
+
+
+def test_boxes_spanning_several_batches():
+    """One box bigger than a batch plus many small ones, at the real budget."""
+    n = 24
+    amb = Ambient.cube(n, 3)
+    assert amb.volume > geometry._BATCH_CELLS
+    full = DiscreteBox.of(range(1, n + 1), range(1, n + 1), range(1, n + 1))
+    slabs = [DiscreteBox.of([x], range(1, n + 1), range(2, n + 1)) for x in range(1, n + 1)]
+    fam = BoxFamily(amb, (full, *slabs))
+    csr = geometry._factor_csr(fam.boxes, 3)
+    assert len(list(geometry._incidence(csr, amb.sides, [0, 1, 2]))) > 2
+    rep = verify_cover(fam, 2, "exact")
+    assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (1, 2)
+    assert rep.first_violation == (1, 1, 1)
+    # lines in the z=1 layer miss every slab; z-lines meet the full box and one slab
+    assert rep.per_axis_piercing == (1, 1, 2)
+
+
+def test_tensor_cell_limit():
+    """Ambient or line tensors over the cell limit are refused, not allocated."""
+    fam = BoxFamily(Ambient.cube(100_000, 3), (DiscreteBox.of([1], [1], [1]),))
+    with pytest.raises(GeometryError, match="cell limit"):
+        verify_cover(fam)
+    with pytest.raises(GeometryError, match="cell limit"):
+        piercing_number(fam)
