@@ -59,11 +59,10 @@ class ParityTally:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A named bound with the (d, k, n) instance it applies to (None = any)."""
+    """A named bound value."""
 
     name: str
     value: Fraction | float
-    valid_for: tuple[int | None, int | None, int | None] = (None, None, None)
 
     def __post_init__(self) -> None:
         if not self.value > 0 or (
@@ -119,7 +118,7 @@ def lower_odd_basic(d: int) -> BoundValue:
     """Any partition of a cube into odd boxes has at least 2^d parts."""
     if d < 1:
         raise GeometryError("d must be >= 1")
-    return BoundValue("odd_basic", Fraction(2) ** d, (d, None, None))
+    return BoundValue("odd_basic", Fraction(2) ** d)
 
 
 def lower_odd_proper(n: int, d: int) -> BoundValue:
@@ -131,7 +130,7 @@ def lower_odd_proper(n: int, d: int) -> BoundValue:
     if d < 1:
         raise GeometryError("d must be >= 1")
     base = Fraction(2 ** (n - 1) - 1, 2 ** (n - 2) - 1)
-    return BoundValue("odd_proper", base**d, (d, None, n))
+    return BoundValue("odd_proper", base**d)
 
 
 def kp_trivial_bounds(
@@ -151,8 +150,8 @@ def kp_trivial_bounds(
     else:
         raise GeometryError(f"unknown kind {kind!r}")
     return (
-        BoundValue(name + "_lower", lower, (d, k, None)),
-        BoundValue(name + "_upper", Fraction(k) ** d, (d, k, None)),
+        BoundValue(name + "_lower", lower),
+        BoundValue(name + "_upper", Fraction(k) ** d),
     )
 
 
@@ -166,10 +165,8 @@ def kp_box_exponential_lower(d: int, k: int) -> tuple[BoundValue, BoundValue]:
     prod = 1.0
     for i in range(2, d + 1):
         prod *= 1.0 + 1.0 / (math.sqrt(2 * i) - 1.0)
-    product_form = BoundValue("box_exp_product", prod * (k - 1) + 1, (d, k, None))
-    closed_form = BoundValue(
-        "box_exp_closed", math.exp(math.sqrt(d) / 4) * (k - 1), (d, k, None)
-    )
+    product_form = BoundValue("box_exp_product", prod * (k - 1) + 1)
+    closed_form = BoundValue("box_exp_closed", math.exp(math.sqrt(d) / 4) * (k - 1))
     return product_form, closed_form
 
 

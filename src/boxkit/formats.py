@@ -21,6 +21,7 @@ Both directions are exact: ``parse(write(doc)) == doc``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -175,6 +176,16 @@ def parse_partition_structured(text: str) -> PartitionDocument:
     """Parse the JSON format; a missing or ill-typed field raises ParseError."""
     obj = json.loads(text, parse_float=_reject, parse_constant=_reject)
     try:
+        # json reads true/false as bools, which pass for the ints 1 and 0;
+        # the text test spares the scan on documents without them
+        if "true" in text or "false" in text:
+            numbers = itertools.chain(
+                obj["ambient"],
+                *(itertools.chain(*b) for b in obj["boxes"]),
+                *(obj.get("labels") or ()),
+            )
+            if any(isinstance(c, bool) for c in numbers):
+                raise ParseError("boolean where an integer is expected")
         ambient = Ambient(tuple(obj["ambient"]))
         boxes = tuple(DiscreteBox(tuple(tuple(f) for f in b)) for b in obj["boxes"])
         labels = None

@@ -225,4 +225,4 @@ def prop43_lower(k: int) -> BoundValue:
         expo = 1.0 - 0.5 ** (i + 1)
         c_i = 4.0 * 2.0 ** (-(0.5 ** (i + 1))) * shrink**expo
         best = max(best, c_i * (k - 1))
-    return BoundValue("two_colored_clique_lower", best, (2, k, None))
+    return BoundValue("two_colored_clique_lower", best)

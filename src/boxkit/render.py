@@ -3,58 +3,62 @@
 ASCII output prints the 1-based box id of every cell: a single row in 1D, a
 grid in 2D, and one grid per last-axis layer in 3D (the layered style used
 for hand-listings of 3D partitions).  SVG output (2D only) draws one
-rectangle per brick and falls back to unit tiles for non-brick boxes.
+rectangle per brick and falls back to unit tiles for non-brick boxes.  A
+picture of more than ``_CELL_LIMIT`` cells or unit tiles raises GeometryError
+before anything is allocated.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from .formats import PartitionDocument
-from .geometry import GeometryError, classify_box
+from .geometry import _CELL_LIMIT, GeometryError, _factor_csr, _incidence, classify_box
 
 __all__ = ["render"]
 
 _CELL = 24  # svg pixels per lattice cell
 
 
-def _id_grid(doc: PartitionDocument):
-    """Cell -> box id lookup (0 for uncovered cells)."""
+def _check_cells(cells: int, what: str) -> None:
+    if cells > _CELL_LIMIT:
+        raise GeometryError(f"{what} exceeds the {_CELL_LIMIT}-cell limit")
+
+
+def _id_grid(doc: PartitionDocument) -> np.ndarray:
+    """Id of the first box covering each cell (0 for uncovered cells), as
+    an array over the ambient indexed by 0-based coordinates."""
     sides = doc.ambient.sides
-    grid: dict[tuple[int, ...], int] = {}
-    for i, box in enumerate(doc.boxes, start=1):
-        for pt in itertools.product(*box.factors):
-            grid.setdefault(pt, i)
-    return grid, sides
+    _check_cells(doc.ambient.volume, f"a {'x'.join(map(str, sides))} picture")
+    grid = np.full(doc.ambient.volume, len(doc.boxes) + 1, dtype=np.int64)
+    csr = _factor_csr(doc.boxes, doc.ambient.dim)
+    for flat, owner in _incidence(csr, sides, list(range(len(sides)))):
+        np.minimum.at(grid, flat, owner + 1)
+    grid[grid > len(doc.boxes)] = 0
+    return grid.reshape(sides)
 
 
 def _ascii(doc: PartitionDocument) -> str:
-    grid, sides = _id_grid(doc)
+    dim = doc.ambient.dim
+    if dim > 3:
+        raise GeometryError("ascii rendering supports dimensions 1-3")
     width = len(str(len(doc.boxes)))
+    labels = np.array(
+        [(str(i) if i else ".").rjust(width) for i in range(len(doc.boxes) + 1)]
+    )
+    cells = labels[_id_grid(doc)]
 
-    def cell(pt) -> str:
-        i = grid.get(pt)
-        return (str(i) if i else ".").rjust(width)
+    def grid2d(layer) -> str:  # rows top down: y decreasing
+        return "\n".join(" ".join(layer[:, y]) for y in range(layer.shape[1] - 1, -1, -1))
 
-    if len(sides) == 1:
-        return " ".join(cell((x,)) for x in range(1, sides[0] + 1)) + "\n"
-    if len(sides) == 2:
-        rows = [
-            " ".join(cell((x, y)) for x in range(1, sides[0] + 1))
-            for y in range(sides[1], 0, -1)
-        ]
-        return "\n".join(rows) + "\n"
-    if len(sides) == 3:
-        blocks = []
-        for z in range(1, sides[2] + 1):
-            rows = [f"layer z={z}"]
-            rows += [
-                " ".join(cell((x, y, z)) for x in range(1, sides[0] + 1))
-                for y in range(sides[1], 0, -1)
-            ]
-            blocks.append("\n".join(rows))
-        return "\n\n".join(blocks) + "\n"
-    raise GeometryError("ascii rendering supports dimensions 1-3")
+    if dim == 1:
+        return " ".join(cells) + "\n"
+    if dim == 2:
+        return grid2d(cells) + "\n"
+    blocks = [
+        f"layer z={z + 1}\n" + grid2d(cells[:, :, z]) for z in range(cells.shape[2])
+    ]
+    return "\n\n".join(blocks) + "\n"
 
 
 def _svg(doc: PartitionDocument) -> str:
@@ -79,10 +83,12 @@ def _svg(doc: PartitionDocument) -> str:
             f'font-size="10">{label}</text>'
         )
 
-    for i, box in enumerate(doc.boxes, start=1):
-        flags = classify_box(box, doc.ambient)
+    bricks = [classify_box(box, doc.ambient).brick for box in doc.boxes]
+    tiles = sum(b.cardinality for b, brick in zip(doc.boxes, bricks) if not brick)
+    _check_cells(tiles, f"{tiles} unit tiles")
+    for i, (box, brick) in enumerate(zip(doc.boxes, bricks), start=1):
         fx, fy = box.factors
-        if flags.brick:
+        if brick:
             rect(fx[0], fy[0], len(fx), len(fy), i)
         else:
             for x in fx:

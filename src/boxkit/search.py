@@ -15,7 +15,12 @@ t=1 exact.  Three engines are provided:
   SAT clauses (DIMACS CNF, t=1 exact only), one variable per candidate and
   one constraint per point.
 
-Everything is single-threaded and bit-reproducible for a fixed seed.
+Everything is single-threaded.  ``solve_cover`` walks the same tree and
+returns the same result (selection, size, proof flag and node count) for the
+same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
+``anneal_cover`` is bit-reproducible for a fixed seed only when ``max_nodes``
+binds before ``wall_seconds``; a run stopped by the wall clock ends after
+however many steps the machine managed.
 """
 
 from __future__ import annotations
@@ -75,10 +80,9 @@ class SearchBudget:
     max_nodes: int = 10_000_000
     wall_seconds: float = 60.0
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.wall_seconds <= 0 or self.threads < 1:
+        if self.max_nodes < 1 or self.wall_seconds <= 0:
             raise GeometryError("budget fields must be positive")
 
 
@@ -133,109 +137,132 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
     ]
 
 
-def _point_index(ambient: Ambient):
-    pts = list(itertools.product(*(range(1, n + 1) for n in ambient.sides)))
-    return {p: i for i, p in enumerate(pts)}, pts
-
-
-def _candidate_points(instance: CoverInstance, index):
-    return [
-        tuple(
-            index[p] for p in itertools.product(*c.factors)
-        )
+def _pool_incidence(instance: CoverInstance):
+    """The pool as flat point indices: per candidate, the row-major index of
+    each of its points (in ``itertools.product`` order), and per point, the
+    candidates covering it in pool order."""
+    sides = instance.ambient.sides
+    strides = [math.prod(sides[a + 1:]) for a in range(len(sides))]
+    cand_pts = [
+        tuple(map(sum, itertools.product(*(
+            [(x - 1) * s for x in f] for f, s in zip(c.factors, strides)
+        ))))
         for c in instance.candidates
     ]
+    covers_point: list[list[int]] = [[] for _ in range(math.prod(sides))]
+    for ci, pts in enumerate(cand_pts):
+        for p in pts:
+            covers_point[p].append(ci)
+    return cand_pts, covers_point
 
 
 def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     """Complete branch-and-bound minimizing the number of chosen candidates.
 
-    Branching: pick the deficit point with the fewest usable candidates and
-    try each, banning a candidate after its branch (so subsets are explored
-    once).  A candidate is usable when, in exact mode, it would not push any
-    point above the multiplicity.  Pruning: chosen + ceil(remaining demand /
-    largest candidate cardinality) must beat the incumbent.
+    Branching: pick the deficit point with the fewest usable candidates
+    (the lowest-numbered one on a tie) and try each in pool order, banning
+    a candidate before its branch (so subsets are explored once).  A
+    candidate is usable when it is not banned and, in exact mode, it would
+    not push any point above the multiplicity.  Pruning: chosen +
+    ceil(remaining demand / largest candidate cardinality) must beat the
+    incumbent.
+
+    Option counts are updated as candidates are chosen, banned and released
+    rather than recounted at every node, and the tree is walked with an
+    explicit stack, so its depth is not bounded by the recursion limit.
 
     ``proven_optimal`` is true iff the tree was exhausted inside the budget;
     an infeasible instance yields best None, best_size infinity, proven.
     """
-    index, points = _point_index(instance.ambient)
-    cand_pts = _candidate_points(instance, index)
-    n_pts = len(points)
+    cand_pts, covers_point = _pool_incidence(instance)
+    n_pts = len(covers_point)
     t = instance.multiplicity
     exact = instance.mode == "exact"
-    covers_point: list[list[int]] = [[] for _ in range(n_pts)]
-    for ci, pts in enumerate(cand_pts):
-        for p in pts:
-            covers_point[p].append(ci)
-    max_card = max((len(p) for p in cand_pts), default=1)
+    max_card = max(map(len, cand_pts), default=1)
 
     counts = [0] * n_pts
-    banned = [False] * len(cand_pts)
-    chosen: list[int] = []
+    demand = t * n_pts
+    # blocked[ci]: 1 per ban plus, in exact mode, 1 per point of ci already
+    # covered t times; ci is usable iff blocked[ci] == 0.
+    blocked = [0] * len(cand_pts)
+    # n_opts[p]: usable candidates through p, plus `satisfied` once p is
+    # covered t times, so the first minimum of n_opts is the pivot.
+    n_opts = [len(cs) for cs in covers_point]
+    satisfied = len(cand_pts) + 1
+
+    def block(ci: int, step: int) -> None:
+        """Add step (1 or -1) to blocked[ci]; ci leaves or rejoins n_opts
+        when blocked[ci] moves between 0 and 1."""
+        blocked[ci] += step
+        if blocked[ci] == (step == 1):
+            for p in cand_pts[ci]:
+                n_opts[p] -= step
+
+    def choose(ci: int, step: int) -> None:
+        """Add (step 1) or take back (step -1) candidate ci."""
+        nonlocal demand
+        up = step == 1
+        for p in cand_pts[ci]:
+            held = counts[p] + up  # p's count while ci is chosen
+            counts[p] += step
+            if held <= t:
+                demand -= step
+                if held == t:
+                    n_opts[p] += step * satisfied
+                    if exact:
+                        for cj in covers_point[p]:  # block(cj, step), inlined
+                            blocked[cj] += step
+                            if blocked[cj] == up:
+                                for q in cand_pts[cj]:
+                                    n_opts[q] -= step
 
     best_size: float = math.inf
     best_sel: list[int] | None = None
     nodes = 0
     start = time.monotonic()
     exhausted = True
-
-    def out_of_budget() -> bool:
-        return (
+    # one entry per open node: [pivot's candidates, next position, banned
+    # here]; the last candidate banned at a node is the one chosen below it
+    stack: list[list] = []
+    while True:
+        nodes += 1
+        if (
             nodes >= budget.max_nodes
             or time.monotonic() - start > budget.wall_seconds
-        )
-
-    def usable(ci: int) -> bool:
-        if banned[ci]:
-            return False
-        if exact and any(counts[p] >= t for p in cand_pts[ci]):
-            return False
-        return True
-
-    def dfs() -> None:
-        nonlocal nodes, best_size, best_sel, exhausted
-        nodes += 1
-        if out_of_budget():
+        ):
             exhausted = False
-            return
-        demand = sum(max(0, t - c) for c in counts)
+            break
         if demand == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_sel = list(chosen)
-            return
-        if len(chosen) + math.ceil(demand / max_card) >= best_size:
-            return
-        # deficit point with fewest usable candidates
-        pivot, options = -1, None
-        for p in range(n_pts):
-            if counts[p] < t:
-                opts = [ci for ci in covers_point[p] if usable(ci)]
-                if options is None or len(opts) < len(options):
-                    pivot, options = p, opts
-                    if not opts:
-                        break
-        if not options:
-            return
-        newly_banned = []
-        for ci in options:
-            # ban before descending: a candidate may be used at most once
-            banned[ci] = True
-            newly_banned.append(ci)
-            chosen.append(ci)
-            for p in cand_pts[ci]:
-                counts[p] += 1
-            dfs()
-            for p in cand_pts[ci]:
-                counts[p] -= 1
-            chosen.pop()
-            if not exhausted:
+            if len(stack) < best_size:
+                best_size = len(stack)
+                best_sel = [banned[-1] for _, _, banned in stack]
+        elif len(stack) + math.ceil(demand / max_card) < best_size:
+            fewest = min(n_opts)
+            if fewest:
+                stack.append([covers_point[n_opts.index(fewest)], 0, []])
+        # descend into the next usable option of the deepest open node,
+        # closing the nodes whose options are used up
+        while stack:
+            frame = stack[-1]
+            options, i, banned = frame
+            if banned:
+                choose(banned[-1], -1)
+            while i < len(options) and blocked[options[i]]:
+                i += 1
+            if i < len(options):
+                ci = options[i]
+                frame[1] = i + 1
+                # ban before descending: a candidate may be used at most once
+                block(ci, 1)
+                banned.append(ci)
+                choose(ci, 1)
                 break
-        for ci in newly_banned:
-            banned[ci] = False
+            for ci in banned:
+                block(ci, -1)
+            stack.pop()
+        else:  # the root's options are used up: the tree is exhausted
+            break
 
-    dfs()
     elapsed = time.monotonic() - start
     if best_sel is None:
         return SearchResult(None, math.inf, exhausted, nodes, elapsed)
@@ -262,8 +289,8 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     being reported; ``proven_optimal`` is always false.
     """
     rng = random.Random(budget.seed)
-    index, points = _point_index(instance.ambient)
-    cand_pts = _candidate_points(instance, index)
+    cand_pts, covers_point = _pool_incidence(instance)
+    n_pts = len(covers_point)
     n_cand = len(cand_pts)
     t = instance.multiplicity
     exact = instance.mode == "exact"
@@ -281,9 +308,9 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
 
     def find_feasible() -> list[int] | None:
         nonlocal steps
-        counts = [0] * len(points)
+        counts = [0] * n_pts
         used = [False] * n_cand
-        viol = t * len(points)
+        viol = t * n_pts
         weight, temp = 3, 1.0
         while not out_of_budget():
             steps += 1
@@ -317,7 +344,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         rng.shuffle(sel)
         sel = sel[:size]
         used = [False] * n_cand
-        counts = [0] * len(points)
+        counts = [0] * n_pts
         for ci in sel:
             used[ci] = True
             for p in cand_pts[ci]:
@@ -381,27 +408,24 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
 def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
     """Emit the 0/1 program for the instance: one binary variable per
     candidate (in pool order), one constraint per ambient point."""
-    index, points = _point_index(instance.ambient)
-    cand_pts = _candidate_points(instance, index)
-    covers_point: list[list[int]] = [[] for _ in points]
-    for ci, pts in enumerate(cand_pts):
-        for p in pts:
-            covers_point[p].append(ci)
+    _, covers_point = _pool_incidence(instance)
+    n_vars = len(instance.candidates)
 
     if format == "lp":
         rel = "=" if instance.mode == "exact" else ">="
         lines = ["Minimize"]
         lines.append(
-            " obj: " + " + ".join(f"x_{i + 1}" for i in range(len(cand_pts)))
+            " obj: " + " + ".join(f"x_{i + 1}" for i in range(n_vars))
         )
         lines.append("Subject To")
-        for p, pt in enumerate(points):
+        points = itertools.product(*(range(1, n + 1) for n in instance.ambient.sides))
+        for pt, cs in zip(points, covers_point):
             name = "p_" + "_".join(str(c) for c in pt)
-            terms = " + ".join(f"x_{ci + 1}" for ci in covers_point[p])
+            terms = " + ".join(f"x_{ci + 1}" for ci in cs)
             lines.append(f" {name}: {terms} {rel} {instance.multiplicity}")
         lines.append("Binary")
         lines.append(
-            " " + " ".join(f"x_{i + 1}" for i in range(len(cand_pts)))
+            " " + " ".join(f"x_{i + 1}" for i in range(n_vars))
         )
         lines.append("End")
         return "\n".join(lines) + "\n"
@@ -413,12 +437,12 @@ def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
                 "(no cardinality encoding is provided)"
             )
         clauses: list[list[int]] = []
-        for p in range(len(points)):
-            vs = [ci + 1 for ci in covers_point[p]]
+        for cs in covers_point:
+            vs = [ci + 1 for ci in cs]
             clauses.append(vs)  # at least one
             for a, b in itertools.combinations(vs, 2):  # at most one
                 clauses.append([-a, -b])
-        out = [f"p cnf {len(cand_pts)} {len(clauses)}"]
+        out = [f"p cnf {n_vars} {len(clauses)}"]
         out.extend(" ".join(str(v) for v in c) + " 0" for c in clauses)
         return "\n".join(out) + "\n"
 

@@ -48,6 +48,9 @@ class TestVerify:
             '{"ambient": [2, 2], "boxes": [["1", "2"]]}',
             '{"ambient": [2, 2], "boxes": [[[1, 2], [1, 2]]], "meta": []}',
             "[1, 2]",
+            '{"ambient": [2, 2], "boxes": [[[true, 2], [1, 2]]]}',
+            '{"ambient": [true, 2], "boxes": [[[1], [1]]]}',
+            '{"ambient": [2, 2], "boxes": [[[1, 2], [1, 2]]], "labels": [[1, true]]}',
         ],
     )
     def test_malformed_json_is_usage_error(self, tmp_path, doc):
@@ -157,6 +160,12 @@ class TestExportRender:
         assert main(["render", p25_file]) == 0
         out = capsys.readouterr().out
         assert "layer z=1" in out and "layer z=5" in out
+
+    def test_render_oversized_ambient_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("Ambient = 100000 x 100000 x 100000\nBox(1) = {1} x {1} x {1}\n")
+        assert main(["render", str(path)]) == 2
+        assert "cell limit" in capsys.readouterr().err
 
     def test_render_svg(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

@@ -132,6 +132,26 @@ def test_structured_round_trip(doc):
     assert parse_partition_structured(write_partition_structured(doc)) == doc
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"ambient": [2, 2], "boxes": [[[true, 2], [1, 2]]]}',
+        '{"ambient": [2, false], "boxes": []}',
+        '{"ambient": [2, 2], "boxes": [[[1, 2], [1, 2]]], "labels": [[1, true]]}',
+    ],
+)
+def test_json_booleans_rejected(doc):
+    with pytest.raises(ParseError, match="boolean"):
+        parse_partition_structured(doc)
+
+
+def test_json_true_in_meta_allowed():
+    doc = parse_partition_structured(
+        '{"ambient": [2], "boxes": [[[1, 2]]], "meta": {"proven": "true"}}'
+    )
+    assert doc.meta == (("proven", "true"),)
+
+
 def test_labels_must_match_boxes():
     with pytest.raises(Exception):
         PartitionDocument(

@@ -1,9 +1,13 @@
+import importlib
+
 import pytest
 
 from boxkit.constructions import grid_partition, trivial_odd_partition
 from boxkit.formats import PartitionDocument
 from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError
 from boxkit.render import render
+
+render_module = importlib.import_module("boxkit.render")  # the package re-exports the function
 
 
 def doc_of(fam):
@@ -29,6 +33,11 @@ class TestAscii:
         assert out.startswith("layer z=1\n")
         assert "\n\nlayer z=2\n" in out
 
+    def test_cell_limit(self, monkeypatch):
+        monkeypatch.setattr(render_module, "_CELL_LIMIT", 8)
+        with pytest.raises(GeometryError, match="cell limit"):
+            render(doc_of(grid_partition(2, 3)))
+
     def test_4d_rejected(self):
         with pytest.raises(GeometryError):
             render(doc_of(grid_partition(4, 2)))
@@ -51,6 +60,12 @@ class TestSvg:
         )
         out = render(doc_of(fam), "svg")
         assert out.count("<rect") == 6 + 1
+
+    def test_unit_tiles_limited(self, monkeypatch):
+        monkeypatch.setattr(render_module, "_CELL_LIMIT", 5)
+        fam = BoxFamily(Ambient.cube(3, 2), (DiscreteBox.of([1, 3], [1, 2, 3]),))
+        with pytest.raises(GeometryError, match="cell limit"):
+            render(doc_of(fam), "svg")
 
     def test_only_2d(self):
         with pytest.raises(GeometryError):

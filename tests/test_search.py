@@ -1,12 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxkit.bounds import lower_odd_proper
-from boxkit.geometry import Ambient, DiscreteBox, GeometryError, verify_cover
+from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError, verify_cover
 from boxkit.search import (
     CoverInstance,
     SearchBudget,
@@ -140,6 +141,125 @@ def test_solver_agrees_with_brute_force(inst):
         assert r.best_size == brute
 
 
+def _reference_solve_cover(inst, max_nodes):
+    """The branch-and-bound tree of ``solve_cover``, recounting every deficit
+    point's usable candidates at every node and recursing: returns (chosen
+    candidate indices, best size, proven optimal, nodes)."""
+    points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
+    index = {p: i for i, p in enumerate(points)}
+    cand_pts = [
+        tuple(index[p] for p in itertools.product(*c.factors))
+        for c in inst.candidates
+    ]
+    t = inst.multiplicity
+    exact = inst.mode == "exact"
+    covers_point = [[] for _ in points]
+    for ci, pts in enumerate(cand_pts):
+        for p in pts:
+            covers_point[p].append(ci)
+    max_card = max((len(p) for p in cand_pts), default=1)
+    counts = [0] * len(points)
+    banned = [False] * len(cand_pts)
+    chosen = []
+    best = {"size": math.inf, "sel": None, "nodes": 0, "exhausted": True}
+
+    def usable(ci):
+        if banned[ci]:
+            return False
+        return not (exact and any(counts[p] >= t for p in cand_pts[ci]))
+
+    def dfs():
+        best["nodes"] += 1
+        if best["nodes"] >= max_nodes:
+            best["exhausted"] = False
+            return
+        demand = sum(max(0, t - c) for c in counts)
+        if demand == 0:
+            if len(chosen) < best["size"]:
+                best["size"], best["sel"] = len(chosen), list(chosen)
+            return
+        if len(chosen) + math.ceil(demand / max_card) >= best["size"]:
+            return
+        options = None
+        for p in range(len(points)):
+            if counts[p] < t:
+                opts = [ci for ci in covers_point[p] if usable(ci)]
+                if options is None or len(opts) < len(options):
+                    options = opts
+                    if not opts:
+                        break
+        newly_banned = []
+        for ci in options:
+            banned[ci] = True
+            newly_banned.append(ci)
+            chosen.append(ci)
+            for p in cand_pts[ci]:
+                counts[p] += 1
+            dfs()
+            for p in cand_pts[ci]:
+                counts[p] -= 1
+            chosen.pop()
+            if not best["exhausted"]:
+                break
+        for ci in newly_banned:
+            banned[ci] = False
+
+    dfs()
+    return best["sel"], best["size"], best["exhausted"], best["nodes"]
+
+
+@st.composite
+def random_pools(draw):
+    d = draw(st.integers(1, 3))
+    sides = tuple(draw(st.integers(2, 4 if d < 3 else 3)) for _ in range(d))
+    amb = Ambient(sides)
+    pool = enumerate_candidates(
+        amb, draw(st.sampled_from(["proper_box", "proper_brick", "odd_proper_box"]))
+    )
+    random.Random(draw(st.integers(0, 2**16))).shuffle(pool)
+    picked = pool[: draw(st.integers(1, 120))]
+    t = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["exact", "at_least"]))
+    return CoverInstance(amb, tuple(picked), t, mode)
+
+
+@given(random_pools(), st.integers(1, 2000))
+@settings(max_examples=150, deadline=None)
+def test_solver_walks_the_reference_tree(inst, max_nodes):
+    r = solve_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600))
+    sel, size, proven, nodes = _reference_solve_cover(inst, max_nodes)
+    assert (r.nodes, r.proven_optimal, r.best_size) == (nodes, proven, size)
+    if sel is None:
+        assert r.best is None
+    else:
+        assert r.best == BoxFamily(inst.ambient, tuple(inst.candidates[i] for i in sel))
+
+
+@pytest.mark.parametrize(
+    "sides, predicate, t, size, nodes",
+    [
+        ((5, 5), "odd_proper_brick", 1, 9, 1711),
+        ((3, 9), "odd_proper_brick", 1, 9, 3549),
+        ((2, 3, 4), "proper_brick", 1, 8, 6237),
+        ((3, 5), "proper_brick", 2, 8, 10403),
+        ((3, 3), "proper_box", 3, 9, 3723),
+    ],
+)
+def test_seed_order_node_counts(sides, predicate, t, size, nodes):
+    r = solve_cover(instance(sides, predicate, t), SearchBudget())
+    assert (r.best_size, r.proven_optimal, r.nodes) == (size, True, nodes)
+
+
+def test_depth_beyond_recursion_limit():
+    amb = Ambient.cube(7, 4)
+    singletons = tuple(
+        DiscreteBox(tuple((x,) for x in pt))
+        for pt in itertools.product(range(1, 8), repeat=4)
+    )
+    r = solve_cover(CoverInstance(amb, singletons), SearchBudget())
+    assert r.best_size == 2401 and r.proven_optimal
+
+
 class TestAnneal:
     def test_finds_known_double_cover_optimum(self):
         r = anneal_cover(
@@ -191,6 +311,8 @@ class TestExport:
         header = text.splitlines()[0].split()
         assert header[:2] == ["p", "cnf"]
         assert int(header[2]) == 3
+        text = export_model(instance((4, 4), "proper_box"), "cnf")
+        assert text.startswith("p cnf 196 18832\n")
 
     def test_cnf_requires_t1_exact(self):
         with pytest.raises(GeometryError):
