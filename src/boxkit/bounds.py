@@ -71,14 +71,6 @@ class BoundValue:
             raise GeometryError(f"bound {self.name} must be finite positive")
 
 
-def _popcounts(n_bits: int) -> np.ndarray:
-    masks = np.arange(1 << n_bits, dtype=np.uint32)
-    counts = np.zeros_like(masks)
-    for b in range(n_bits):
-        counts += (masks >> b) & 1
-    return counts
-
-
 def parity_count(
     n: int, B: Iterable[int], mode: Literal["all_odd", "proper_odd"] = "all_odd"
 ) -> ParityTally:
@@ -99,18 +91,20 @@ def parity_count(
     if mode == "proper_odd" and n % 2 == 0:
         raise GeometryError("proper_odd mode requires odd n")
 
-    odd_size = (_popcounts(n) & 1).astype(bool)
     masks = np.arange(1 << n, dtype=np.uint32)
+    size_parity = np.zeros(1 << n, dtype=np.uint32)
     inter_parity = np.zeros(1 << n, dtype=np.uint32)
-    for c in target:
-        inter_parity ^= (masks >> (c - 1)) & 1
-    odd_inter = inter_parity.astype(bool)
+    for c in range(1, n + 1):
+        bit = (masks >> (c - 1)) & 1
+        size_parity ^= bit
+        if c in target:
+            inter_parity ^= bit
 
-    keep = odd_size.copy()
+    keep = size_parity.astype(bool)
     if mode == "proper_odd":
         keep[(1 << n) - 1] = False
     total = int(keep.sum())
-    hits = int((keep & odd_inter).sum())
+    hits = int((keep & inter_parity.astype(bool)).sum())
     return ParityTally(n, target, total, hits, mode)
 
 

@@ -8,9 +8,9 @@ Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
+from typing import get_args
 
 from . import bounds as bounds_mod
 from . import constructions as cons
@@ -27,6 +27,7 @@ from .graphq import clique_property_check, fig9_graph, partition_to_graph
 from .render import render as render_doc
 from .search import (
     CoverInstance,
+    Predicate,
     SearchBudget,
     anneal_cover,
     enumerate_candidates,
@@ -58,10 +59,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_ambient(spec: str) -> Ambient:
     return Ambient(tuple(int(s) for s in spec.split(",")))
-
-
-def _predicate(name: str) -> str:
-    return name.replace("-", "_")
 
 
 def _report_lines(report) -> str:
@@ -125,7 +122,7 @@ def _cmd_construct(args) -> int:
 
 def _make_instance(args) -> CoverInstance:
     ambient = _parse_ambient(args.ambient)
-    cands = tuple(enumerate_candidates(ambient, _predicate(args.candidates)))
+    cands = tuple(enumerate_candidates(ambient, args.candidates.replace("-", "_")))
     return CoverInstance(ambient, cands, args.t, args.mode)
 
 
@@ -205,7 +202,6 @@ def _cmd_graph(args) -> int:
         + ", ".join(
             f"{len(e)} edges color {c}" for c, e in enumerate(g.colored_edges)
         )
-        + (f", {len(g.flagged_pairs)} flagged pairs" if g.flagged_pairs else "")
         + "\n"
     )
     if args.check or args.from_partition:
@@ -239,6 +235,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="partitions and covers of discrete cubes by sub-boxes",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # the cover-instance arguments that search and export share
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--ambient", required=True, help="comma-separated sides")
+    instance.add_argument("--candidates", required=True,
+                          choices=[n.replace("_", "-") for n in get_args(Predicate)])
+    instance.add_argument("--t", type=int, default=1)
+    instance.add_argument("--mode", choices=["exact", "at_least"], default="exact")
+    instance.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="verify a partition/cover file")
     v.add_argument("file")
@@ -260,18 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_construct)
 
-    s = sub.add_parser("search", help="search for a small cover")
-    s.add_argument("--ambient", required=True, help="comma-separated sides")
-    s.add_argument("--candidates", required=True,
-                   choices=["odd-proper-box", "proper-box",
-                            "odd-proper-brick", "proper-brick"])
-    s.add_argument("--t", type=int, default=1)
-    s.add_argument("--mode", choices=["exact", "at_least"], default="exact")
+    s = sub.add_parser("search", parents=[instance], help="search for a small cover")
     s.add_argument("--engine", choices=["bb", "anneal"], default="bb")
     s.add_argument("--budget-seconds", type=float, default=60.0)
     s.add_argument("--max-nodes", type=int, default=10_000_000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_search)
 
     b = sub.add_parser("bounds", help="bound table / growth roots")
@@ -294,15 +291,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--check", action="store_true")
     g.set_defaults(func=_cmd_graph)
 
-    e = sub.add_parser("export", help="emit LP/CNF model of a cover instance")
-    e.add_argument("--ambient", required=True)
-    e.add_argument("--candidates", required=True,
-                   choices=["odd-proper-box", "proper-box",
-                            "odd-proper-brick", "proper-brick"])
-    e.add_argument("--t", type=int, default=1)
-    e.add_argument("--mode", choices=["exact", "at_least"], default="exact")
+    e = sub.add_parser(
+        "export", parents=[instance], help="emit LP/CNF model of a cover instance"
+    )
     e.add_argument("--format", choices=["lp", "cnf"], default="lp")
-    e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_export)
 
     r = sub.add_parser("render", help="ascii/svg picture of a partition")

@@ -71,15 +71,17 @@ def trivial_odd_partition(n: int, d: int) -> BoxFamily:
     return BoxFamily(Ambient.cube(n, d), tuple(boxes))
 
 
-def _even_split(n: int, parts: int) -> list[tuple[int, ...]]:
-    """Split 1..n into `parts` contiguous intervals of near-equal size."""
-    q, r = divmod(n, parts)
-    sizes = [q + 1] * r + [q] * (parts - r)
-    out, start = [], 1
-    for s in sizes:
-        out.append(tuple(range(start, start + s)))
-        start += s
-    return out
+def _r(a: int, b: int) -> tuple[int, ...]:
+    """The interval a..b."""
+    return tuple(range(a, b + 1))
+
+
+def _even_split(cells: tuple[int, ...], parts: int) -> list[tuple[int, ...]]:
+    """Split `cells` into `parts` consecutive runs of near-equal size, the
+    longer runs first."""
+    q, r = divmod(len(cells), parts)
+    cuts = [i * q + min(i, r) for i in range(parts + 1)]
+    return [cells[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def grid_partition(d: int, k: int, n: int | None = None) -> BoxFamily:
@@ -91,7 +93,7 @@ def grid_partition(d: int, k: int, n: int | None = None) -> BoxFamily:
     n = k if n is None else n
     if n < k:
         raise GeometryError(f"side {n} too small for {k} slabs")
-    pieces = _even_split(n, k)
+    pieces = _even_split(_r(1, n), k)
     boxes = [DiscreteBox(combo) for combo in itertools.product(pieces, repeat=d)]
     return BoxFamily(Ambient.cube(n, d), tuple(boxes))
 
@@ -231,14 +233,6 @@ def _target_need(labels: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(need)
 
 
-def _split_cells(cells, sizes):
-    out, pos = [], 0
-    for s in sizes:
-        out.append(cells[pos : pos + s])
-        pos += s
-    return out
-
-
 def _build(factors, labels):
     """Fill the box given by `factors` with an (a_1,...,a_d)-piercing
     partition; yields factor tuples.  Requires len(factors[a]) >= need[a]."""
@@ -248,10 +242,7 @@ def _build(factors, labels):
         return
     if len(active) == 1:
         i = active[0]
-        m = labels[i]
-        q, r = divmod(len(factors[i]), m)
-        sizes = [q + 1] * r + [q] * (m - r)
-        for piece in _split_cells(factors[i], sizes):
+        for piece in _even_split(factors[i], labels[i]):
             out = list(factors)
             out[i] = piece
             yield tuple(out)
@@ -318,14 +309,13 @@ def _k2(k):
 
 def _fig3(k: int) -> IntermediatePartition:
     """Five-part 2D partition: the smallest labeled example worth stacking."""
-    r = lambda a, b: tuple(range(a, b + 1))
     return _ip(
         (3, 2),
         [
             (((1,), (1,)), (1, _k1)),
             (((1,), (2,)), (_k1, 1)),
             (((2,), (1,)), (_k2, 1)),
-            ((r(2, 3), (2,)), (1, _k1)),
+            ((_r(2, 3), (2,)), (1, _k1)),
             (((3,), (1,)), (1, 1)),
         ],
         k,
@@ -334,24 +324,23 @@ def _fig3(k: int) -> IntermediatePartition:
 
 def _fig5(k: int) -> IntermediatePartition:
     """Twelve-part 3D partition (two layers), input to the second stacking."""
-    r = lambda a, b: tuple(range(a, b + 1))
     return _ip(
         (6, 2, 2),
         [
             # bottom layer
-            ((r(1, 2), (1,), (1,)), (1, _k1, 1)),
+            ((_r(1, 2), (1,), (1,)), (1, _k1, 1)),
             (((1,), (2,), (1,)), (1, 1, _k1)),
             (((2,), (2,), (1,)), (_k2, 1, _k1)),
             (((3,), (1,), (1,)), (_k2, 1, 1)),
-            ((r(3, 6), (2,), (1,)), (1, _k1, _k1)),
-            ((r(4, 6), (1,), (1,)), (1, 1, _k1)),
+            ((_r(3, 6), (2,), (1,)), (1, _k1, _k1)),
+            ((_r(4, 6), (1,), (1,)), (1, 1, _k1)),
             # top layer
-            ((r(1, 3), (1,), (2,)), (1, 1, _k1)),
-            ((r(1, 4), (2,), (2,)), (1, _k1, 1)),
+            ((_r(1, 3), (1,), (2,)), (1, 1, _k1)),
+            ((_r(1, 4), (2,), (2,)), (1, _k1, 1)),
             (((4,), (1,), (2,)), (_k2, 1, 1)),
             (((5,), (2,), (2,)), (_k2, 1, 1)),
             (((6,), (2,), (2,)), (1, 1, 1)),
-            ((r(5, 6), (1,), (2,)), (1, _k1, 1)),
+            ((_r(5, 6), (1,), (2,)), (1, _k1, 1)),
         ],
         k,
     )
@@ -360,36 +349,35 @@ def _fig5(k: int) -> IntermediatePartition:
 def _fig6(k: int) -> IntermediatePartition:
     """22-part 4D partition drawn as four 2D panels (axes 3 and 4 each split
     in half).  At k=3 its predicted realization size is 61."""
-    r = lambda a, b: tuple(range(a, b + 1))
     lo, hi = (1,), (2,)
     return _ip(
         (8, 2, 2, 2),
         [
             # panel: axes 3,4 low/low
-            ((r(1, 2), (1,), lo, lo), (1, 1, _k1, 1)),
+            ((_r(1, 2), (1,), lo, lo), (1, 1, _k1, 1)),
             (((3,), (1,), lo, lo), (_k2, 1, 1, 1)),
-            ((r(4, 8), (1,), lo, lo), (1, _k1, 1, 1)),
-            ((r(1, 3), (2,), lo, lo), (1, _k1, 1, 1)),
+            ((_r(4, 8), (1,), lo, lo), (1, _k1, 1, 1)),
+            ((_r(1, 3), (2,), lo, lo), (1, _k1, 1, 1)),
             (((4,), (2,), lo, lo), (_k2, 1, 1, 1)),
-            ((r(5, 8), (2,), lo, lo), (1, 1, 1, _k1)),
+            ((_r(5, 8), (2,), lo, lo), (1, 1, 1, _k1)),
             # panel: high/low
             (((1,), (1,), hi, lo), (1, _k1, 1, 1)),
             (((2,), (1,), hi, lo), (_k2, 1, 1, 1)),
-            ((r(3, 8), (1,), hi, lo), (1, 1, _k1, 1)),
+            ((_r(3, 8), (1,), hi, lo), (1, 1, _k1, 1)),
             (((1,), (2,), hi, lo), (_k1, 1, _k1, 1)),
-            ((r(2, 8), (2,), hi, lo), (1, _k1, _k1, 1)),
+            ((_r(2, 8), (2,), hi, lo), (1, _k1, _k1, 1)),
             # panel: low/high
-            ((r(1, 5), (1,), lo, hi), (1, _k1, 1, _k1)),
+            ((_r(1, 5), (1,), lo, hi), (1, _k1, 1, _k1)),
             (((6,), (1,), lo, hi), (_k2, 1, 1, _k1)),
-            ((r(7, 8), (1,), lo, hi), (1, 1, _k1, _k1)),
-            ((r(1, 4), (2,), lo, hi), (1, 1, _k1, _k1)),
+            ((_r(7, 8), (1,), lo, hi), (1, 1, _k1, _k1)),
+            ((_r(1, 4), (2,), lo, hi), (1, 1, _k1, _k1)),
             (((5,), (2,), lo, hi), (_k2, 1, _k1, 1)),
-            ((r(6, 8), (2,), lo, hi), (1, _k1, _k1, 1)),
+            ((_r(6, 8), (2,), lo, hi), (1, _k1, _k1, 1)),
             # panel: high/high
-            ((r(1, 6), (1,), hi, hi), (1, 1, _k1, _k1)),
+            ((_r(1, 6), (1,), hi, hi), (1, 1, _k1, _k1)),
             (((7,), (1,), hi, hi), (_k2, 1, 1, _k1)),
             (((8,), (1,), hi, hi), (1, _k1, 1, _k1)),
-            ((r(1, 7), (2,), hi, hi), (1, _k1, 1, _k1)),
+            ((_r(1, 7), (2,), hi, hi), (1, _k1, 1, _k1)),
             (((8,), (2,), hi, hi), (_k1, 1, 1, _k1)),
         ],
         k,
@@ -404,22 +392,21 @@ def _fig8(k: int) -> IntermediatePartition:
     (a trick impossible with bricks); those three cover boxes carry the
     k-2 labels along the stacking axis.
     """
-    r = lambda a, b: tuple(range(a, b + 1))
     return _ip(
         (5, 4, 3),
         [
             # layer 1
             (((1,), (4,), (1,)), (_k1, 1, 1)),
-            ((r(2, 5), (4,), (1,)), (1, _k1, 1)),
-            (((1,), r(1, 3), (1,)), (1, _k1, 1)),
-            (((2,), r(1, 3), (1,)), (_k2, 1, 1)),
-            ((r(3, 5), r(1, 3), (1,)), (1, 1, _k2)),
+            ((_r(2, 5), (4,), (1,)), (1, _k1, 1)),
+            (((1,), _r(1, 3), (1,)), (1, _k1, 1)),
+            (((2,), _r(1, 3), (1,)), (_k2, 1, 1)),
+            ((_r(3, 5), _r(1, 3), (1,)), (1, 1, _k2)),
             # layer 2
-            ((r(1, 3), r(2, 4), (2,)), (1, 1, _k2)),
-            ((r(1, 4), (1,), (2,)), (1, _k1, 1)),
+            ((_r(1, 3), _r(2, 4), (2,)), (1, 1, _k2)),
+            ((_r(1, 4), (1,), (2,)), (1, _k1, 1)),
             (((5,), (1,), (2,)), (_k1, 1, 1)),
-            (((5,), r(2, 4), (2,)), (1, _k1, 1)),
-            (((4,), r(2, 4), (2,)), (_k2, 1, 1)),
+            (((5,), _r(2, 4), (2,)), (1, _k1, 1)),
+            (((4,), _r(2, 4), (2,)), (_k2, 1, 1)),
             # layer 3: the corner cover box and the slivers around it
             (((1, 2, 4, 5), (1, 4), (3,)), (1, 1, _k2)),
             (((1, 2, 4, 5), (2,), (3,)), (_k1, 1, 1)),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Ambient, BoxFamily, DiscreteBox, GeometryError, PiercingVector
 
@@ -174,7 +174,10 @@ def _reject(token: str):
 
 def parse_partition_structured(text: str) -> PartitionDocument:
     """Parse the JSON format; a missing or ill-typed field raises ParseError."""
-    obj = json.loads(text, parse_float=_reject, parse_constant=_reject)
+    try:
+        obj = json.loads(text, parse_float=_reject, parse_constant=_reject)
+    except RecursionError:
+        raise ParseError("JSON document nested too deeply")
     try:
         # json reads true/false as bools, which pass for the ints 1 and 0;
         # the text test spares the scan on documents without them

@@ -247,6 +247,12 @@ _CELL_LIMIT = 1 << 27
 _BATCH_CELLS = 1 << 13
 
 
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse ``what`` (a tensor or picture of ``cells`` cells) above the limit."""
+    if cells > _CELL_LIMIT:
+        raise GeometryError(f"{what} exceeds the {_CELL_LIMIT}-cell limit")
+
+
 def _factor_csr(boxes: Sequence[DiscreteBox], dim: int):
     """Factors of all boxes as per-axis CSR arrays: ``vals[j]`` holds the
     0-based axis-j coordinates of every box back to back, and box b's run of
@@ -308,10 +314,7 @@ def _scatter_sum(
     axes = [j for j in range(len(sides)) if j != skip]
     shape = tuple(sides[a] for a in axes)
     size = functools.reduce(operator.mul, shape, 1)
-    if size > _CELL_LIMIT:
-        raise GeometryError(
-            f"a {'x'.join(map(str, shape))} tensor exceeds the {_CELL_LIMIT}-cell limit"
-        )
+    _check_cells(size, f"a tensor over {len(shape)} axes")
     out = np.zeros(size, dtype=np.int64)
     for flat, owner in _incidence(csr, sides, axes):
         np.add.at(out, flat, 1 if weights is None else weights[owner])

@@ -22,11 +22,10 @@ obtained from the greedy clique-peeling recursion, which approaches
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import BoundValue
-from .geometry import BoxFamily, GeometryError, verify_cover
+from .geometry import BoxFamily, GeometryError, _factor_csr, _incidence, verify_cover
 
 __all__ = [
     "TwoColoredGraph",
@@ -37,9 +36,6 @@ __all__ = [
     "prop43_lower",
 ]
 
-COLOR_NAMES = ("red", "blue")
-
-
 def _norm_edge(e) -> tuple[int, int]:
     a, b = e
     if a == b:
@@ -49,16 +45,10 @@ def _norm_edge(e) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TwoColoredGraph:
-    """Vertices 0..n-1 with one edge set per color.
-
-    ``flagged_pairs`` records pairs that qualified for more than one color
-    during a reduction (impossible for genuine partitions, possible for
-    overlapping families); such pairs are kept out of every edge set.
-    """
+    """Vertices 0..n-1 with one edge set per color."""
 
     vertex_count: int
     colored_edges: tuple[frozenset[tuple[int, int]], ...]
-    flagged_pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
@@ -97,27 +87,26 @@ class CliquePropertyReport:
 
 def partition_to_graph(p: BoxFamily) -> TwoColoredGraph:
     """The two-colored reduction of a 2D partition: red edge when the
-    x-factors of two boxes intersect, blue when the y-factors do.  Pairs
-    qualifying for both colors (impossible for disjoint boxes) are flagged
-    and excluded from the edge sets."""
+    x-factors of two boxes intersect, blue when the y-factors do.  Boxes
+    sharing an x value and a y value would share a point, so in a partition
+    no pair gets both colors."""
     if p.ambient.dim != 2:
         raise GeometryError("graph reduction is defined for dimension 2")
     report = verify_cover(p)
     if not report.is_partition:
         raise GeometryError("graph reduction expects a verified partition")
-    n = len(p.boxes)
-    red, blue, flagged = set(), set(), set()
-    for i, j in itertools.combinations(range(n), 2):
-        bi, bj = p.boxes[i], p.boxes[j]
-        share_x = not set(bi.factors[0]).isdisjoint(bj.factors[0])
-        share_y = not set(bi.factors[1]).isdisjoint(bj.factors[1])
-        if share_x and share_y:
-            flagged.add((i, j))
-        elif share_x:
-            red.add((i, j))
-        elif share_y:
-            blue.add((i, j))
-    return TwoColoredGraph(n, (frozenset(red), frozenset(blue)), frozenset(flagged))
+    csr = _factor_csr(p.boxes, 2)
+    colored = []
+    for a, side in enumerate(p.ambient.sides):
+        # owners[x]: the boxes holding axis-a coordinate x, in increasing order
+        owners: list[list[int]] = [[] for _ in range(side)]
+        for flat, owner in _incidence(csr, p.ambient.sides, [a]):
+            for x, b in zip(flat.tolist(), owner.tolist()):
+                owners[x].append(b)
+        colored.append(
+            frozenset(e for group in owners for e in itertools.combinations(group, 2))
+        )
+    return TwoColoredGraph(len(p.boxes), tuple(colored))
 
 
 def _find_clique_with(

@@ -4,8 +4,8 @@ ASCII output prints the 1-based box id of every cell: a single row in 1D, a
 grid in 2D, and one grid per last-axis layer in 3D (the layered style used
 for hand-listings of 3D partitions).  SVG output (2D only) draws one
 rectangle per brick and falls back to unit tiles for non-brick boxes.  A
-picture of more than ``_CELL_LIMIT`` cells or unit tiles raises GeometryError
-before anything is allocated.
+picture of more cells or unit tiles than geometry's cell limit raises
+GeometryError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -13,23 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from .formats import PartitionDocument
-from .geometry import _CELL_LIMIT, GeometryError, _factor_csr, _incidence, classify_box
+from .geometry import GeometryError, _check_cells, _factor_csr, _incidence, classify_box
 
 __all__ = ["render"]
 
 _CELL = 24  # svg pixels per lattice cell
 
 
-def _check_cells(cells: int, what: str) -> None:
-    if cells > _CELL_LIMIT:
-        raise GeometryError(f"{what} exceeds the {_CELL_LIMIT}-cell limit")
-
-
 def _id_grid(doc: PartitionDocument) -> np.ndarray:
     """Id of the first box covering each cell (0 for uncovered cells), as
     an array over the ambient indexed by 0-based coordinates."""
     sides = doc.ambient.sides
-    _check_cells(doc.ambient.volume, f"a {'x'.join(map(str, sides))} picture")
+    _check_cells(doc.ambient.volume, f"a picture over {len(sides)} axes")
     grid = np.full(doc.ambient.volume, len(doc.boxes) + 1, dtype=np.int64)
     csr = _factor_csr(doc.boxes, doc.ambient.dim)
     for flat, owner in _incidence(csr, sides, list(range(len(sides)))):
@@ -85,7 +80,7 @@ def _svg(doc: PartitionDocument) -> str:
 
     bricks = [classify_box(box, doc.ambient).brick for box in doc.boxes]
     tiles = sum(b.cardinality for b, brick in zip(doc.boxes, bricks) if not brick)
-    _check_cells(tiles, f"{tiles} unit tiles")
+    _check_cells(tiles, "a picture of unit tiles over 2 axes")
     for i, (box, brick) in enumerate(zip(doc.boxes, bricks), start=1):
         fx, fy = box.factors
         if brick:

@@ -31,7 +31,7 @@ import random
 import re
 import time
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 from .geometry import (
     Ambient,
@@ -104,9 +104,7 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
         )
     want_odd = predicate.startswith("odd_")
     want_brick = predicate.endswith("brick")
-    if predicate not in (
-        "odd_proper_box", "proper_box", "odd_proper_brick", "proper_brick"
-    ):
+    if predicate not in get_args(Predicate):
         raise GeometryError(f"unknown predicate {predicate!r}")
 
     per_axis: list[list[tuple[int, ...]]] = []
@@ -154,6 +152,27 @@ def _pool_incidence(instance: CoverInstance):
         for p in pts:
             covers_point[p].append(ci)
     return cand_pts, covers_point
+
+
+def _verified_result(
+    instance: CoverInstance,
+    selection: list[int] | None,
+    proven: bool,
+    nodes: int,
+    start: float,
+) -> SearchResult:
+    """The result for the candidates at ``selection`` (None: nothing found)
+    of a search begun at ``start``, re-verified against the instance."""
+    elapsed = time.monotonic() - start
+    if selection is None:
+        return SearchResult(None, math.inf, proven, nodes, elapsed)
+    family = BoxFamily(
+        instance.ambient, tuple(instance.candidates[ci] for ci in selection)
+    )
+    report = verify_cover(family, instance.multiplicity, instance.mode)
+    if not report.multiplicity_ok:
+        raise GeometryError("internal error: search result failed verification")
+    return SearchResult(family, float(len(selection)), proven, nodes, elapsed)
 
 
 def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
@@ -263,16 +282,7 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         else:  # the root's options are used up: the tree is exhausted
             break
 
-    elapsed = time.monotonic() - start
-    if best_sel is None:
-        return SearchResult(None, math.inf, exhausted, nodes, elapsed)
-    family = BoxFamily(
-        instance.ambient, tuple(instance.candidates[ci] for ci in best_sel)
-    )
-    report = verify_cover(family, t, instance.mode)
-    if not report.multiplicity_ok:
-        raise GeometryError("internal error: search result failed verification")
-    return SearchResult(family, float(best_size), exhausted, nodes, elapsed)
+    return _verified_result(instance, best_sel, exhausted, nodes, start)
 
 
 def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
@@ -389,17 +399,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
             break
         best_feasible = smaller
 
-    elapsed = time.monotonic() - start
-    if best_feasible is None:
-        return SearchResult(None, math.inf, False, steps, elapsed)
-    best_size = len(best_feasible)
-    family = BoxFamily(
-        instance.ambient, tuple(instance.candidates[ci] for ci in best_feasible)
-    )
-    report = verify_cover(family, t, instance.mode)
-    if not report.multiplicity_ok:
-        raise GeometryError("internal error: annealer result failed verification")
-    return SearchResult(family, float(best_size), False, steps, elapsed)
+    return _verified_result(instance, best_feasible, False, steps, start)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+from typing import get_args
 
 import pytest
 
 from boxkit.cli import main
 from boxkit.constructions import APPENDIX_25_LISTING
+from boxkit.search import Predicate
 
 
 @pytest.fixture
@@ -51,12 +53,24 @@ class TestVerify:
             '{"ambient": [2, 2], "boxes": [[[true, 2], [1, 2]]]}',
             '{"ambient": [true, 2], "boxes": [[[1], [1]]]}',
             '{"ambient": [2, 2], "boxes": [[[1, 2], [1, 2]]], "labels": [[1, true]]}',
+            pytest.param(
+                '{"ambient": ' + "[" * 100_000 + "]" * 100_000 + ', "boxes": []}',
+                id="ambient-nested-100000-deep",
+            ),
         ],
     )
     def test_malformed_json_is_usage_error(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(doc)
         assert main(["verify", str(path)]) == 2
+
+    def test_many_axes_error_is_short(self, tmp_path, capsys):
+        # the cell-limit message names the axis count, not the shape
+        path = tmp_path / "wide.txt"
+        path.write_text("Box(1) = " + " x ".join(["{1}"] * 1000) + "\n")
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cell limit" in err and len(err.encode()) < 200
 
 
 class TestConstruct:
@@ -103,6 +117,19 @@ class TestSearch:
              "--out", str(out)]
         ) == 0
         assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name", [n.replace("_", "-") for n in get_args(Predicate)])
+def test_candidate_names_shared_by_search_and_export(name, capsys):
+    assert main(["search", "--ambient", "3,3", "--candidates", name]) == 0
+    assert main(["export", "--ambient", "3,3", "--candidates", name]) == 0
+
+
+@pytest.mark.parametrize("command", ["search", "export"])
+def test_unknown_candidate_name_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--ambient", "3,3", "--candidates", "proper-blob"])
+    assert exc.value.code == 2
 
 
 class TestBounds:

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxkit.constructions import grid_partition, quadrant_construction
 from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError
@@ -37,7 +41,6 @@ class TestReduction:
         assert g.vertex_count == 9
         assert len(g.colored_edges[0]) == 9
         assert len(g.colored_edges[1]) == 9
-        assert not g.flagged_pairs
         assert clique_property_check(g, 3).holds
 
     def test_side_by_side_slabs_single_color(self):
@@ -61,8 +64,40 @@ class TestReduction:
     @pytest.mark.parametrize("k", range(3, 9))
     def test_quadrant_reduction_sound(self, k):
         g = partition_to_graph(quadrant_construction(2, k))
-        assert not g.flagged_pairs
         assert clique_property_check(g, k).holds
+
+
+@st.composite
+def guillotine_partitions(draw):
+    """2-D brick partitions from random guillotine cuts, boxes shuffled."""
+    sides = (draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    parts = [tuple(tuple(range(1, n + 1)) for n in sides)]
+    for _ in range(draw(st.integers(0, 20))):
+        i = draw(st.integers(0, len(parts) - 1))
+        axis = draw(st.integers(0, 1))
+        f = parts[i][axis]
+        if len(f) < 2:
+            continue
+        cut = draw(st.integers(1, len(f) - 1))
+        parts[i : i + 1] = [
+            parts[i][:axis] + (piece,) + parts[i][axis + 1 :]
+            for piece in (f[:cut], f[cut:])
+        ]
+    parts = draw(st.permutations(parts))
+    return BoxFamily(Ambient(sides), tuple(DiscreteBox(p) for p in parts))
+
+
+@given(guillotine_partitions())
+@settings(max_examples=150, deadline=None)
+def test_reduction_matches_pairwise_oracle(fam):
+    g = partition_to_graph(fam)
+    for axis in (0, 1):
+        expected = {
+            (i, j)
+            for (i, a), (j, b) in itertools.combinations(enumerate(fam.boxes), 2)
+            if set(a.factors[axis]) & set(b.factors[axis])
+        }
+        assert g.colored_edges[axis] == expected
 
 
 class TestCliqueCheck:

@@ -1,13 +1,10 @@
-import importlib
-
 import pytest
 
+from boxkit import geometry
 from boxkit.constructions import grid_partition, trivial_odd_partition
 from boxkit.formats import PartitionDocument
 from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError
 from boxkit.render import render
-
-render_module = importlib.import_module("boxkit.render")  # the package re-exports the function
 
 
 def doc_of(fam):
@@ -34,7 +31,7 @@ class TestAscii:
         assert "\n\nlayer z=2\n" in out
 
     def test_cell_limit(self, monkeypatch):
-        monkeypatch.setattr(render_module, "_CELL_LIMIT", 8)
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 8)
         with pytest.raises(GeometryError, match="cell limit"):
             render(doc_of(grid_partition(2, 3)))
 
@@ -62,7 +59,7 @@ class TestSvg:
         assert out.count("<rect") == 6 + 1
 
     def test_unit_tiles_limited(self, monkeypatch):
-        monkeypatch.setattr(render_module, "_CELL_LIMIT", 5)
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 5)
         fam = BoxFamily(Ambient.cube(3, 2), (DiscreteBox.of([1, 3], [1, 2, 3]),))
         with pytest.raises(GeometryError, match="cell limit"):
             render(doc_of(fam), "svg")
