@@ -46,11 +46,8 @@ __all__ = [
 class ParityTally:
     """Exhaustive count of odd-size selector subsets hitting a target oddly."""
 
-    universe: int
-    target_set: tuple[int, ...]
     total_selectors: int
     odd_hits: int
-    mode: Literal["all_odd", "proper_odd"]
 
     def __post_init__(self) -> None:
         if not 0 <= self.odd_hits <= self.total_selectors:
@@ -105,7 +102,7 @@ def parity_count(
         keep[(1 << n) - 1] = False
     total = int(keep.sum())
     hits = int((keep & inter_parity.astype(bool)).sum())
-    return ParityTally(n, target, total, hits, mode)
+    return ParityTally(total, hits)
 
 
 def lower_odd_basic(d: int) -> BoundValue:

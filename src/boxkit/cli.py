@@ -22,7 +22,7 @@ from .formats import (
     write_partition_structured,
     write_partition_text,
 )
-from .geometry import Ambient, GeometryError, verify_cover
+from .geometry import Ambient, GeometryError, Mode, verify_cover
 from .graphq import clique_property_check, fig9_graph, partition_to_graph
 from .render import render as render_doc
 from .search import (
@@ -81,30 +81,27 @@ def _cmd_verify(args) -> int:
     report = verify_cover(doc.family(), args.t, args.mode)
     sys.stdout.write(_report_lines(report))
     ok = report.multiplicity_ok
-    if args.piercing is not None:
-        ok = ok and report.piercing_number >= args.piercing
-        if report.piercing_number < args.piercing:
-            sys.stdout.write(
-                f"piercing {report.piercing_number} below target {args.piercing}\n"
-            )
+    if args.piercing is not None and report.piercing_number < args.piercing:
+        sys.stdout.write(
+            f"piercing {report.piercing_number} below target {args.piercing}\n"
+        )
+        ok = False
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+_CONSTRUCTIONS = {
+    "trivial": lambda a: cons.trivial_odd_partition(a.n or 3, a.d),
+    "grid": lambda a: cons.grid_partition(a.d, a.k, a.n),
+    "p25": lambda a: cons.partition_25(),
+    "quadrant": lambda a: cons.quadrant_construction(a.d, a.k),
+    "realize": lambda a: cons.realize(
+        cons.intermediate_library(a.fig, a.k), a.k, a.tail
+    ),
+}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "trivial":
-        fam = cons.trivial_odd_partition(args.n or 3, args.d)
-    elif kind == "grid":
-        fam = cons.grid_partition(args.d, args.k, args.n)
-    elif kind == "p25":
-        fam = cons.partition_25()
-    elif kind == "quadrant":
-        fam = cons.quadrant_construction(args.d, args.k)
-    elif kind == "realize":
-        ip = cons.intermediate_library(args.fig, args.k)
-        fam = cons.realize(ip, args.k, args.tail)
-    else:
-        raise GeometryError(f"unknown construction {kind!r}")
+    fam = _CONSTRUCTIONS[args.kind](args)
     report = verify_cover(fam)
     doc = PartitionDocument.from_family(fam)
     text = (
@@ -235,30 +232,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="partitions and covers of discrete cubes by sub-boxes",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # the cover demand that verify, search and export share
+    demand = argparse.ArgumentParser(add_help=False)
+    demand.add_argument("--t", type=int, default=1)
+    demand.add_argument("--mode", choices=get_args(Mode), default="exact")
     # the cover-instance arguments that search and export share
-    instance = argparse.ArgumentParser(add_help=False)
+    instance = argparse.ArgumentParser(add_help=False, parents=[demand])
     instance.add_argument("--ambient", required=True, help="comma-separated sides")
     instance.add_argument("--candidates", required=True,
                           choices=[n.replace("_", "-") for n in get_args(Predicate)])
-    instance.add_argument("--t", type=int, default=1)
-    instance.add_argument("--mode", choices=["exact", "at_least"], default="exact")
     instance.add_argument("--out", default=None)
 
-    v = sub.add_parser("verify", help="verify a partition/cover file")
+    v = sub.add_parser("verify", parents=[demand], help="verify a partition/cover file")
     v.add_argument("file")
-    v.add_argument("--t", type=int, default=1)
-    v.add_argument("--mode", choices=["exact", "at_least"], default="exact")
     v.add_argument("--piercing", type=int, default=None,
                    help="also require this piercing number")
     v.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("construct", help="emit a library construction")
-    c.add_argument("kind", choices=["trivial", "grid", "p25", "quadrant", "realize"])
+    c.add_argument("kind", choices=list(_CONSTRUCTIONS))
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--d", type=int, default=2)
     c.add_argument("--k", type=int, default=3)
-    c.add_argument("--fig", default="fig3",
-                   choices=["fig3", "fig4", "fig5", "fig6", "fig8"])
+    c.add_argument("--fig", default="fig3", choices=list(cons._LIBRARY))
     c.add_argument("--tail", type=int, default=0)
     c.add_argument("--format", choices=["text", "json"], default="text")
     c.add_argument("--out", default=None)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from .formats import parse_partition_text
@@ -37,6 +36,7 @@ from .geometry import (
     GeometryError,
     IntermediatePartition,
     PiercingVector,
+    classify_box,
     weighted_piercing_ok,
 )
 
@@ -64,11 +64,14 @@ def trivial_odd_partition(n: int, d: int) -> BoxFamily:
         raise GeometryError(f"need odd n >= 3, got {n}")
     if d < 1:
         raise GeometryError("d must be >= 1")
-    pieces = [(1,), tuple(range(2, n)), (n,)]
-    boxes = [
-        DiscreteBox(combo) for combo in itertools.product(pieces, repeat=d)
-    ]
-    return BoxFamily(Ambient.cube(n, d), tuple(boxes))
+    return _slab_grid([(1,), _r(2, n - 1), (n,)], n, d)
+
+
+def _slab_grid(pieces, n: int, d: int) -> BoxFamily:
+    """Every product of d of the `pieces` (consecutive runs splitting
+    [n]), as a family on [n]^d."""
+    boxes = itertools.product(pieces, repeat=d)
+    return BoxFamily(Ambient.cube(n, d), tuple(DiscreteBox(b) for b in boxes))
 
 
 def _r(a: int, b: int) -> tuple[int, ...]:
@@ -93,9 +96,7 @@ def grid_partition(d: int, k: int, n: int | None = None) -> BoxFamily:
     n = k if n is None else n
     if n < k:
         raise GeometryError(f"side {n} too small for {k} slabs")
-    pieces = _even_split(_r(1, n), k)
-    boxes = [DiscreteBox(combo) for combo in itertools.product(pieces, repeat=d)]
-    return BoxFamily(Ambient.cube(n, d), tuple(boxes))
+    return _slab_grid(_even_split(_r(1, n), k), n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +204,28 @@ def _quadrant_branches(labels, i, j):
 
 
 @functools.lru_cache(maxsize=None)
-def _target_size(labels: tuple[int, ...]) -> int:
-    active = _pick_axes(labels)
-    if not active:
-        return 1
-    if len(active) == 1:
-        return labels[active[0]]
-    i, j = active[0], active[1]
-    b1, b2 = _quadrant_branches(labels, i, j)
-    return 2 * _target_size(b1) + 2 * _target_size(b2)
-
-
-@functools.lru_cache(maxsize=None)
-def _target_need(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal per-axis cell counts for the recursive construction to fit."""
+def _plan(labels: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(size, need): how many pieces the recursive construction makes, and
+    the minimal per-axis cell counts it needs to fit."""
     d = len(labels)
     active = _pick_axes(labels)
     if not active:
-        return (1,) * d
+        return 1, (1,) * d
+    i = active[0]
     if len(active) == 1:
-        i = active[0]
-        return tuple(labels[i] if a == i else 1 for a in range(d))
-    i, j = active[0], active[1]
-    b1, b2 = _quadrant_branches(labels, i, j)
-    n1, n2 = _target_need(b1), _target_need(b2)
+        return labels[i], tuple(labels[i] if a == i else 1 for a in range(d))
+    j = active[1]
+    (s1, n1), (s2, n2) = map(_plan, _quadrant_branches(labels, i, j))
     need = [max(x, y) for x, y in zip(n1, n2)]
     need[i] *= 2
     need[j] *= 2
-    return tuple(need)
+    return 2 * s1 + 2 * s2, tuple(need)
 
 
 def _build(factors, labels):
     """Fill the box given by `factors` with an (a_1,...,a_d)-piercing
-    partition; yields factor tuples.  Requires len(factors[a]) >= need[a]."""
+    partition; yields factor tuples.  Requires len(factors[a]) >= need[a],
+    with need from ``_plan(labels)``."""
     active = _pick_axes(labels)
     if not active:
         yield tuple(factors)
@@ -249,15 +239,11 @@ def _build(factors, labels):
         return
     i, j = active[0], active[1]
     b1, b2 = _quadrant_branches(labels, i, j)
-    n1, n2 = _target_need(b1), _target_need(b2)
-
-    def _halves(cells, m):
-        lo = len(cells) // 2
-        lo = min(max(lo, m), len(cells) - m)
-        return cells[:lo], cells[lo:]
-
-    i_lo, i_hi = _halves(factors[i], max(n1[i], n2[i]))
-    j_lo, j_hi = _halves(factors[j], max(n1[j], n2[j]))
+    # halving axes i and j leaves every quadrant room for its branch: the
+    # need there is twice the larger branch's
+    mi, mj = len(factors[i]) // 2, len(factors[j]) // 2
+    i_lo, i_hi = factors[i][:mi], factors[i][mi:]
+    j_lo, j_hi = factors[j][:mj], factors[j][mj:]
     for fi, fj, sub in (
         (i_lo, j_lo, b2),
         (i_hi, j_hi, b2),
@@ -277,7 +263,7 @@ def quadrant_construction(d: int, k: int) -> BoxFamily:
     if k < 2:
         raise GeometryError("k must be >= 2")
     labels = (k,) * d
-    sides = tuple(max(n, 2) for n in _target_need(labels))
+    sides = tuple(max(n, 2) for n in _plan(labels)[1])
     factors = tuple(tuple(range(1, n + 1)) for n in sides)
     boxes = tuple(DiscreteBox(f) for f in _build(factors, labels))
     return BoxFamily(Ambient(sides), boxes)
@@ -290,21 +276,9 @@ def quadrant_construction(d: int, k: int) -> BoxFamily:
 # smallest integer grid preserving its incidence structure.  The grids are
 # frozen fixtures; the label multisets are the ground truth.
 
-def _ip(sides, parts, k):
-    amb = Ambient(tuple(sides))
-    built = []
-    for factors, labels in parts:
-        lab = tuple(x if isinstance(x, int) else x(k) for x in labels)
-        built.append((DiscreteBox(tuple(factors)), PiercingVector(lab)))
-    return IntermediatePartition(amb, tuple(built))
-
-
-def _k1(k):
-    return k - 1
-
-
-def _k2(k):
-    return k - 2
+def _ip(sides, parts):
+    built = [(DiscreteBox(tuple(f)), PiercingVector(lab)) for f, lab in parts]
+    return IntermediatePartition(Ambient(tuple(sides)), tuple(built))
 
 
 def _fig3(k: int) -> IntermediatePartition:
@@ -312,14 +286,18 @@ def _fig3(k: int) -> IntermediatePartition:
     return _ip(
         (3, 2),
         [
-            (((1,), (1,)), (1, _k1)),
-            (((1,), (2,)), (_k1, 1)),
-            (((2,), (1,)), (_k2, 1)),
-            ((_r(2, 3), (2,)), (1, _k1)),
+            (((1,), (1,)), (1, k - 1)),
+            (((1,), (2,)), (k - 1, 1)),
+            (((2,), (1,)), (k - 2, 1)),
+            ((_r(2, 3), (2,)), (1, k - 1)),
             (((3,), (1,)), (1, 1)),
         ],
-        k,
     )
+
+
+def _fig4(k: int) -> IntermediatePartition:
+    """Ten-part 3D partition: the stack of fig3."""
+    return stack_lemma(_fig3(k), ("low", "low"), ("high", "low"), k)
 
 
 def _fig5(k: int) -> IntermediatePartition:
@@ -328,21 +306,20 @@ def _fig5(k: int) -> IntermediatePartition:
         (6, 2, 2),
         [
             # bottom layer
-            ((_r(1, 2), (1,), (1,)), (1, _k1, 1)),
-            (((1,), (2,), (1,)), (1, 1, _k1)),
-            (((2,), (2,), (1,)), (_k2, 1, _k1)),
-            (((3,), (1,), (1,)), (_k2, 1, 1)),
-            ((_r(3, 6), (2,), (1,)), (1, _k1, _k1)),
-            ((_r(4, 6), (1,), (1,)), (1, 1, _k1)),
+            ((_r(1, 2), (1,), (1,)), (1, k - 1, 1)),
+            (((1,), (2,), (1,)), (1, 1, k - 1)),
+            (((2,), (2,), (1,)), (k - 2, 1, k - 1)),
+            (((3,), (1,), (1,)), (k - 2, 1, 1)),
+            ((_r(3, 6), (2,), (1,)), (1, k - 1, k - 1)),
+            ((_r(4, 6), (1,), (1,)), (1, 1, k - 1)),
             # top layer
-            ((_r(1, 3), (1,), (2,)), (1, 1, _k1)),
-            ((_r(1, 4), (2,), (2,)), (1, _k1, 1)),
-            (((4,), (1,), (2,)), (_k2, 1, 1)),
-            (((5,), (2,), (2,)), (_k2, 1, 1)),
+            ((_r(1, 3), (1,), (2,)), (1, 1, k - 1)),
+            ((_r(1, 4), (2,), (2,)), (1, k - 1, 1)),
+            (((4,), (1,), (2,)), (k - 2, 1, 1)),
+            (((5,), (2,), (2,)), (k - 2, 1, 1)),
             (((6,), (2,), (2,)), (1, 1, 1)),
-            ((_r(5, 6), (1,), (2,)), (1, _k1, 1)),
+            ((_r(5, 6), (1,), (2,)), (1, k - 1, 1)),
         ],
-        k,
     )
 
 
@@ -354,33 +331,32 @@ def _fig6(k: int) -> IntermediatePartition:
         (8, 2, 2, 2),
         [
             # panel: axes 3,4 low/low
-            ((_r(1, 2), (1,), lo, lo), (1, 1, _k1, 1)),
-            (((3,), (1,), lo, lo), (_k2, 1, 1, 1)),
-            ((_r(4, 8), (1,), lo, lo), (1, _k1, 1, 1)),
-            ((_r(1, 3), (2,), lo, lo), (1, _k1, 1, 1)),
-            (((4,), (2,), lo, lo), (_k2, 1, 1, 1)),
-            ((_r(5, 8), (2,), lo, lo), (1, 1, 1, _k1)),
+            ((_r(1, 2), (1,), lo, lo), (1, 1, k - 1, 1)),
+            (((3,), (1,), lo, lo), (k - 2, 1, 1, 1)),
+            ((_r(4, 8), (1,), lo, lo), (1, k - 1, 1, 1)),
+            ((_r(1, 3), (2,), lo, lo), (1, k - 1, 1, 1)),
+            (((4,), (2,), lo, lo), (k - 2, 1, 1, 1)),
+            ((_r(5, 8), (2,), lo, lo), (1, 1, 1, k - 1)),
             # panel: high/low
-            (((1,), (1,), hi, lo), (1, _k1, 1, 1)),
-            (((2,), (1,), hi, lo), (_k2, 1, 1, 1)),
-            ((_r(3, 8), (1,), hi, lo), (1, 1, _k1, 1)),
-            (((1,), (2,), hi, lo), (_k1, 1, _k1, 1)),
-            ((_r(2, 8), (2,), hi, lo), (1, _k1, _k1, 1)),
+            (((1,), (1,), hi, lo), (1, k - 1, 1, 1)),
+            (((2,), (1,), hi, lo), (k - 2, 1, 1, 1)),
+            ((_r(3, 8), (1,), hi, lo), (1, 1, k - 1, 1)),
+            (((1,), (2,), hi, lo), (k - 1, 1, k - 1, 1)),
+            ((_r(2, 8), (2,), hi, lo), (1, k - 1, k - 1, 1)),
             # panel: low/high
-            ((_r(1, 5), (1,), lo, hi), (1, _k1, 1, _k1)),
-            (((6,), (1,), lo, hi), (_k2, 1, 1, _k1)),
-            ((_r(7, 8), (1,), lo, hi), (1, 1, _k1, _k1)),
-            ((_r(1, 4), (2,), lo, hi), (1, 1, _k1, _k1)),
-            (((5,), (2,), lo, hi), (_k2, 1, _k1, 1)),
-            ((_r(6, 8), (2,), lo, hi), (1, _k1, _k1, 1)),
+            ((_r(1, 5), (1,), lo, hi), (1, k - 1, 1, k - 1)),
+            (((6,), (1,), lo, hi), (k - 2, 1, 1, k - 1)),
+            ((_r(7, 8), (1,), lo, hi), (1, 1, k - 1, k - 1)),
+            ((_r(1, 4), (2,), lo, hi), (1, 1, k - 1, k - 1)),
+            (((5,), (2,), lo, hi), (k - 2, 1, k - 1, 1)),
+            ((_r(6, 8), (2,), lo, hi), (1, k - 1, k - 1, 1)),
             # panel: high/high
-            ((_r(1, 6), (1,), hi, hi), (1, 1, _k1, _k1)),
-            (((7,), (1,), hi, hi), (_k2, 1, 1, _k1)),
-            (((8,), (1,), hi, hi), (1, _k1, 1, _k1)),
-            ((_r(1, 7), (2,), hi, hi), (1, _k1, 1, _k1)),
-            (((8,), (2,), hi, hi), (_k1, 1, 1, _k1)),
+            ((_r(1, 6), (1,), hi, hi), (1, 1, k - 1, k - 1)),
+            (((7,), (1,), hi, hi), (k - 2, 1, 1, k - 1)),
+            (((8,), (1,), hi, hi), (1, k - 1, 1, k - 1)),
+            ((_r(1, 7), (2,), hi, hi), (1, k - 1, 1, k - 1)),
+            (((8,), (2,), hi, hi), (k - 1, 1, 1, k - 1)),
         ],
-        k,
     )
 
 
@@ -396,30 +372,30 @@ def _fig8(k: int) -> IntermediatePartition:
         (5, 4, 3),
         [
             # layer 1
-            (((1,), (4,), (1,)), (_k1, 1, 1)),
-            ((_r(2, 5), (4,), (1,)), (1, _k1, 1)),
-            (((1,), _r(1, 3), (1,)), (1, _k1, 1)),
-            (((2,), _r(1, 3), (1,)), (_k2, 1, 1)),
-            ((_r(3, 5), _r(1, 3), (1,)), (1, 1, _k2)),
+            (((1,), (4,), (1,)), (k - 1, 1, 1)),
+            ((_r(2, 5), (4,), (1,)), (1, k - 1, 1)),
+            (((1,), _r(1, 3), (1,)), (1, k - 1, 1)),
+            (((2,), _r(1, 3), (1,)), (k - 2, 1, 1)),
+            ((_r(3, 5), _r(1, 3), (1,)), (1, 1, k - 2)),
             # layer 2
-            ((_r(1, 3), _r(2, 4), (2,)), (1, 1, _k2)),
-            ((_r(1, 4), (1,), (2,)), (1, _k1, 1)),
-            (((5,), (1,), (2,)), (_k1, 1, 1)),
-            (((5,), _r(2, 4), (2,)), (1, _k1, 1)),
-            (((4,), _r(2, 4), (2,)), (_k2, 1, 1)),
+            ((_r(1, 3), _r(2, 4), (2,)), (1, 1, k - 2)),
+            ((_r(1, 4), (1,), (2,)), (1, k - 1, 1)),
+            (((5,), (1,), (2,)), (k - 1, 1, 1)),
+            (((5,), _r(2, 4), (2,)), (1, k - 1, 1)),
+            (((4,), _r(2, 4), (2,)), (k - 2, 1, 1)),
             # layer 3: the corner cover box and the slivers around it
-            (((1, 2, 4, 5), (1, 4), (3,)), (1, 1, _k2)),
-            (((1, 2, 4, 5), (2,), (3,)), (_k1, 1, 1)),
-            (((1, 2, 4, 5), (3,), (3,)), (1, _k2, 1)),
-            (((3,), (2,), (3,)), (1, _k1, 1)),
-            (((3,), (1, 3, 4), (3,)), (_k1, 1, 1)),
+            (((1, 2, 4, 5), (1, 4), (3,)), (1, 1, k - 2)),
+            (((1, 2, 4, 5), (2,), (3,)), (k - 1, 1, 1)),
+            (((1, 2, 4, 5), (3,), (3,)), (1, k - 2, 1)),
+            (((3,), (2,), (3,)), (1, k - 1, 1)),
+            (((3,), (1, 3, 4), (3,)), (k - 1, 1, 1)),
         ],
-        k,
     )
 
 
 _LIBRARY = {
     "fig3": _fig3,
+    "fig4": _fig4,
     "fig5": _fig5,
     "fig6": _fig6,
     "fig8": _fig8,
@@ -427,12 +403,10 @@ _LIBRARY = {
 
 
 def intermediate_library(name: str, k: int) -> IntermediatePartition:
-    """Fixed labeled partitions on canonical grids.  Names: fig3, fig4, fig5,
-    fig6, fig8.  fig4 is the stack of fig3 (10 parts in 3D)."""
+    """Fixed labeled partitions on canonical grids, by the names in
+    ``_LIBRARY``."""
     if k < 3:
         raise GeometryError("library partitions need k >= 3 (k-2 labels)")
-    if name == "fig4":
-        return stack_lemma(_fig3(k), ("low", "low"), ("high", "low"), k)
     if name not in _LIBRARY:
         raise GeometryError(f"unknown intermediate partition {name!r}")
     return _LIBRARY[name](k)
@@ -454,42 +428,41 @@ def _reflect_parts(ip: IntermediatePartition, corner: CornerSpec):
     return out
 
 
-def _extents(box: DiscreteBox):
-    return tuple((f[0], f[-1]) for f in box.factors)
+def _corner_part(parts) -> int:
+    """Index of the part holding the all-low corner."""
+    return next(
+        i for i, (box, _) in enumerate(parts)
+        if all(f[0] == 1 for f in box.factors)
+    )
 
 
 def _largest_proper_prefix_union(parts, sides):
     """Largest proper brick [1..u_1] x ... x [1..u_d] that is an exact union
     of whole parts; returns (u, covered part indices)."""
-    d = len(sides)
-    cuts = [sorted({ext[1] for box, _ in parts for ext in [_extents(box)[a]]})
-            for a in range(d)]
-    cuts = [[c for c in cs if c < sides[a]] for a, cs in enumerate(cuts)]
+    cuts = [
+        sorted({box.factors[a][-1] for box, _ in parts} - {n})
+        for a, n in enumerate(sides)
+    ]
     best = None
     for u in itertools.product(*cuts):
         covered = []
         ok = True
         for idx, (box, _) in enumerate(parts):
-            ext = _extents(box)
-            intersects = all(lo <= u[a] for a, (lo, _) in enumerate(ext))
-            inside = all(hi <= u[a] for a, (_, hi) in enumerate(ext))
+            intersects = all(f[0] <= ua for f, ua in zip(box.factors, u))
+            inside = all(f[-1] <= ua for f, ua in zip(box.factors, u))
             if intersects and not inside:
                 ok = False
                 break
             if inside:
                 covered.append(idx)
         if ok and covered:
-            cells = functools.reduce(operator.mul, u, 1)
+            cells = math.prod(u)
             if best is None or cells > best[0]:
                 best = (cells, u, covered)
     if best is None:
-        corner_part = next(
-            i for i, (box, _) in enumerate(parts)
-            if all(f[0] == 1 for f in box.factors)
-        )
         raise GeometryError(
             "no proper sub-brick at the chosen corner covers whole parts; "
-            f"part {corner_part} blocks every candidate"
+            f"part {_corner_part(parts)} blocks every candidate"
         )
     return best[1], best[2]
 
@@ -513,20 +486,13 @@ def stack_lemma(
     if X == Y:
         raise GeometryError("corners X and Y must differ")
     sides = ip.ambient.sides
+    if not all(classify_box(box, ip.ambient).brick for box, _ in ip.parts):
+        raise GeometryError("stacking requires all parts to be bricks")
 
     bottom = _reflect_parts(ip, X)
     top = _reflect_parts(ip, Y)
-    for box, _ in bottom:
-        flags_ok = all(f[-1] - f[0] + 1 == len(f) for f in box.factors)
-        if not flags_ok:
-            raise GeometryError("stacking requires all parts to be bricks")
-
     u, covered = _largest_proper_prefix_union(bottom, sides)
-
-    r_idx = next(
-        i for i, (box, _) in enumerate(top)
-        if all(f[0] == 1 for f in box.factors)
-    )
+    r_idx = _corner_part(top)
     t = tuple(f[-1] for f in top[r_idx][0].factors)
     if any(ta == n and ua != n for ta, ua, n in zip(t, u, sides)):
         raise GeometryError("corner part at Y spans a full axis; cannot stretch")
@@ -574,50 +540,40 @@ def stack_lemma(
 # realization
 
 def _part_labels(ip: IntermediatePartition, k: int, tail_dims: int):
+    """Each part's labels padded with k on the ``tail_dims`` new axes, once
+    the labels are checked to reach k."""
+    if tail_dims < 0:
+        raise GeometryError("tail_dims must be >= 0")
+    if not weighted_piercing_ok(ip, k):
+        raise GeometryError("labels do not reach the piercing target k")
     return [vec.labels + (k,) * tail_dims for _, vec in ip.parts]
 
 
 def predicted_size(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> int:
     """Exact size `realize` will produce: the sum over parts of the
     recursive subproblem sizes."""
-    if tail_dims < 0:
-        raise GeometryError("tail_dims must be >= 0")
-    if not weighted_piercing_ok(ip, k):
-        raise GeometryError("labels do not reach the piercing target k")
-    return sum(_target_size(lab) for lab in _part_labels(ip, k, tail_dims))
+    return sum(_plan(lab)[0] for lab in _part_labels(ip, k, tail_dims))
 
 
 def realize(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> BoxFamily:
     """Turn a labeled partition into a concrete partition with piercing
     number at least k, refining the grid so every part has room for its
     subproblem.  The output size equals ``predicted_size``."""
-    if tail_dims < 0:
-        raise GeometryError("tail_dims must be >= 0")
-    if not weighted_piercing_ok(ip, k):
-        raise GeometryError("labels do not reach the piercing target k")
-    d = ip.ambient.dim
     labels = _part_labels(ip, k, tail_dims)
-    needs = [_target_need(lab) for lab in labels]
-
-    scale = []
-    for a in range(d):
-        L = 1
-        for (box, _), need in zip(ip.parts, needs):
-            L = max(L, -(-need[a] // len(box.factors[a])))
-        scale.append(L)
-    # equalize: refine every axis further until the output is a cube [N]^d
-    tail_need = [
-        max(2, max(need[d + tdim] for need in needs))
-        for tdim in range(tail_dims)
-    ]
+    sides = ip.ambient.sides
+    # the output is a cube [N]^(d + tail_dims): N is the least multiple of
+    # every side that gives each part the room its subproblem needs (a tail
+    # axis has no factor and holds the whole side)
     target = max(
-        [n * L for n, L in zip(ip.ambient.sides, scale)] + tail_need
+        -(-m // len(f)) * n if f else m
+        for (box, _), lab in zip(ip.parts, labels)
+        for f, n, m in itertools.zip_longest(box.factors, sides, _plan(lab)[1])
     )
-    step = math.lcm(*ip.ambient.sides)
+    step = math.lcm(*sides)
     side = -(-target // step) * step
-    scale = [side // n for n in ip.ambient.sides]
+    scale = [side // n for n in sides]
     tail_sides = (side,) * tail_dims
-    new_sides = (side,) * d + tail_sides
+    new_sides = (side,) * len(sides) + tail_sides
 
     boxes = []
     for (box, _), lab in zip(ip.parts, labels):

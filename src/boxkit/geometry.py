@@ -22,11 +22,10 @@ across threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
+import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -74,7 +73,7 @@ class Ambient:
 
     @property
     def volume(self) -> int:
-        return functools.reduce(operator.mul, self.sides, 1)
+        return math.prod(self.sides)
 
 
 def _normalize_factor(factor: Iterable[int]) -> tuple[int, ...]:
@@ -109,7 +108,7 @@ class DiscreteBox:
 
     @property
     def cardinality(self) -> int:
-        return functools.reduce(operator.mul, (len(f) for f in self.factors), 1)
+        return math.prod(len(f) for f in self.factors)
 
     def contains(self, point: Sequence[int]) -> bool:
         if len(point) != self.dim:
@@ -220,6 +219,8 @@ class IntermediatePartition:
 
 # Corner of the cube: one of "low"/"high" per axis.
 CornerSpec = tuple[Literal["low", "high"], ...]
+# How a cover meets its multiplicity: at every point exactly, or at least.
+Mode = Literal["exact", "at_least"]
 
 
 def classify_box(box: DiscreteBox, ambient: Ambient) -> BoxFlags:
@@ -247,10 +248,15 @@ _CELL_LIMIT = 1 << 27
 _BATCH_CELLS = 1 << 13
 
 
-def _check_cells(cells: int, what: str) -> None:
-    """Refuse ``what`` (a tensor or picture of ``cells`` cells) above the limit."""
-    if cells > _CELL_LIMIT:
-        raise GeometryError(f"{what} exceeds the {_CELL_LIMIT}-cell limit")
+def _check_cells(shape: Iterable[int], what: str) -> int:
+    """Cell count of ``what``, a tensor or picture of the given shape; raises
+    as soon as the running product passes the limit."""
+    cells = 1
+    for n in shape:
+        cells *= n
+        if cells > _CELL_LIMIT:
+            raise GeometryError(f"{what} exceeds the {_CELL_LIMIT}-cell limit")
+    return cells
 
 
 def _factor_csr(boxes: Sequence[DiscreteBox], dim: int):
@@ -313,8 +319,7 @@ def _scatter_sum(
     skipped this is the coverage tensor."""
     axes = [j for j in range(len(sides)) if j != skip]
     shape = tuple(sides[a] for a in axes)
-    size = functools.reduce(operator.mul, shape, 1)
-    _check_cells(size, f"a tensor over {len(shape)} axes")
+    size = _check_cells(shape, f"a tensor over {len(shape)} axes")
     out = np.zeros(size, dtype=np.int64)
     for flat, owner in _incidence(csr, sides, axes):
         np.add.at(out, flat, 1 if weights is None else weights[owner])
@@ -326,19 +331,21 @@ def _first_point(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(int(c) + 1 for c in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
+def _check_demand(multiplicity: int, mode: Mode) -> None:
+    """Refuse a multiplicity below 1 or a mode outside ``Mode``."""
+    if multiplicity < 1:
+        raise GeometryError("multiplicity must be >= 1")
+    if mode not in get_args(Mode):
+        raise GeometryError(f"unknown mode {mode!r}")
+
+
 def verify_cover(
-    family: BoxFamily,
-    multiplicity: int = 1,
-    mode: Literal["exact", "at_least"] = "exact",
+    family: BoxFamily, multiplicity: int = 1, mode: Mode = "exact"
 ) -> VerificationReport:
     """Check that every ambient point is covered exactly (or at least)
     ``multiplicity`` times.  With multiplicity 1 and mode "exact" this is the
     partition predicate."""
-    if multiplicity < 1:
-        raise GeometryError("multiplicity must be >= 1")
-    if mode not in ("exact", "at_least"):
-        raise GeometryError(f"unknown mode {mode!r}")
-
+    _check_demand(multiplicity, mode)
     sides = family.ambient.sides
     csr = _factor_csr(family.boxes, family.ambient.dim)
     cover = _scatter_sum(csr, sides)

@@ -24,8 +24,8 @@ def _id_grid(doc: PartitionDocument) -> np.ndarray:
     """Id of the first box covering each cell (0 for uncovered cells), as
     an array over the ambient indexed by 0-based coordinates."""
     sides = doc.ambient.sides
-    _check_cells(doc.ambient.volume, f"a picture over {len(sides)} axes")
-    grid = np.full(doc.ambient.volume, len(doc.boxes) + 1, dtype=np.int64)
+    cells = _check_cells(sides, f"a picture over {len(sides)} axes")
+    grid = np.full(cells, len(doc.boxes) + 1, dtype=np.int64)
     csr = _factor_csr(doc.boxes, doc.ambient.dim)
     for flat, owner in _incidence(csr, sides, list(range(len(sides)))):
         np.minimum.at(grid, flat, owner + 1)
@@ -80,7 +80,7 @@ def _svg(doc: PartitionDocument) -> str:
 
     bricks = [classify_box(box, doc.ambient).brick for box in doc.boxes]
     tiles = sum(b.cardinality for b, brick in zip(doc.boxes, bricks) if not brick)
-    _check_cells(tiles, "a picture of unit tiles over 2 axes")
+    _check_cells([tiles], "a picture of unit tiles over 2 axes")
     for i, (box, brick) in enumerate(zip(doc.boxes, bricks), start=1):
         fx, fy = box.factors
         if brick:

@@ -38,6 +38,8 @@ from .geometry import (
     BoxFamily,
     DiscreteBox,
     GeometryError,
+    Mode,
+    _check_demand,
     verify_cover,
 )
 
@@ -64,13 +66,10 @@ class CoverInstance:
     ambient: Ambient
     candidates: tuple[DiscreteBox, ...]
     multiplicity: int = 1
-    mode: Literal["exact", "at_least"] = "exact"
+    mode: Mode = "exact"
 
     def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise GeometryError("multiplicity must be >= 1")
-        if self.mode not in ("exact", "at_least"):
-            raise GeometryError(f"unknown mode {self.mode!r}")
+        _check_demand(self.multiplicity, self.mode)
         for c in self.candidates:
             c.validate_in(self.ambient)
 

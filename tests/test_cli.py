@@ -4,7 +4,7 @@ from typing import get_args
 import pytest
 
 from boxkit.cli import main
-from boxkit.constructions import APPENDIX_25_LISTING
+from boxkit.constructions import _LIBRARY, APPENDIX_25_LISTING
 from boxkit.search import Predicate
 
 
@@ -95,6 +95,18 @@ class TestConstruct:
 
     def test_bad_parameters_usage_error(self):
         assert main(["construct", "grid", "--d", "2", "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("fig", list(_LIBRARY))
+    def test_every_library_fig_realizes(self, fig, capsys):
+        assert main(["construct", "realize", "--fig", fig, "--k", "3"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["realize", "--fig", "fig7"], ["pyramid"]], ids=["fig", "kind"]
+    )
+    def test_unknown_name_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", *argv])
+        assert exc.value.code == 2
 
 
 class TestSearch:

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from boxkit.constructions import (
     APPENDIX_25_LISTING,
+    _build,
+    _plan,
+    _r,
     grid_partition,
     intermediate_library,
     lift,
@@ -19,8 +22,12 @@ from boxkit.constructions import (
 )
 from boxkit.formats import PartitionDocument, write_partition_text
 from boxkit.geometry import (
+    Ambient,
+    BoxFamily,
+    DiscreteBox,
     GeometryError,
     classify_box,
+    piercing_number,
     verify_cover,
     weighted_piercing_ok,
 )
@@ -266,3 +273,28 @@ def test_quadrant_always_verified(k, d):
 @settings(max_examples=25, deadline=None)
 def test_library_weighted_piercing_invariant(name, k):
     assert weighted_piercing_ok(intermediate_library(name, k), k)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_build_fills_exactly_its_planned_room(labels):
+    """_build into a box of exactly the planned cells makes the planned number
+    of pieces, which tile the box and meet every label along their axis."""
+    labels = tuple(labels)
+    size, need = _plan(labels)
+    pieces = list(_build(tuple(_r(1, n) for n in need), labels))
+    assert len(pieces) == size
+    # an axis labeled 1 needs one cell and is never split; the rest is the
+    # partition proper (an ambient side must be at least 2)
+    axes = [a for a, n in enumerate(need) if n > 1]
+    assert axes == [a for a, x in enumerate(labels) if x > 1]
+    if not axes:
+        assert size == 1
+        return
+    fam = BoxFamily(
+        Ambient(tuple(need[a] for a in axes)),
+        tuple(DiscreteBox(tuple(p[a] for a in axes)) for p in pieces),
+    )
+    assert verify_cover(fam).is_partition
+    _, per_axis = piercing_number(fam)
+    assert all(got >= labels[a] for got, a in zip(per_axis, axes))

@@ -376,3 +376,16 @@ def test_tensor_cell_limit():
         verify_cover(fam)
     with pytest.raises(GeometryError, match="cell limit"):
         piercing_number(fam)
+
+
+def test_cell_check_stops_once_past_the_limit():
+    """The shape is read only up to the side that passes the limit, so many
+    axes cost nothing after that."""
+    def shape():
+        yield 1 << 20
+        yield 1 << 20
+        raise AssertionError("read past the side that passed the limit")
+
+    with pytest.raises(GeometryError, match="cell limit"):
+        geometry._check_cells(shape(), "a tensor")
+    assert geometry._check_cells([3, 4, 5], "a tensor") == 60
