@@ -60,7 +60,6 @@ from .search import (
     anneal_cover,
     enumerate_candidates,
     export_model,
-    parse_lp_model,
     solve_cover,
 )
 from .graphq import (

@@ -90,7 +90,7 @@ def _cmd_verify(args) -> int:
 
 
 _CONSTRUCTIONS = {
-    "trivial": lambda a: cons.trivial_odd_partition(a.n or 3, a.d),
+    "trivial": lambda a: cons.trivial_odd_partition(3 if a.n is None else a.n, a.d),
     "grid": lambda a: cons.grid_partition(a.d, a.k, a.n),
     "p25": lambda a: cons.partition_25(),
     "quadrant": lambda a: cons.quadrant_construction(a.d, a.k),

@@ -169,15 +169,17 @@ def write_partition_structured(doc: PartitionDocument) -> str:
 
 
 def _reject(token: str):
-    raise ParseError(f"non-integer number {token}")
+    raise ValueError(f"non-integer number {token}")
 
 
 def parse_partition_structured(text: str) -> PartitionDocument:
-    """Parse the JSON format; a missing or ill-typed field raises ParseError."""
+    """Parse the JSON format; bad JSON or a missing or ill-typed field raises ParseError."""
     try:
         obj = json.loads(text, parse_float=_reject, parse_constant=_reject)
     except RecursionError:
         raise ParseError("JSON document nested too deeply")
+    except ValueError as exc:  # bad syntax, a non-integer or an overlong number
+        raise ParseError(f"malformed JSON ({exc})")
     try:
         # json reads true/false as bools, which pass for the ints 1 and 0;
         # the text test spares the scan on documents without them

@@ -347,6 +347,7 @@ def verify_cover(
     partition predicate."""
     _check_demand(multiplicity, mode)
     sides = family.ambient.sides
+    _check_cells(sides, f"a tensor over {len(sides)} axes")
     csr = _factor_csr(family.boxes, family.ambient.dim)
     cover = _scatter_sum(csr, sides)
     cmin = int(cover.min())
@@ -389,8 +390,10 @@ def _line_minima(csr, sides: Sequence[int], weights=None) -> tuple[int, ...]:
 def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
     """Minimum, over all axis-parallel lines, of the number of distinct boxes
     the line meets; reported overall and per axis."""
+    sides = family.ambient.sides
+    _check_cells(sides[1:], f"a tensor over {len(sides) - 1} axes")
     csr = _factor_csr(family.boxes, family.ambient.dim)
-    per_axis = _line_minima(csr, family.ambient.sides)
+    per_axis = _line_minima(csr, sides)
     return min(per_axis), per_axis
 
 

@@ -4,8 +4,9 @@ ASCII output prints the 1-based box id of every cell: a single row in 1D, a
 grid in 2D, and one grid per last-axis layer in 3D (the layered style used
 for hand-listings of 3D partitions).  SVG output (2D only) draws one
 rectangle per brick and falls back to unit tiles for non-brick boxes.  A
-picture of more cells or unit tiles than geometry's cell limit raises
-GeometryError before anything is allocated.
+picture whose estimated text in bytes (a label and a separator per cell for
+ASCII, ``_RECT_BYTES`` per drawn rectangle for SVG) passes geometry's cell
+limit raises GeometryError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from .geometry import GeometryError, _check_cells, _factor_csr, _incidence, clas
 __all__ = ["render"]
 
 _CELL = 24  # svg pixels per lattice cell
+_RECT_BYTES = 160  # svg text per drawn rectangle and its label, at least
 
 
 def _id_grid(doc: PartitionDocument) -> np.ndarray:
     """Id of the first box covering each cell (0 for uncovered cells), as
     an array over the ambient indexed by 0-based coordinates."""
     sides = doc.ambient.sides
-    cells = _check_cells(sides, f"a picture over {len(sides)} axes")
-    grid = np.full(cells, len(doc.boxes) + 1, dtype=np.int64)
+    grid = np.full(doc.ambient.volume, len(doc.boxes) + 1, dtype=np.int64)
     csr = _factor_csr(doc.boxes, doc.ambient.dim)
     for flat, owner in _incidence(csr, sides, list(range(len(sides)))):
         np.minimum.at(grid, flat, owner + 1)
@@ -38,6 +39,7 @@ def _ascii(doc: PartitionDocument) -> str:
     if dim > 3:
         raise GeometryError("ascii rendering supports dimensions 1-3")
     width = len(str(len(doc.boxes)))
+    _check_cells([*doc.ambient.sides, width + 1], f"the text of a picture over {dim} axes")
     labels = np.array(
         [(str(i) if i else ".").rjust(width) for i in range(len(doc.boxes) + 1)]
     )
@@ -79,8 +81,8 @@ def _svg(doc: PartitionDocument) -> str:
         )
 
     bricks = [classify_box(box, doc.ambient).brick for box in doc.boxes]
-    tiles = sum(b.cardinality for b, brick in zip(doc.boxes, bricks) if not brick)
-    _check_cells([tiles], "a picture of unit tiles over 2 axes")
+    rects = sum(1 if brick else b.cardinality for b, brick in zip(doc.boxes, bricks))
+    _check_cells([rects, _RECT_BYTES], "the text of a picture over 2 axes")
     for i, (box, brick) in enumerate(zip(doc.boxes, bricks), start=1):
         fx, fy = box.factors
         if brick:

@@ -15,6 +15,7 @@ t=1 exact.  Three engines are provided:
   SAT clauses (DIMACS CNF, t=1 exact only), one variable per candidate and
   one constraint per point.
 
+All three read the pool as geometry's box->cell incidence (``_pool_incidence``).
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
@@ -28,10 +29,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 import time
 from dataclasses import dataclass
 from typing import Literal, get_args
+
+import numpy as np
 
 from .geometry import (
     Ambient,
@@ -39,7 +41,10 @@ from .geometry import (
     DiscreteBox,
     GeometryError,
     Mode,
+    _check_cells,
     _check_demand,
+    _factor_csr,
+    _incidence,
     verify_cover,
 )
 
@@ -51,7 +56,6 @@ __all__ = [
     "solve_cover",
     "anneal_cover",
     "export_model",
-    "parse_lp_model",
 ]
 
 CANDIDATE_SIDE_CAP = 9
@@ -96,7 +100,9 @@ class SearchResult:
 
 def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[DiscreteBox]:
     """All boxes in the ambient whose every factor satisfies the predicate,
-    in lexicographic order (per-axis factor tuples, leftmost axis slowest)."""
+    in lexicographic order (per-axis factor tuples, leftmost axis slowest).
+    A pool whose boxes times axes, or whose total cells, would pass
+    geometry's cell limit raises GeometryError before any box is built."""
     if any(n > CANDIDATE_SIDE_CAP for n in ambient.sides):
         raise GeometryError(
             f"side exceeds enumeration cap {CANDIDATE_SIDE_CAP}"
@@ -129,6 +135,9 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
             factors.append(s)
         factors.sort()
         per_axis.append(factors)
+    what = f"a {ambient.dim}-axis candidate pool"
+    _check_cells([*map(len, per_axis), ambient.dim], what)
+    _check_cells([sum(map(len, fs)) for fs in per_axis], f"the incidence of {what}")
     return [
         DiscreteBox(combo) for combo in itertools.product(*per_axis)
     ]
@@ -139,13 +148,11 @@ def _pool_incidence(instance: CoverInstance):
     each of its points (in ``itertools.product`` order), and per point, the
     candidates covering it in pool order."""
     sides = instance.ambient.sides
-    strides = [math.prod(sides[a + 1:]) for a in range(len(sides))]
-    cand_pts = [
-        tuple(map(sum, itertools.product(*(
-            [(x - 1) * s for x in f] for f, s in zip(c.factors, strides)
-        ))))
-        for c in instance.candidates
-    ]
+    csr = _factor_csr(instance.candidates, len(sides))
+    batches = _incidence(csr, sides, list(range(len(sides))))
+    flat = np.concatenate([f for f, _ in batches]).tolist()
+    ends = np.cumsum(csr[2].prod(axis=1)).tolist()
+    cand_pts = [tuple(flat[i:j]) for i, j in zip([0, *ends], ends)]
     covers_point: list[list[int]] = [[] for _ in range(math.prod(sides))]
     for ci, pts in enumerate(cand_pts):
         for p in pts:
@@ -446,50 +453,3 @@ def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
         return "\n".join(out) + "\n"
 
     raise GeometryError(f"unknown format {format!r}")
-
-
-_LP_ROW_RE = re.compile(r"^\s*p_([0-9_]+):\s*(.*?)\s*(>=|=)\s*(\d+)\s*$")
-
-
-def parse_lp_model(text: str) -> CoverInstance:
-    """Rebuild a CoverInstance from ``export_model(..., "lp")`` output.
-    Each candidate is recovered as the product box of the points whose rows
-    mention its variable."""
-    rows: list[tuple[tuple[int, ...], list[int]]] = []
-    rel = None
-    t = None
-    n_vars = 0
-    for line in text.splitlines():
-        m = _LP_ROW_RE.match(line)
-        if not m:
-            continue
-        pt = tuple(int(c) for c in m.group(1).split("_"))
-        vs = [
-            int(v[2:]) for v in m.group(2).split(" + ") if v.startswith("x_")
-        ]
-        if rel is None:
-            rel, t = m.group(3), int(m.group(4))
-        elif (m.group(3), int(m.group(4))) != (rel, t):
-            raise GeometryError("inconsistent constraint rows")
-        n_vars = max(n_vars, *vs) if vs else n_vars
-        rows.append((pt, vs))
-    if not rows or t is None:
-        raise GeometryError("no constraint rows found")
-    dim = len(rows[0][0])
-    sides = tuple(max(pt[a] for pt, _ in rows) for a in range(dim))
-    var_points: list[list[tuple[int, ...]]] = [[] for _ in range(n_vars)]
-    for pt, vs in rows:
-        for v in vs:
-            var_points[v - 1].append(pt)
-    candidates = []
-    for pts in var_points:
-        factors = tuple(
-            tuple(sorted({pt[a] for pt in pts})) for a in range(dim)
-        )
-        candidates.append(DiscreteBox(factors))
-    return CoverInstance(
-        Ambient(sides),
-        tuple(candidates),
-        multiplicity=t,
-        mode="exact" if rel == "=" else "at_least",
-    )

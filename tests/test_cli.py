@@ -3,6 +3,7 @@ from typing import get_args
 
 import pytest
 
+from boxkit import geometry
 from boxkit.cli import main
 from boxkit.constructions import _LIBRARY, APPENDIX_25_LISTING
 from boxkit.search import Predicate
@@ -57,6 +58,7 @@ class TestVerify:
                 '{"ambient": ' + "[" * 100_000 + "]" * 100_000 + ', "boxes": []}',
                 id="ambient-nested-100000-deep",
             ),
+            pytest.param('{"ambient": [2,2], "boxes": [', id="truncated"),
         ],
     )
     def test_malformed_json_is_usage_error(self, tmp_path, doc):
@@ -95,6 +97,7 @@ class TestConstruct:
 
     def test_bad_parameters_usage_error(self):
         assert main(["construct", "grid", "--d", "2", "--k", "1"]) == 2
+        assert main(["construct", "trivial", "--n", "0", "--d", "1"]) == 2
 
     @pytest.mark.parametrize("fig", list(_LIBRARY))
     def test_every_library_fig_realizes(self, fig, capsys):
@@ -204,6 +207,25 @@ class TestExportRender:
         path = tmp_path / "huge.txt"
         path.write_text("Ambient = 100000 x 100000 x 100000\nBox(1) = {1} x {1} x {1}\n")
         assert main(["render", str(path)]) == 2
+        assert "cell limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["export", "search"])
+    def test_oversized_pool_is_usage_error(self, command, monkeypatch, capsys):
+        # 2^6 proper boxes over 6 axes: 384 entries, one past the limit
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 383)
+        argv = [command, "--ambient", "2,2,2,2,2,2", "--candidates", "proper-box"]
+        assert main(argv) == 2
+        assert "candidate pool exceeds the 383-cell limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("format", ["ascii", "svg"])
+    def test_render_oversized_text_is_usage_error(
+        self, format, tmp_path, monkeypatch, capsys
+    ):
+        # 9 cells of 2 bytes in ASCII; 9 rectangles in SVG
+        path = tmp_path / "g.txt"
+        main(["construct", "grid", "--d", "2", "--k", "3", "--out", str(path)])
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 17)
+        assert main(["render", str(path), "--format", format]) == 2
         assert "cell limit" in capsys.readouterr().err
 
     def test_render_svg(self, tmp_path, capsys):

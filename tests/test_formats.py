@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkit.cli import main
+
 from boxkit.formats import (
     ParseError,
     PartitionDocument,
@@ -10,7 +12,7 @@ from boxkit.formats import (
     write_partition_structured,
     write_partition_text,
 )
-from boxkit.geometry import Ambient, DiscreteBox, PiercingVector
+from boxkit.geometry import Ambient, DiscreteBox, GeometryError, PiercingVector
 
 
 class TestParseText:
@@ -159,3 +161,47 @@ def test_labels_must_match_boxes():
             (DiscreteBox.of([1]),),
             (PiercingVector((1,)), PiercingVector((1,))),
         )
+
+
+@pytest.mark.parametrize("cut", [1, 12, 29, 30, 45])
+def test_truncated_json_is_parse_error(cut):
+    text = '{"ambient": [2,2], "boxes": [[[1,2],[1,2]]], "labels": null}'
+    with pytest.raises(ParseError, match="malformed JSON"):
+        parse_partition_structured(text[:cut])
+
+
+# the characters both formats are written in, plus a few that neither uses
+_SYNTAX = '{}[](),:=x \n0123456789-+."Boxambientlsrufe_#'
+
+
+@pytest.mark.parametrize(
+    "parse, write",
+    [
+        (parse_partition_text, write_partition_text),
+        (parse_partition_structured, write_partition_structured),
+    ],
+    ids=["text", "json"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_documents_round_trip_or_raise(parse, write, data, tmp_path_factory):
+    """A valid document with a few spans replaced, or cut short, either
+    parses to a document that round-trips or is refused with ParseError or
+    GeometryError; ``boxkit verify`` exits 2 on the refused ones."""
+    text = write(data.draw(documents()))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + data.draw(st.text(_SYNTAX, max_size=3)) + text[j:]
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    try:
+        doc = parse(text)
+    except (ParseError, GeometryError):
+        # the CLI reads a file as JSON iff it starts with "{"
+        if text.lstrip().startswith("{") == (parse is parse_partition_structured):
+            path = tmp_path_factory.getbasetemp() / "mutated.txt"
+            path.write_text(text, encoding="utf-8")
+            assert main(["verify", str(path)]) == 2
+        return
+    assert parse(write(doc)) == doc

@@ -389,3 +389,24 @@ def test_cell_check_stops_once_past_the_limit():
     with pytest.raises(GeometryError, match="cell limit"):
         geometry._check_cells(shape(), "a tensor")
     assert geometry._check_cells([3, 4, 5], "a tensor") == 60
+
+
+@pytest.mark.parametrize(
+    "check, sides, message",
+    [
+        (verify_cover, (3, 3), "a tensor over 2 axes exceeds the 8-cell limit"),
+        (piercing_number, (2, 3, 3), "a tensor over 2 axes exceeds the 8-cell limit"),
+    ],
+    ids=["verify_cover", "piercing_number"],
+)
+def test_oversized_ambient_refused_before_the_factor_arrays(
+    monkeypatch, check, sides, message
+):
+    """The first tensor's cell count is checked before any per-box work, with
+    the message the tensor itself would raise."""
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 8)
+    fam = BoxFamily(Ambient(sides), (DiscreteBox.of(*([1] for _ in sides)),))
+    with mock.patch.object(geometry, "_factor_csr", side_effect=AssertionError):
+        with pytest.raises(GeometryError) as exc:
+            check(fam)
+    assert str(exc.value) == message

@@ -4,7 +4,7 @@ from boxkit import geometry
 from boxkit.constructions import grid_partition, trivial_odd_partition
 from boxkit.formats import PartitionDocument
 from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError
-from boxkit.render import render
+from boxkit.render import _RECT_BYTES, render
 
 
 def doc_of(fam):
@@ -35,6 +35,18 @@ class TestAscii:
         with pytest.raises(GeometryError, match="cell limit"):
             render(doc_of(grid_partition(2, 3)))
 
+    @pytest.mark.parametrize("boxes, width", [(9, 1), (10, 2)])
+    def test_limit_counts_bytes(self, monkeypatch, boxes, width):
+        # one label of the widest id plus a separator per cell
+        ambient = Ambient((boxes, 2))
+        fam = BoxFamily(ambient, tuple(DiscreteBox.of([x], [1, 2]) for x in range(1, boxes + 1)))
+        size = ambient.volume * (width + 1)
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", size)
+        assert len(render(doc_of(fam))) == size
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", size - 1)
+        with pytest.raises(GeometryError, match="cell limit"):
+            render(doc_of(fam))
+
     def test_4d_rejected(self):
         with pytest.raises(GeometryError):
             render(doc_of(grid_partition(4, 2)))
@@ -63,6 +75,20 @@ class TestSvg:
         fam = BoxFamily(Ambient.cube(3, 2), (DiscreteBox.of([1, 3], [1, 2, 3]),))
         with pytest.raises(GeometryError, match="cell limit"):
             render(doc_of(fam), "svg")
+
+    def test_limit_counts_every_rectangle(self, monkeypatch):
+        # 9 bricks, one rectangle each, and no unit tiles
+        fam = grid_partition(2, 3)
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 9 * _RECT_BYTES)
+        assert render(doc_of(fam), "svg").count("<rect") == 9
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 9 * _RECT_BYTES - 1)
+        with pytest.raises(GeometryError, match="cell limit"):
+            render(doc_of(fam), "svg")
+
+    def test_rectangle_bytes_are_a_lower_bound(self):
+        fam = BoxFamily(Ambient.cube(3, 2), (DiscreteBox.of([1, 3], [1, 2, 3]),))
+        out = render(doc_of(fam), "svg")
+        assert len(out) > out.count("<rect") * _RECT_BYTES
 
     def test_only_2d(self):
         with pytest.raises(GeometryError):

@@ -1,20 +1,22 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkit import geometry, search
 from boxkit.bounds import lower_odd_proper
 from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError, verify_cover
 from boxkit.search import (
     CoverInstance,
     SearchBudget,
+    _pool_incidence,
     anneal_cover,
     enumerate_candidates,
     export_model,
-    parse_lp_model,
     solve_cover,
 )
 
@@ -46,6 +48,28 @@ class TestEnumerate:
     def test_unknown_predicate(self):
         with pytest.raises(GeometryError):
             enumerate_candidates(Ambient.cube(3, 1), "odd_box")
+
+    @pytest.mark.parametrize(
+        "limit, sides, predicate, message, count",
+        [
+            # 2^6 boxes x 6 axes = 384; 2^6 incidence cells
+            (384, (2,) * 6, "proper_box", "a 6-axis candidate pool", 64),
+            # 15^2 boxes x 2 axes = 450; 35^2 = 1225 incidence cells
+            (1225, (5, 5), "odd_proper_box", "the incidence of a 2-axis candidate pool", 225),
+        ],
+        ids=["boxes-times-axes", "incidence-cells"],
+    )
+    def test_oversized_pool_refused_before_any_box(
+        self, monkeypatch, limit, sides, predicate, message, count
+    ):
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", limit - 1)
+        with monkeypatch.context() as m:
+            m.setattr(search, "DiscreteBox", None)  # building a box would fail
+            with pytest.raises(GeometryError) as exc:
+                enumerate_candidates(Ambient(sides), predicate)
+        assert str(exc.value) == f"{message} exceeds the {limit - 1}-cell limit"
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", limit)
+        assert len(enumerate_candidates(Ambient(sides), predicate)) == count
 
 
 class TestSolveCover:
@@ -235,6 +259,33 @@ def test_solver_walks_the_reference_tree(inst, max_nodes):
         assert r.best == BoxFamily(inst.ambient, tuple(inst.candidates[i] for i in sel))
 
 
+@st.composite
+def any_pools(draw):
+    """Arbitrary boxes (not only proper ones), possibly none, 1-D included."""
+    d = draw(st.integers(1, 3))
+    sides = tuple(draw(st.integers(2, 4)) for _ in range(d))
+    factor = lambda n: st.sets(st.integers(1, n), min_size=1, max_size=n)
+    boxes = draw(st.lists(st.tuples(*(factor(n) for n in sides)), max_size=8))
+    return CoverInstance(Ambient(sides), tuple(DiscreteBox.of(*b) for b in boxes))
+
+
+@given(any_pools(), st.sampled_from([1, 2, 5, 1 << 13]))
+@settings(max_examples=150, deadline=None)
+def test_pool_incidence_matches_contains(inst, batch_cells):
+    """Against ``DiscreteBox.contains``: each candidate's points in product
+    (row-major) order, and each point's candidates in pool order, whatever
+    the incidence's batch size."""
+    points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
+    with mock.patch.object(geometry, "_BATCH_CELLS", batch_cells):
+        cand_pts, covers_point = _pool_incidence(inst)
+    assert len(cand_pts) == len(inst.candidates)
+    for c, pts in zip(inst.candidates, cand_pts):
+        assert [points[p] for p in pts] == [pt for pt in points if c.contains(pt)]
+    assert covers_point == [
+        [ci for ci, c in enumerate(inst.candidates) if c.contains(pt)] for pt in points
+    ]
+
+
 @pytest.mark.parametrize(
     "sides, predicate, t, size, nodes",
     [
@@ -298,13 +349,24 @@ class TestExport:
         assert text.count(" = 2") == 27
         assert f"x_{len(inst.candidates)}" in text
 
-    def test_lp_round_trip(self):
+    def test_lp_rows_match_contains(self):
+        """Each point's row lists exactly the candidates that contain it."""
         for inst in (
             instance((3,), "odd_proper_box"),
             instance((3, 3), "proper_box", t=2),
             instance((2, 2), "proper_box", t=1, mode="at_least"),
         ):
-            assert parse_lp_model(export_model(inst, "lp")) == inst
+            lines = export_model(inst, "lp").splitlines()
+            rows = lines[lines.index("Subject To") + 1:lines.index("Binary")]
+            rel = "=" if inst.mode == "exact" else ">="
+            points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
+            assert len(rows) == len(points)
+            for row, pt in zip(rows, points):
+                terms = " + ".join(
+                    f"x_{ci + 1}" for ci, c in enumerate(inst.candidates) if c.contains(pt)
+                )
+                name = "p_" + "_".join(map(str, pt))
+                assert row == f" {name}: {terms} {rel} {inst.multiplicity}"
 
     def test_cnf_counts(self):
         text = export_model(instance((3,), "odd_proper_box"), "cnf")
