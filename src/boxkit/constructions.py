@@ -169,11 +169,10 @@ def lift(p: BoxFamily, m: int) -> BoxFamily:
     if m == n:
         return p
     tail = tuple(range(n + 1, m + 1))
+    # one lifted tuple per distinct factor, so every box shares it
+    grown = {f: f + tail for b in p.boxes for f in b.factors if f[-1] == n}
     boxes = tuple(
-        DiscreteBox(
-            tuple(f + tail if f[-1] == n else f for f in b.factors)
-        )
-        for b in p.boxes
+        DiscreteBox(tuple(grown.get(f, f) for f in b.factors)) for b in p.boxes
     )
     return BoxFamily(Ambient.cube(m, p.ambient.dim), boxes)
 

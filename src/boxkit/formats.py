@@ -16,7 +16,11 @@ Two serializations are supported:
 * a canonical structured (JSON) format carrying ambient, boxes, optional
   per-box labels and free-form metadata.
 
-Both directions are exact: ``parse(write(doc)) == doc``.
+Both directions are exact: ``parse(write(doc)) == doc``.  Each call handles
+every distinct factor once: the parsers read each factor spelling once (a
+bad one still raises ParseError naming its first line) and the listing
+writer spells each factor once, so a family that repeats a few factors over
+many boxes costs little more than its line count.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ import json
 import re
 from dataclasses import dataclass
 
-from .geometry import Ambient, BoxFamily, DiscreteBox, GeometryError, PiercingVector
+from .geometry import (
+    Ambient,
+    BoxFamily,
+    DiscreteBox,
+    GeometryError,
+    PiercingVector,
+    _normalize_factor,
+)
 
 __all__ = [
     "PartitionDocument",
@@ -70,6 +81,18 @@ _FACTOR_RE = re.compile(r"^\{([0-9,\s]*)\}$")
 _AMBIENT_RE = re.compile(r"^Ambient\s*=\s*(.*)$")
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``fn(key)``, computed once per distinct key."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _parse_factor(text: str, lineno: int) -> tuple[int, ...]:
     m = _FACTOR_RE.match(text.strip())
     if not m:
@@ -85,7 +108,7 @@ def _parse_factor(text: str, lineno: int) -> tuple[int, ...]:
         raise ParseError(f"line {lineno}: coordinates must be positive")
     if len(set(cells)) != len(cells):
         raise ParseError(f"line {lineno}: duplicate element in factor {text.strip()!r}")
-    return tuple(sorted(cells))
+    return _normalize_factor(cells)
 
 
 def _inferred_sides(boxes, dim: int) -> tuple[int, ...]:
@@ -98,6 +121,9 @@ def parse_partition_text(text: str) -> PartitionDocument:
     ambient_sides: tuple[int, ...] | None = None
     entries: dict[int, DiscreteBox] = {}
     dim: int | None = None
+    # one parse per distinct factor spelling; a miss happens on the line being
+    # read, so the late-bound lineno names it
+    factor = _Memo(lambda part: _parse_factor(part, lineno))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -117,12 +143,13 @@ def parse_partition_text(text: str) -> PartitionDocument:
         m = _BOX_RE.match(line)
         if not m:
             raise ParseError(f"line {lineno}: malformed line {line!r}")
-        box_id = int(m.group(1))
+        try:
+            box_id = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"line {lineno}: box id too long")
         if box_id in entries:
             raise ParseError(f"line {lineno}: duplicate id {box_id}")
-        factors = tuple(
-            _parse_factor(part, lineno) for part in m.group(2).split(" x ")
-        )
+        factors = tuple(map(factor.__getitem__, m.group(2).split(" x ")))
         if dim is None:
             dim = len(factors)
         elif len(factors) != dim:
@@ -148,21 +175,19 @@ def write_partition_text(doc: PartitionDocument) -> str:
     lines = []
     if _inferred_sides(doc.boxes, doc.ambient.dim) != doc.ambient.sides:
         lines.append("Ambient = " + " x ".join(str(n) for n in doc.ambient.sides))
+    spell = _Memo(lambda f: "{" + ",".join(map(str, f)) + "}").__getitem__
     for i, box in enumerate(doc.boxes, start=1):
-        factors = " x ".join(
-            "{" + ",".join(str(c) for c in f) + "}" for f in box.factors
-        )
-        lines.append(f"Box({i}) = {factors}")
+        lines.append(f"Box({i}) = {' x '.join(map(spell, box.factors))}")
     return "\n".join(lines) + "\n"
 
 
 def write_partition_structured(doc: PartitionDocument) -> str:
     obj = {
         "ambient": list(doc.ambient.sides),
-        "boxes": [[list(f) for f in b.factors] for b in doc.boxes],
+        "boxes": [b.factors for b in doc.boxes],
         "labels": None
         if doc.labels is None
-        else [list(v.labels) for v in doc.labels],
+        else [v.labels for v in doc.labels],
         "meta": {k: v for k, v in doc.meta},
     }
     return json.dumps(obj, separators=(",", ":")) + "\n"
@@ -192,7 +217,10 @@ def parse_partition_structured(text: str) -> PartitionDocument:
             if any(isinstance(c, bool) for c in numbers):
                 raise ParseError("boolean where an integer is expected")
         ambient = Ambient(tuple(obj["ambient"]))
-        boxes = tuple(DiscreteBox(tuple(tuple(f) for f in b)) for b in obj["boxes"])
+        factor = _Memo(_normalize_factor).__getitem__
+        boxes = tuple(
+            DiscreteBox(tuple(map(factor, map(tuple, b)))) for b in obj["boxes"]
+        )
         labels = None
         if obj.get("labels") is not None:
             labels = tuple(PiercingVector(tuple(v)) for v in obj["labels"])

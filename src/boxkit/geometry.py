@@ -18,6 +18,12 @@ every entry, so its cost grows with the total cardinality of the boxes plus
 the ambient volume.  Tensors above ``_CELL_LIMIT`` cells raise GeometryError
 instead of being allocated.  All types are frozen dataclasses, safe to share
 across threads.
+
+Coordinates are Python ints: numpy integers are stored as ``int``, and a
+bool, float or string coordinate raises GeometryError.  Each distinct factor
+is sorted and checked once and then interned, so boxes built from equal
+factors share one canonical tuple, and a box built from canonical tuples
+(``product``, the parsers, candidate enumeration) skips the checks.
 """
 
 from __future__ import annotations
@@ -76,15 +82,37 @@ class Ambient:
         return math.prod(self.sides)
 
 
+# Canonical factor -> the one tuple object every box shares for it.  A tuple
+# found here *by identity* was checked when it went in, so it skips the
+# checks; an equal tuple of other objects, such as (True, 2) or (1.0, 2) for
+# (1, 2), is never the stored object and takes the full path.  The table is
+# cleared when it passes _INTERN_LIMIT entries; nothing depends on a hit.
+_CANON: dict[tuple[int, ...], tuple[int, ...]] = {}
+_INTERN_LIMIT = 1 << 16
+
+
+def _coordinate(c) -> int:
+    if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        raise GeometryError(f"coordinates must be integers, got {c!r}")
+    return int(c)
+
+
 def _normalize_factor(factor: Iterable[int]) -> tuple[int, ...]:
-    cells = tuple(sorted(factor))
+    if type(factor) is tuple and _CANON.get(factor) is factor:
+        return factor
+    cells = tuple(factor)
+    if not all(type(c) is int for c in cells):
+        cells = tuple(map(_coordinate, cells))
+    cells = tuple(sorted(cells))
     if not cells:
         raise GeometryError("empty factor")
     if len(set(cells)) != len(cells):
         raise GeometryError(f"duplicate elements in factor {cells}")
     if cells[0] < 1:
         raise GeometryError(f"coordinates must be >= 1, got {cells}")
-    return cells
+    if len(_CANON) >= _INTERN_LIMIT:
+        _CANON.clear()
+    return _CANON.setdefault(cells, cells)
 
 
 @dataclass(frozen=True)
@@ -94,9 +122,7 @@ class DiscreteBox:
     factors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "factors", tuple(_normalize_factor(f) for f in self.factors)
-        )
+        object.__setattr__(self, "factors", tuple(map(_normalize_factor, self.factors)))
 
     @staticmethod
     def of(*factors: Iterable[int]) -> "DiscreteBox":

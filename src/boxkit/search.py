@@ -45,6 +45,7 @@ from .geometry import (
     _check_demand,
     _factor_csr,
     _incidence,
+    _normalize_factor,
     verify_cover,
 )
 
@@ -132,7 +133,7 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
                 continue  # proper
             if want_odd and len(s) % 2 == 0:
                 continue
-            factors.append(s)
+            factors.append(_normalize_factor(s))  # shared by every box below
         factors.sort()
         per_axis.append(factors)
     what = f"a {ambient.dim}-axis candidate pool"
@@ -146,12 +147,16 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
 def _pool_incidence(instance: CoverInstance):
     """The pool as flat point indices: per candidate, the row-major index of
     each of its points (in ``itertools.product`` order), and per point, the
-    candidates covering it in pool order."""
+    candidates covering it in pool order.  An ambient or incidence over
+    geometry's cell limit raises GeometryError before it is allocated."""
     sides = instance.ambient.sides
+    what = f"a {len(sides)}-axis candidate pool"
+    _check_cells(sides, f"the ambient of {what}")
     csr = _factor_csr(instance.candidates, len(sides))
+    ends = np.cumsum(csr[2].prod(axis=1)).tolist()
+    _check_cells(ends[-1:], f"the incidence of {what}")
     batches = _incidence(csr, sides, list(range(len(sides))))
     flat = np.concatenate([f for f, _ in batches]).tolist()
-    ends = np.cumsum(csr[2].prod(axis=1)).tolist()
     cand_pts = [tuple(flat[i:j]) for i, j in zip([0, *ends], ends)]
     covers_point: list[list[int]] = [[] for _ in range(math.prod(sides))]
     for ci, pts in enumerate(cand_pts):

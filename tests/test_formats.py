@@ -1,8 +1,18 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkit import geometry
 from boxkit.cli import main
+from boxkit.constructions import (
+    intermediate_library,
+    lift,
+    partition_25,
+    product,
+    realize,
+)
 
 from boxkit.formats import (
     ParseError,
@@ -12,7 +22,14 @@ from boxkit.formats import (
     write_partition_structured,
     write_partition_text,
 )
-from boxkit.geometry import Ambient, DiscreteBox, GeometryError, PiercingVector
+from boxkit.geometry import (
+    Ambient,
+    DiscreteBox,
+    GeometryError,
+    PiercingVector,
+    verify_cover,
+)
+from boxkit.search import enumerate_candidates
 
 
 class TestParseText:
@@ -59,6 +76,16 @@ class TestParseText:
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_partition_text("Box(1) = {1}\nBox(2) = {1,1}\n")
+
+    def test_repeated_bad_factor_names_its_first_line(self):
+        with pytest.raises(ParseError, match="line 2: duplicate element"):
+            parse_partition_text("Box(1) = {1}\nBox(2) = {1,1}\nBox(3) = {1,1}\n")
+
+    def test_overlong_box_id(self):
+        """An id past int()'s digit limit is a ParseError naming its line."""
+        text = "Box(1) = {1}\nBox(" + "9" * 5000 + ") = {2}\n"
+        with pytest.raises(ParseError, match="^line 2: box id too long$"):
+            parse_partition_text(text)
 
 
 class TestWriteText:
@@ -205,3 +232,50 @@ def test_mutated_documents_round_trip_or_raise(parse, write, data, tmp_path_fact
             assert main(["verify", str(path)]) == 2
         return
     assert parse(write(doc)) == doc
+
+
+# sha256 of the listing and JSON bytes of the 25-box partition cubed
+# (15,625 boxes on [5]^9); the writers' output is a stable format
+P25_CUBED_SHA256 = {
+    "text": "5383cdbc41a653e056be59004ee4a6c1a3fdb760a655a35367103e94081a1361",
+    "json": "4f44bf5e74cfe170195cc333aaff4b6b7e6a3cfa17a50429325e56fe7e2dd29c",
+}
+
+
+def test_p25_cubed_bytes_pinned():
+    p25 = partition_25()
+    doc = PartitionDocument.from_family(product(product(p25, p25), p25))
+    text, js = write_partition_text(doc), write_partition_structured(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == P25_CUBED_SHA256["text"]
+    assert hashlib.sha256(js.encode()).hexdigest() == P25_CUBED_SHA256["json"]
+    assert parse_partition_text(text).boxes == doc.boxes
+    assert parse_partition_structured(js) == doc
+
+
+def _build_write_parse_verify():
+    """Families from product, lift, realize and enumeration, each written,
+    parsed back and verified."""
+    p25 = partition_25()
+    families = [
+        product(p25, p25),
+        lift(p25, 7),
+        realize(intermediate_library("fig6", 3), 3),
+    ]
+    out = [enumerate_candidates(Ambient((3, 3)), "proper_box")]
+    for fam in families:
+        doc = PartitionDocument.from_family(fam)
+        text, js = write_partition_text(doc), write_partition_structured(doc)
+        loaded = parse_partition_text(text)
+        out.append((doc, text, js, loaded, parse_partition_structured(js)))
+        out.append(verify_cover(loaded.family()))
+    return out
+
+
+def test_intern_limit_changes_no_result(monkeypatch):
+    """With the intern table cleared every few factors, every result is the
+    same: nothing depends on a hit."""
+    before = _build_write_parse_verify()
+    monkeypatch.setattr(geometry, "_INTERN_LIMIT", 4)
+    geometry._CANON.clear()
+    assert _build_write_parse_verify() == before
+    assert len(geometry._CANON) <= 4

@@ -2,6 +2,7 @@ import itertools
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,12 @@ class TestDiscreteBox:
             box([0], [1])
         with pytest.raises(GeometryError):
             DiscreteBox(((1, 1),))
+
+    def test_boxes_share_canonical_factors(self):
+        canon = box([1, 2]).factors[0]
+        assert box([2, 1], [3]).factors[0] is canon
+        assert DiscreteBox(((np.int64(2), np.int8(1)),)).factors[0] is canon
+        assert DiscreteBox((canon,)).factors[0] is canon
 
     def test_validate_in(self):
         b = box([1, 5])
@@ -171,6 +178,58 @@ class TestIntermediatePartition:
                     (box([2]), PiercingVector((1, 1))),
                 ),
             )
+
+
+# -- coordinates and the intern table -----------------------------------------
+
+_NON_INTEGERS = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.builds(np.float64, st.integers(1, 9)),
+    st.builds(np.bool_, st.booleans()),
+)
+
+
+@given(
+    st.lists(st.integers(1, 9), max_size=4, unique=True),
+    _NON_INTEGERS,
+    st.integers(0, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_non_integer_coordinates_refused(cells, bad, at):
+    cells.insert(at, bad)
+    with pytest.raises(GeometryError, match="coordinates must be integers"):
+        DiscreteBox((tuple(cells),))
+
+
+@given(
+    st.sets(st.integers(1, 9), min_size=1),
+    st.sampled_from([int, np.int8, np.int64, np.uint16]),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_coordinates_stored_as_int(cells, kind):
+    factor = DiscreteBox((tuple(map(kind, cells)),)).factors[0]
+    assert factor == tuple(sorted(cells))
+    assert all(type(c) is int for c in factor)
+
+
+@given(st.sets(st.integers(1, 9), min_size=1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fast_path_never_admits_an_equal_tuple_of_other_types(cells, data):
+    """An interned factor and a tuple equal to it, with an equal hash, that
+    holds a float or a bool: the table returns the interned object, which is
+    not the tuple passed, so the tuple takes the full checks."""
+    canon = DiscreteBox((tuple(cells),)).factors[0]
+    i = data.draw(st.integers(0, len(canon) - 1))
+    c = canon[i]
+    other = data.draw(st.sampled_from([float(c), np.float64(c)] + [True] * (c == 1)))
+    spelled = canon[:i] + (other,) + canon[i + 1 :]
+    assert spelled == canon and hash(spelled) == hash(canon)
+    with pytest.raises(GeometryError, match="coordinates must be integers"):
+        DiscreteBox((spelled,))
+    assert DiscreteBox((canon,)).factors[0] is canon
 
 
 # -- properties -------------------------------------------------------------

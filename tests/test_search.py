@@ -286,6 +286,36 @@ def test_pool_incidence_matches_contains(inst, batch_cells):
     ]
 
 
+def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
+    """A one-box pool over [10^5]^2 is refused before the per-point lists or
+    the factor arrays are built, by every engine."""
+    inst = CoverInstance(Ambient((10**5, 10**5)), (DiscreteBox.of([1], [1]),))
+    monkeypatch.setattr(search, "_factor_csr", None)
+    message = "the ambient of a 2-axis candidate pool exceeds the"
+    with pytest.raises(GeometryError, match=message):
+        _pool_incidence(inst)
+    with pytest.raises(GeometryError, match=message):
+        solve_cover(inst, SearchBudget())
+    with pytest.raises(GeometryError, match=message):
+        anneal_cover(inst, SearchBudget(max_nodes=10))
+    with pytest.raises(GeometryError, match=message):
+        export_model(inst, "lp")
+
+
+def test_pool_incidence_cell_limit(monkeypatch):
+    """Two full boxes of [4]^2 make 32 incidence cells over a 16-cell ambient."""
+    full = DiscreteBox.of(range(1, 5), range(1, 5))
+    inst = CoverInstance(Ambient((4, 4)), (full, full))
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 31)
+    with pytest.raises(GeometryError) as exc:
+        _pool_incidence(inst)
+    assert str(exc.value) == "the incidence of a 2-axis candidate pool exceeds the 31-cell limit"
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 32)
+    cand_pts, covers_point = _pool_incidence(inst)
+    assert cand_pts == [tuple(range(16))] * 2
+    assert covers_point == [[0, 1]] * 16
+
+
 @pytest.mark.parametrize(
     "sides, predicate, t, size, nodes",
     [
