@@ -365,6 +365,174 @@ class TestAnneal:
         assert verify_cover(r.best).is_partition
 
 
+# (sides, predicate, t, mode, seed, max_nodes) -> (best_size, nodes, the
+# selected pool indices in selection order, or None), as the annealer that
+# _reference_anneal_cover copies returns them: a change to the random stream
+# or to an accept decision shows here.
+ANNEAL_PINS = [
+    ((3, 3, 3), "proper_box", 2, "exact", 0, 100_000, 20, 100_000,
+     [96, 138, 34, 149, 195, 7, 65, 201, 22, 2, 208, 141, 31, 108, 40, 182, 127, 170, 145, 135]),
+    ((3, 3, 3), "proper_box", 2, "exact", 1, 100_000, 18, 100_000,
+     [80, 167, 110, 35, 147, 193, 210, 37, 66, 207, 215, 11, 70, 131, 161, 163, 61, 9]),
+    ((3, 3, 3), "proper_box", 2, "exact", 2, 100_000, 15, 100_000,
+     [133, 145, 191, 134, 63, 213, 17, 40, 36, 98, 59, 73, 97, 201, 161]),
+    ((3, 3, 3), "proper_box", 2, "exact", 3, 100_000, 18, 100_000,
+     [13, 62, 77, 215, 144, 186, 205, 55, 148, 0, 166, 108, 175, 124, 75, 28, 209, 5]),
+    ((3, 3), "proper_box", 2, "at_least", 0, 50_000, 5, 50_000, [16, 8, 25, 7, 26]),
+    ((3, 3), "proper_box", 2, "at_least", 1, 50_000, 5, 50_000, [10, 14, 7, 25, 28]),
+    ((3, 3, 3), "proper_brick", 1, "exact", 0, 100_000, 8, 100_000,
+     [1, 76, 109, 116, 43, 29, 40, 124]),
+    ((3, 3, 3), "proper_brick", 1, "exact", 1, 100_000, 8, 100_000,
+     [44, 105, 108, 41, 124, 28, 121, 25]),
+    ((5, 5, 5), "odd_proper_box", 1, "exact", 0, 300_000, math.inf, 300_000, None),
+]
+
+
+@pytest.mark.parametrize(
+    "sides, predicate, t, mode, seed, max_nodes, size, nodes, selection", ANNEAL_PINS
+)
+def test_anneal_pinned_runs(sides, predicate, t, mode, seed, max_nodes, size, nodes, selection):
+    inst = instance(sides, predicate, t, mode)
+    r = anneal_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600, seed=seed))
+    picked = None if r.best is None else [inst.candidates.index(b) for b in r.best.boxes]
+    assert (picked, r.best_size, r.nodes) == (selection, size, nodes)
+
+
+def _reference_anneal_cover(inst, max_nodes, seed):
+    """The annealer of ``anneal_cover`` as first written, one closure call
+    per point and no wall clock: returns (chosen candidate indices or None,
+    best size, steps)."""
+    points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
+    index = {p: i for i, p in enumerate(points)}
+    cand_pts = [
+        tuple(index[p] for p in itertools.product(*c.factors))
+        for c in inst.candidates
+    ]
+    rng = random.Random(seed)
+    n_pts = len(points)
+    n_cand = len(cand_pts)
+    t = inst.multiplicity
+    exact = inst.mode == "exact"
+    steps = 0
+
+    def out_of_budget():
+        return steps >= max_nodes
+
+    def point_violation(count):
+        return abs(count - t) if exact else max(0, t - count)
+
+    def find_feasible():
+        nonlocal steps
+        counts = [0] * n_pts
+        used = [False] * n_cand
+        viol = t * n_pts
+        weight, temp = 3, 1.0
+        while not out_of_budget():
+            steps += 1
+            ci = rng.randrange(n_cand)
+            sign = -1 if used[ci] else 1
+            dv = sum(
+                point_violation(counts[p] + sign) - point_violation(counts[p])
+                for p in cand_pts[ci]
+            )
+            delta = weight * dv + sign
+            if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
+                for p in cand_pts[ci]:
+                    counts[p] += sign
+                used[ci] = not used[ci]
+                viol += dv
+                if viol == 0:
+                    return [i for i in range(n_cand) if used[i]]
+            temp *= 0.9995
+            if temp < 0.02:
+                temp = 1.0
+        return None
+
+    def shrink(selection):
+        nonlocal steps
+        size = len(selection) - 1
+        if size == 0:
+            return None
+        sel = selection.copy()
+        rng.shuffle(sel)
+        sel = sel[:size]
+        used = [False] * n_cand
+        counts = [0] * n_pts
+        for ci in sel:
+            used[ci] = True
+            for p in cand_pts[ci]:
+                counts[p] += 1
+        viol = sum(point_violation(c) for c in counts)
+        temp, stagnation = 1.0, 0
+        while not out_of_budget():
+            steps += 1
+            slot = rng.randrange(size)
+            ci_out, ci_in = sel[slot], rng.randrange(n_cand)
+            if used[ci_in]:
+                continue
+            dv = 0
+            for p in cand_pts[ci_out]:
+                dv += point_violation(counts[p] - 1) - point_violation(counts[p])
+                counts[p] -= 1
+            for p in cand_pts[ci_in]:
+                dv += point_violation(counts[p] + 1) - point_violation(counts[p])
+                counts[p] += 1
+            if dv <= 0 or rng.random() < math.exp(-dv / max(temp, 1e-9)):
+                used[ci_out], used[ci_in] = False, True
+                sel[slot] = ci_in
+                viol += dv
+                if viol == 0:
+                    return sel
+                stagnation = 0 if dv < 0 else stagnation + 1
+            else:
+                for p in cand_pts[ci_in]:
+                    counts[p] -= 1
+                for p in cand_pts[ci_out]:
+                    counts[p] += 1
+                stagnation += 1
+            temp *= 0.9999
+            if stagnation > 15_000:
+                temp, stagnation = 1.0, 0
+        return None
+
+    best = find_feasible()
+    while best is not None and not out_of_budget():
+        smaller = shrink(best)
+        if smaller is None:
+            break
+        best = smaller
+    return best, (math.inf if best is None else len(best)), steps
+
+
+PREDICATES = ["proper_box", "proper_brick", "odd_proper_box", "odd_proper_brick"]
+
+
+@st.composite
+def anneal_instances(draw):
+    d = draw(st.integers(1, 3))
+    sides = tuple(draw(st.integers(2, 4)) for _ in range(d))
+    amb = Ambient(sides)
+    pool = enumerate_candidates(amb, draw(st.sampled_from(PREDICATES)))
+    if draw(st.booleans()):  # a shuffled sub-pool; otherwise the whole pool
+        random.Random(draw(st.integers(0, 2**16))).shuffle(pool)
+        pool = pool[: draw(st.integers(1, len(pool)))]
+    t = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["exact", "at_least"]))
+    return CoverInstance(amb, tuple(pool), t, mode)
+
+
+@given(anneal_instances(), st.integers(1, 20_000), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_anneal_follows_the_reference(inst, max_nodes, seed):
+    r = anneal_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600, seed=seed))
+    sel, size, steps = _reference_anneal_cover(inst, max_nodes, seed)
+    assert (r.best_size, r.nodes) == (size, steps)
+    if sel is None:
+        assert r.best is None
+    else:
+        assert r.best == BoxFamily(inst.ambient, tuple(inst.candidates[i] for i in sel))
+
+
 class TestExport:
     def test_lp_shape(self):
         text = export_model(instance((3,), "odd_proper_box"), "lp")
