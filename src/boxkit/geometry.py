@@ -19,11 +19,12 @@ the ambient volume.  Tensors above ``_CELL_LIMIT`` cells raise GeometryError
 instead of being allocated.  All types are frozen dataclasses, safe to share
 across threads.
 
-Coordinates are Python ints: numpy integers are stored as ``int``, and a
-bool, float or string coordinate raises GeometryError.  Each distinct factor
-is sorted and checked once and then interned, so boxes built from equal
-factors share one canonical tuple, and a box built from canonical tuples
-(``product``, the parsers, candidate enumeration) skips the checks.
+Coordinates, ambient sides and piercing labels are Python ints: numpy
+integers are stored as ``int``, and a bool, float or string raises
+GeometryError.  Each distinct factor is sorted and checked once and then
+interned, so boxes built from equal factors share one canonical tuple, and a
+box built from canonical tuples (``product``, the parsers, candidate
+enumeration) skips the checks.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class Ambient:
     sides: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sides", tuple(_integer(n, "sides") for n in self.sides))
         if len(self.sides) < 1:
             raise GeometryError("ambient must have dimension >= 1")
         if any(n < 2 for n in self.sides):
@@ -91,10 +93,10 @@ _CANON: dict[tuple[int, ...], tuple[int, ...]] = {}
 _INTERN_LIMIT = 1 << 16
 
 
-def _coordinate(c) -> int:
-    if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-        raise GeometryError(f"coordinates must be integers, got {c!r}")
-    return int(c)
+def _integer(value, what: str = "coordinates") -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GeometryError(f"{what} must be integers, got {value!r}")
+    return int(value)
 
 
 def _normalize_factor(factor: Iterable[int]) -> tuple[int, ...]:
@@ -102,7 +104,7 @@ def _normalize_factor(factor: Iterable[int]) -> tuple[int, ...]:
         return factor
     cells = tuple(factor)
     if not all(type(c) is int for c in cells):
-        cells = tuple(map(_coordinate, cells))
+        cells = tuple(map(_integer, cells))
     cells = tuple(sorted(cells))
     if not cells:
         raise GeometryError("empty factor")
@@ -205,6 +207,7 @@ class PiercingVector:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(_integer(a, "labels") for a in self.labels))
         if any(a < 1 for a in self.labels):
             raise GeometryError(f"labels must be >= 1, got {self.labels}")
 

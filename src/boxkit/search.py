@@ -19,9 +19,11 @@ All three read the pool as geometry's box->cell incidence (``_pool_incidence``).
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
-``anneal_cover`` is bit-reproducible for a fixed seed only when ``max_nodes``
-binds before ``wall_seconds``; a run stopped by the wall clock ends after
-however many steps the machine managed.
+``anneal_cover`` returns the same selection and step count for the same
+instance (pool order included), the same seed and a ``max_nodes`` that binds
+before ``wall_seconds``; a run stopped by the wall clock ends after however
+many steps the machine managed.  Its docstring lists the random draws each
+step makes: a change to them changes the results.
 """
 
 from __future__ import annotations
@@ -307,25 +309,42 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     size until the violation anneals back to zero, shrinking the incumbent
     one box at a time until the budget runs out.  Geometric cooling with
     reheating on stagnation.  The best feasible state is re-verified before
-    being reported; ``proven_optimal`` is always false.
+    being reported; ``proven_optimal`` is always false.  An empty pool
+    returns best None after no step.
+
+    Every draw comes from ``random.Random(budget.seed)``: an add/remove
+    step draws ``randrange(len(pool))``; a swap step draws ``randrange(size)``
+    for the outgoing slot, then ``randrange(len(pool))`` for the incoming
+    candidate, and ends there, still counted, when that candidate is already
+    chosen; either draws ``random()`` only when the move makes the energy
+    worse; each shrink begins with one ``shuffle`` of the incumbent.  Given
+    the same instance (pool order included), the same seed and a
+    ``max_nodes`` that binds before ``wall_seconds``, it returns the same
+    selection and step count.
     """
     rng = random.Random(budget.seed)
+    randrange, uniform, exp, monotonic = rng.randrange, rng.random, math.exp, time.monotonic
     cand_pts, covers_point = _pool_incidence(instance)
     n_pts = len(covers_point)
     n_cand = len(cand_pts)
     t = instance.multiplicity
     exact = instance.mode == "exact"
-    start = time.monotonic()
+    # each loop runs while solve_cover's budget test is false, so a NaN
+    # wall_seconds stops neither engine
+    max_nodes, wall_seconds = budget.max_nodes, budget.wall_seconds
+    start = monotonic()
     steps = 0
-
-    def out_of_budget() -> bool:
-        return (
-            steps >= budget.max_nodes
-            or time.monotonic() - start > budget.wall_seconds
-        )
+    if not n_cand:
+        return _verified_result(instance, None, False, 0, start)
 
     def point_violation(count: int) -> int:
         return abs(count - t) if exact else max(0, t - count)
+
+    # the change in a point's violation when its count c goes up (up[c]) or
+    # down (down[c]) by one; no count passes the point's number of covers
+    top = max(map(len, covers_point)) + 2
+    up = [point_violation(c + 1) - point_violation(c) for c in range(top)]
+    down = [point_violation(c - 1) - point_violation(c) for c in range(top)]
 
     def find_feasible() -> list[int] | None:
         nonlocal steps
@@ -333,17 +352,21 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         used = [False] * n_cand
         viol = t * n_pts
         weight, temp = 3, 1.0
-        while not out_of_budget():
+        while steps < max_nodes and not (monotonic() - start > wall_seconds):
             steps += 1
-            ci = rng.randrange(n_cand)
-            sign = -1 if used[ci] else 1
-            dv = sum(
-                point_violation(counts[p] + sign) - point_violation(counts[p])
-                for p in cand_pts[ci]
-            )
+            ci = randrange(n_cand)
+            pts = cand_pts[ci]
+            if used[ci]:
+                sign, table = -1, down
+            else:
+                sign, table = 1, up
+            dv = 0
+            for p in pts:
+                dv += table[counts[p]]
             delta = weight * dv + sign
-            if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
-                for p in cand_pts[ci]:
+            # temp >= 0.02 here: it is reset to 1 below that
+            if delta <= 0 or uniform() < exp(-delta / temp):
+                for p in pts:
                     counts[p] += sign
                 used[ci] = not used[ci]
                 viol += dv
@@ -372,20 +395,24 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
                 counts[p] += 1
         viol = sum(point_violation(c) for c in counts)
         temp, stagnation = 1.0, 0
-        while not out_of_budget():
+        while steps < max_nodes and not (monotonic() - start > wall_seconds):
             steps += 1
-            slot = rng.randrange(size)
-            ci_out, ci_in = sel[slot], rng.randrange(n_cand)
+            slot = randrange(size)
+            ci_out, ci_in = sel[slot], randrange(n_cand)
             if used[ci_in]:
                 continue
+            # take the outgoing box out; the incoming one is only priced
+            out_pts, in_pts = cand_pts[ci_out], cand_pts[ci_in]
             dv = 0
-            for p in cand_pts[ci_out]:
-                dv += point_violation(counts[p] - 1) - point_violation(counts[p])
-                counts[p] -= 1
-            for p in cand_pts[ci_in]:
-                dv += point_violation(counts[p] + 1) - point_violation(counts[p])
-                counts[p] += 1
-            if dv <= 0 or rng.random() < math.exp(-dv / max(temp, 1e-9)):
+            for p in out_pts:
+                c = counts[p]
+                dv += down[c]
+                counts[p] = c - 1
+            for p in in_pts:
+                dv += up[counts[p]]
+            if dv <= 0 or uniform() < exp(-dv / (temp if temp > 1e-9 else 1e-9)):
+                for p in in_pts:
+                    counts[p] += 1
                 used[ci_out], used[ci_in] = False, True
                 sel[slot] = ci_in
                 viol += dv
@@ -393,9 +420,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
                     return sel
                 stagnation = 0 if dv < 0 else stagnation + 1
             else:
-                for p in cand_pts[ci_in]:
-                    counts[p] -= 1
-                for p in cand_pts[ci_out]:
+                for p in out_pts:
                     counts[p] += 1
                 stagnation += 1
             temp *= 0.9999
@@ -404,7 +429,11 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         return None
 
     best_feasible = find_feasible()
-    while best_feasible is not None and not out_of_budget():
+    while (
+        best_feasible is not None
+        and steps < max_nodes
+        and not (monotonic() - start > wall_seconds)
+    ):
         smaller = shrink(best_feasible)
         if smaller is None:
             break

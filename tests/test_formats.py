@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +189,23 @@ def test_labels_must_match_boxes():
             (DiscreteBox.of([1]),),
             (PiercingVector((1,)), PiercingVector((1,))),
         )
+
+
+@pytest.mark.parametrize("kind", [int, np.int8, np.int64, np.uint16])
+def test_numpy_sides_and_labels_round_trip(kind):
+    """Sides and labels given as numpy integers are stored and written as
+    plain ints, so both parsers read back the document that was built."""
+    doc = PartitionDocument(
+        Ambient((kind(3), kind(4))),
+        (DiscreteBox.of([1, 2], [1, 2, 3]),),
+        (PiercingVector((kind(1), kind(2))),),
+    )
+    assert all(type(n) is int for n in doc.ambient.sides + doc.labels[0].labels)
+    bare = PartitionDocument(doc.ambient, doc.boxes)
+    assert write_partition_text(bare).startswith("Ambient = 3 x 4\n")
+    assert parse_partition_text(write_partition_text(bare)) == bare
+    assert '"labels":[[1,2]]' in write_partition_structured(doc)
+    assert parse_partition_structured(write_partition_structured(doc)) == doc
 
 
 @pytest.mark.parametrize("cut", [1, 12, 29, 30, 45])

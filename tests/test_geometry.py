@@ -215,6 +215,20 @@ def test_integer_coordinates_stored_as_int(cells, kind):
     assert all(type(c) is int for c in factor)
 
 
+@given(
+    st.lists(st.integers(2, 9), max_size=3),
+    _NON_INTEGERS,
+    st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_non_integer_sides_and_labels_refused(values, bad, at):
+    values.insert(at, bad)
+    with pytest.raises(GeometryError, match="sides must be integers"):
+        Ambient(tuple(values))
+    with pytest.raises(GeometryError, match="labels must be integers"):
+        PiercingVector(tuple(values))
+
+
 @given(st.sets(st.integers(1, 9), min_size=1), st.data())
 @settings(max_examples=100, deadline=None)
 def test_fast_path_never_admits_an_equal_tuple_of_other_types(cells, data):

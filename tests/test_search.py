@@ -357,6 +357,11 @@ class TestAnneal:
         r2 = anneal_cover(instance((3, 3), "proper_box", t=2), budget)
         assert r1.best == r2.best and r1.best_size == r2.best_size
 
+    def test_empty_pool_takes_no_step(self):
+        r = anneal_cover(CoverInstance(Ambient((3, 3)), ()), SearchBudget())
+        assert (r.best, r.best_size, r.proven_optimal, r.nodes) == (None, math.inf, False, 0)
+        assert solve_cover(CoverInstance(Ambient((3, 3)), ()), SearchBudget()).best is None
+
     def test_partition_instance(self):
         r = anneal_cover(
             instance((3, 3), "proper_brick"),
