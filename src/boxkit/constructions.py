@@ -36,6 +36,7 @@ from .geometry import (
     GeometryError,
     IntermediatePartition,
     PiercingVector,
+    _normalize_factor,
     classify_box,
     weighted_piercing_ok,
 )
@@ -148,10 +149,9 @@ def product(p1: BoxFamily, p2: BoxFamily) -> BoxFamily:
             f"product requires a common side length, got {sorted(sides)}"
         )
     ambient = Ambient(p1.ambient.sides + p2.ambient.sides)
+    canonical = DiscreteBox._canonical  # factors off existing boxes
     boxes = tuple(
-        DiscreteBox(b1.factors + b2.factors)
-        for b1 in p1.boxes
-        for b2 in p2.boxes
+        canonical(b1.factors + b2.factors) for b1 in p1.boxes for b2 in p2.boxes
     )
     return BoxFamily(ambient, boxes)
 
@@ -169,10 +169,14 @@ def lift(p: BoxFamily, m: int) -> BoxFamily:
     if m == n:
         return p
     tail = tuple(range(n + 1, m + 1))
-    # one lifted tuple per distinct factor, so every box shares it
-    grown = {f: f + tail for b in p.boxes for f in b.factors if f[-1] == n}
+    # one lifted tuple per distinct factor, interned once, so every box shares it
+    grown = {
+        f: _normalize_factor(f + tail) for b in p.boxes for f in b.factors if f[-1] == n
+    }
     boxes = tuple(
-        DiscreteBox(tuple(grown.get(f, f) for f in b.factors)) for b in p.boxes
+        # factors off existing boxes or from _normalize_factor
+        DiscreteBox._canonical(tuple(grown.get(f, f) for f in b.factors))
+        for b in p.boxes
     )
     return BoxFamily(Ambient.cube(m, p.ambient.dim), boxes)
 

@@ -36,7 +36,9 @@ from .geometry import (
     DiscreteBox,
     GeometryError,
     PiercingVector,
+    _last,
     _normalize_factor,
+    _validate_boxes,
 )
 
 __all__ = [
@@ -63,8 +65,7 @@ class PartitionDocument:
     meta: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        for b in self.boxes:
-            b.validate_in(self.ambient)
+        _validate_boxes(self.boxes, self.ambient)
         if self.labels is not None and len(self.labels) != len(self.boxes):
             raise GeometryError("labels must match boxes one-to-one")
 
@@ -113,7 +114,8 @@ def _parse_factor(text: str, lineno: int) -> tuple[int, ...]:
 
 def _inferred_sides(boxes, dim: int) -> tuple[int, ...]:
     """Per-axis maximum coordinate, raised to 2 so the ambient is legal."""
-    return tuple(max([2, *(b.factors[i][-1] for b in boxes)]) for i in range(dim))
+    columns = list(zip(*(b.factors for b in boxes))) or [()] * dim
+    return tuple(max(2, max(map(_last, column), default=2)) for column in columns)
 
 
 def parse_partition_text(text: str) -> PartitionDocument:
@@ -154,7 +156,7 @@ def parse_partition_text(text: str) -> PartitionDocument:
             dim = len(factors)
         elif len(factors) != dim:
             raise ParseError(f"line {lineno}: inconsistent dimension")
-        entries[box_id] = DiscreteBox(factors)
+        entries[box_id] = DiscreteBox._canonical(factors)  # factors from _normalize_factor
 
     if not entries:
         raise ParseError("no boxes found")
@@ -218,9 +220,9 @@ def parse_partition_structured(text: str) -> PartitionDocument:
                 raise ParseError("boolean where an integer is expected")
         ambient = Ambient(tuple(obj["ambient"]))
         factor = _Memo(_normalize_factor).__getitem__
-        boxes = tuple(
-            DiscreteBox(tuple(map(factor, map(tuple, b)))) for b in obj["boxes"]
-        )
+        # factors from _normalize_factor
+        canonical = DiscreteBox._canonical
+        boxes = tuple(canonical(tuple(map(factor, map(tuple, b)))) for b in obj["boxes"])
         labels = None
         if obj.get("labels") is not None:
             labels = tuple(PiercingVector(tuple(v)) for v in obj["labels"])

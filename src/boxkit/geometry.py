@@ -22,9 +22,18 @@ across threads.
 Coordinates, ambient sides and piercing labels are Python ints: numpy
 integers are stored as ``int``, and a bool, float or string raises
 GeometryError.  Each distinct factor is sorted and checked once and then
-interned, so boxes built from equal factors share one canonical tuple, and a
-box built from canonical tuples (``product``, the parsers, candidate
-enumeration) skips the checks.
+interned, so boxes built from equal factors share one canonical tuple.
+
+Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
+Only code that holds canonical factors calls it -- each factor either came
+out of ``_normalize_factor`` or was taken off an existing box, and both are
+sorted, duplicate-free tuples of ints >= 1 -- so its boxes equal the ones
+the public constructor would build.  ``product``, ``lift``, candidate
+enumeration and both parsers build their boxes this way.  A family, a
+document, a cover instance or an intermediate partition checks its boxes
+against the ambient by axis columns (``_validate_boxes``): one dimension
+test per box, then one maximum per axis; on a failure the per-box
+``validate_in`` runs and raises the same error it always did.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
@@ -127,6 +137,15 @@ class DiscreteBox:
         object.__setattr__(self, "factors", tuple(map(_normalize_factor, self.factors)))
 
     @staticmethod
+    def _canonical(factors: tuple[tuple[int, ...], ...]) -> "DiscreteBox":
+        """The box over ``factors`` with no check: every factor must be a
+        canonical tuple, one returned by ``_normalize_factor`` or taken off
+        an existing box."""
+        box = object.__new__(DiscreteBox)
+        object.__setattr__(box, "factors", factors)
+        return box
+
+    @staticmethod
     def of(*factors: Iterable[int]) -> "DiscreteBox":
         return DiscreteBox(tuple(tuple(f) for f in factors))
 
@@ -151,6 +170,24 @@ class DiscreteBox:
         for f, n in zip(self.factors, ambient.sides):
             if f[-1] > n:
                 raise GeometryError(f"factor {f} exceeds side {n}")
+
+
+_last = itemgetter(-1)
+
+
+def _validate_boxes(boxes: Sequence[DiscreteBox], ambient: Ambient) -> None:
+    """``validate_in`` for every box, by axis columns: each box's dimension,
+    then the largest coordinate on each axis.  A failure re-runs the per-box
+    check, which raises the error of the first bad box."""
+    dim = ambient.dim
+    rows = [b.factors for b in boxes]
+    # zip(*rows) stops at the shortest box, so the dimensions come first
+    if all(len(f) == dim for f in rows) and all(
+        max(map(_last, column)) <= n for column, n in zip(zip(*rows), ambient.sides)
+    ):
+        return
+    for b in boxes:
+        b.validate_in(ambient)
 
 
 def _is_interval(cells: tuple[int, ...]) -> bool:
@@ -179,8 +216,7 @@ class BoxFamily:
     boxes: tuple[DiscreteBox, ...]
 
     def __post_init__(self) -> None:
-        for b in self.boxes:
-            b.validate_in(self.ambient)
+        _validate_boxes(self.boxes, self.ambient)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -226,11 +262,14 @@ class IntermediatePartition:
     parts: tuple[tuple[DiscreteBox, PiercingVector], ...]
 
     def __post_init__(self) -> None:
-        for box, vec in self.parts:
-            box.validate_in(self.ambient)
-            if len(vec.labels) != self.ambient.dim:
-                raise GeometryError("label/dimension mismatch")
         boxes = [box for box, _ in self.parts]
+        if any(len(vec.labels) != self.ambient.dim for _, vec in self.parts):
+            # the first bad part names the error, be it its box or its labels
+            for box, vec in self.parts:
+                box.validate_in(self.ambient)
+                if len(vec.labels) != self.ambient.dim:
+                    raise GeometryError("label/dimension mismatch")
+        _validate_boxes(boxes, self.ambient)
         csr = _factor_csr(boxes, self.ambient.dim)
         bad = _scatter_sum(csr, self.ambient.sides) != 1
         if bad.any():

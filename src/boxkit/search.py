@@ -48,6 +48,7 @@ from .geometry import (
     _factor_csr,
     _incidence,
     _normalize_factor,
+    _validate_boxes,
     verify_cover,
 )
 
@@ -77,8 +78,7 @@ class CoverInstance:
 
     def __post_init__(self) -> None:
         _check_demand(self.multiplicity, self.mode)
-        for c in self.candidates:
-            c.validate_in(self.ambient)
+        _validate_boxes(self.candidates, self.ambient)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.wall_seconds <= 0:
+        if self.max_nodes < 1 or not (self.wall_seconds > 0):  # NaN too
             raise GeometryError("budget fields must be positive")
 
 
@@ -141,9 +141,8 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
     what = f"a {ambient.dim}-axis candidate pool"
     _check_cells([*map(len, per_axis), ambient.dim], what)
     _check_cells([sum(map(len, fs)) for fs in per_axis], f"the incidence of {what}")
-    return [
-        DiscreteBox(combo) for combo in itertools.product(*per_axis)
-    ]
+    # factors from _normalize_factor
+    return list(map(DiscreteBox._canonical, itertools.product(*per_axis)))
 
 
 def _pool_incidence(instance: CoverInstance):
@@ -329,8 +328,6 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     n_cand = len(cand_pts)
     t = instance.multiplicity
     exact = instance.mode == "exact"
-    # each loop runs while solve_cover's budget test is false, so a NaN
-    # wall_seconds stops neither engine
     max_nodes, wall_seconds = budget.max_nodes, budget.wall_seconds
     start = monotonic()
     steps = 0

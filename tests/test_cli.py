@@ -125,6 +125,14 @@ class TestSearch:
              "--max-nodes", "2"]
         ) == 3
 
+    @pytest.mark.parametrize("seconds", ["nan", "-1", "0"])
+    def test_non_positive_budget_is_usage_error(self, seconds, capsys):
+        assert main(
+            ["search", "--ambient", "3,3", "--candidates", "proper-box", "--t", "2",
+             "--engine", "anneal", "--max-nodes", "2000", "--budget-seconds", seconds]
+        ) == 2
+        assert "budget fields must be positive" in capsys.readouterr().err
+
     def test_writes_solution(self, tmp_path):
         out = tmp_path / "sol.txt"
         assert main(

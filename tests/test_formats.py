@@ -1,4 +1,6 @@
 import hashlib
+from typing import get_args
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,12 +27,13 @@ from boxkit.formats import (
 )
 from boxkit.geometry import (
     Ambient,
+    BoxFamily,
     DiscreteBox,
     GeometryError,
     PiercingVector,
     verify_cover,
 )
-from boxkit.search import enumerate_candidates
+from boxkit.search import Predicate, enumerate_candidates
 
 
 class TestParseText:
@@ -297,3 +300,47 @@ def test_intern_limit_changes_no_result(monkeypatch):
     geometry._CANON.clear()
     assert _build_write_parse_verify() == before
     assert len(geometry._CANON) <= 4
+
+
+def _rows(n, d):
+    """Up to four boxes' factors over [n]^d, as unsorted lists."""
+    factor = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+    return st.lists(st.tuples(*[factor] * d), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("limit", [geometry._INTERN_LIMIT, 4])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_unchecked_boxes_equal_checked_ones(limit, data):
+    """Every box built without checks (product, lift, candidate enumeration,
+    both parsers) equals, hashes like and holds the same factors as the box
+    the public constructor builds from fresh lists of its coordinates; with
+    the intern table left whole, the very same factor objects."""
+    n = data.draw(st.integers(2, 4), "n")
+    d1, d2 = data.draw(st.integers(1, 2), "d1"), data.draw(st.integers(1, 2), "d2")
+    rows1, rows2 = data.draw(_rows(n, d1), "rows1"), data.draw(_rows(n, d2), "rows2")
+    m = data.draw(st.integers(n, n + 2), "m")
+    predicate = data.draw(st.sampled_from(get_args(Predicate)), "predicate")
+    with mock.patch.object(geometry, "_INTERN_LIMIT", limit):
+        geometry._CANON.clear()
+        f1 = BoxFamily(Ambient.cube(n, d1), tuple(map(DiscreteBox, rows1)))
+        f2 = BoxFamily(Ambient.cube(n, d2), tuple(map(DiscreteBox, rows2)))
+        doc = PartitionDocument.from_family(f1)
+        built = {
+            "product": product(f1, f2).boxes,
+            "lift": lift(f1, m).boxes,
+            "enumerate_candidates": enumerate_candidates(f1.ambient, predicate),
+            "parse_partition_text": parse_partition_text(write_partition_text(doc)).boxes,
+            "parse_partition_structured": parse_partition_structured(
+                write_partition_structured(doc)
+            ).boxes,
+        }
+        for caller, boxes in built.items():
+            for b in boxes:
+                ref = DiscreteBox(tuple(map(list, b.factors)))
+                assert b == ref and hash(b) == hash(ref), caller
+                assert type(b.factors) is tuple and len(b.factors) == len(ref.factors)
+                for f, g in zip(b.factors, ref.factors):
+                    assert type(f) is tuple and f == g, caller
+                    assert all(type(c) is int for c in f), caller
+                    assert f is g or limit == 4, caller

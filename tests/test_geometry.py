@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxkit import geometry
+from boxkit.formats import PartitionDocument
 from boxkit.geometry import (
     Ambient,
     BoxFamily,
@@ -21,6 +22,7 @@ from boxkit.geometry import (
     verify_cover,
     weighted_piercing_ok,
 )
+from boxkit.search import CoverInstance
 
 
 def box(*factors):
@@ -244,6 +246,78 @@ def test_fast_path_never_admits_an_equal_tuple_of_other_types(cells, data):
     with pytest.raises(GeometryError, match="coordinates must be integers"):
         DiscreteBox((spelled,))
     assert DiscreteBox((canon,)).factors[0] is canon
+
+
+# -- column validation -------------------------------------------------------
+
+def _validate_each(boxes, ambient):
+    """The per-box loop the column check replaces: None, or the error's text."""
+    try:
+        for b in boxes:
+            b.validate_in(ambient)
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def boxes_near_an_ambient(draw):
+    """An ambient of 1 to 9 axes and up to 6 boxes that mostly fit it: a box
+    may have 0 to 10 axes, and about one factor in eight may pass its side."""
+    sides = draw(st.lists(st.integers(2, 5), min_size=1, max_size=9))
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        dim = draw(st.one_of(st.just(len(sides)), st.integers(0, 10)))
+        factors = []
+        for i in range(dim):
+            n = sides[i] if i < len(sides) else 5
+            top = n + (draw(st.integers(0, 7)) == 0)
+            factors.append(draw(st.sets(st.integers(1, top), min_size=1, max_size=3)))
+        boxes.append(DiscreteBox(tuple(factors)))
+    return Ambient(tuple(sides)), tuple(boxes)
+
+
+@given(boxes_near_an_ambient())
+@example((Ambient((3,)), ()))  # empty family
+@example((Ambient((5,) * 9), ()))
+@example((Ambient((3, 3)), (box([1], [1]), box([4]))))  # short box, bad factor
+@example((Ambient((3, 3)), (box([1], [1]), box([1], [1], [9]))))  # zip drops axis 3
+@example((Ambient((3, 3)), (box([3], [1, 3]), box([1], [2, 4]))))  # bad on axis 2 only
+@example((Ambient((4,)), (box([1, 4]), box([5]))))  # 1-D
+@example((Ambient((5,) * 9), (box(*[[5]] * 9), box(*[[1]] * 8, [6]))))  # 9-D
+@settings(max_examples=300, deadline=None)
+def test_column_validation_matches_the_per_box_loop(case):
+    """Same accept or reject decision, and the same message, as validate_in
+    run box by box."""
+    ambient, boxes = case
+    want = _validate_each(boxes, ambient)
+    try:
+        geometry._validate_boxes(boxes, ambient)
+    except GeometryError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+
+
+def test_every_family_type_names_its_first_bad_box():
+    amb = Ambient((3, 3))
+    boxes = (box([1], [2]), box([1], [4]), box([1]))
+    with pytest.raises(GeometryError, match=r"^factor \(4,\) exceeds side 3$"):
+        BoxFamily(amb, boxes)
+    with pytest.raises(GeometryError, match=r"^factor \(4,\) exceeds side 3$"):
+        PartitionDocument(amb, boxes)
+    with pytest.raises(GeometryError, match=r"^factor \(4,\) exceeds side 3$"):
+        CoverInstance(amb, boxes)
+    with pytest.raises(GeometryError, match="^box dimension 1 != ambient dimension 2$"):
+        BoxFamily(amb, boxes[::2])
+    # an intermediate partition reports its first bad part, box or labels
+    good, bad = PiercingVector((1, 1)), PiercingVector((1,))
+    with pytest.raises(GeometryError, match="^label/dimension mismatch$"):
+        IntermediatePartition(amb, ((boxes[0], bad), (boxes[1], good)))
+    with pytest.raises(GeometryError, match=r"^factor \(4,\) exceeds side 3$"):
+        IntermediatePartition(amb, ((boxes[1], good), (boxes[0], bad)))
+    with pytest.raises(GeometryError, match=r"^factor \(4,\) exceeds side 3$"):
+        IntermediatePartition(amb, ((boxes[0], good), (boxes[1], good)))
 
 
 # -- properties -------------------------------------------------------------

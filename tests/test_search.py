@@ -341,6 +341,13 @@ def test_depth_beyond_recursion_limit():
     assert r.best_size == 2401 and r.proven_optimal
 
 
+@pytest.mark.parametrize("seconds", [0.0, -1.0, math.nan])
+def test_budget_seconds_must_be_positive(seconds):
+    """NaN too: no elapsed time is ever past it, so no engine would stop."""
+    with pytest.raises(GeometryError, match="budget fields must be positive"):
+        SearchBudget(wall_seconds=seconds)
+
+
 class TestAnneal:
     def test_finds_known_double_cover_optimum(self):
         r = anneal_cover(
