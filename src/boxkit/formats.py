@@ -36,7 +36,7 @@ from .geometry import (
     DiscreteBox,
     GeometryError,
     PiercingVector,
-    _last,
+    _axis_maxima,
     _normalize_factor,
     _validate_boxes,
 )
@@ -113,9 +113,9 @@ def _parse_factor(text: str, lineno: int) -> tuple[int, ...]:
 
 
 def _inferred_sides(boxes, dim: int) -> tuple[int, ...]:
-    """Per-axis maximum coordinate, raised to 2 so the ambient is legal."""
-    columns = list(zip(*(b.factors for b in boxes))) or [()] * dim
-    return tuple(max(2, max(map(_last, column), default=2)) for column in columns)
+    """Per-axis maximum coordinate, raised to 2 so the ambient is legal; every
+    box must have ``dim`` axes."""
+    return tuple(max(2, m) for m in _axis_maxima(boxes, dim))
 
 
 def parse_partition_text(text: str) -> PartitionDocument:

@@ -30,10 +30,11 @@ out of ``_normalize_factor`` or was taken off an existing box, and both are
 sorted, duplicate-free tuples of ints >= 1 -- so its boxes equal the ones
 the public constructor would build.  ``product``, ``lift``, candidate
 enumeration and both parsers build their boxes this way.  A family, a
-document, a cover instance or an intermediate partition checks its boxes
-against the ambient by axis columns (``_validate_boxes``): one dimension
-test per box, then one maximum per axis; on a failure the per-box
-``validate_in`` runs and raises the same error it always did.
+document and a cover instance check their boxes against the ambient by axis
+columns (``_validate_boxes``): one dimension test per box, then one maximum
+per axis (``_axis_maxima``, which also gives a listing's inferred sides); on
+a failure the per-box ``validate_in`` runs and raises the same error it
+always did.
 """
 
 from __future__ import annotations
@@ -175,16 +176,23 @@ class DiscreteBox:
 _last = itemgetter(-1)
 
 
-def _validate_boxes(boxes: Sequence[DiscreteBox], ambient: Ambient) -> None:
-    """``validate_in`` for every box, by axis columns: each box's dimension,
-    then the largest coordinate on each axis.  A failure re-runs the per-box
-    check, which raises the error of the first bad box."""
-    dim = ambient.dim
+def _axis_maxima(boxes: Sequence[DiscreteBox], dim: int) -> tuple[int, ...] | None:
+    """The largest coordinate on each axis (0 for no boxes), by axis columns,
+    or None when some box has not ``dim`` axes."""
     rows = [b.factors for b in boxes]
     # zip(*rows) stops at the shortest box, so the dimensions come first
-    if all(len(f) == dim for f in rows) and all(
-        max(map(_last, column)) <= n for column, n in zip(zip(*rows), ambient.sides)
-    ):
+    if any(len(f) != dim for f in rows):
+        return None
+    if not rows:
+        return (0,) * dim
+    return tuple(max(map(_last, column)) for column in zip(*rows))
+
+
+def _validate_boxes(boxes: Sequence[DiscreteBox], ambient: Ambient) -> None:
+    """``validate_in`` for every box, from ``_axis_maxima``.  A failure re-runs
+    the per-box check, which raises the error of the first bad box."""
+    maxima = _axis_maxima(boxes, ambient.dim)
+    if maxima is not None and all(m <= n for m, n in zip(maxima, ambient.sides)):
         return
     for b in boxes:
         b.validate_in(ambient)
@@ -262,14 +270,11 @@ class IntermediatePartition:
     parts: tuple[tuple[DiscreteBox, PiercingVector], ...]
 
     def __post_init__(self) -> None:
+        for box, vec in self.parts:
+            box.validate_in(self.ambient)
+            if len(vec.labels) != self.ambient.dim:
+                raise GeometryError("label/dimension mismatch")
         boxes = [box for box, _ in self.parts]
-        if any(len(vec.labels) != self.ambient.dim for _, vec in self.parts):
-            # the first bad part names the error, be it its box or its labels
-            for box, vec in self.parts:
-                box.validate_in(self.ambient)
-                if len(vec.labels) != self.ambient.dim:
-                    raise GeometryError("label/dimension mismatch")
-        _validate_boxes(boxes, self.ambient)
         csr = _factor_csr(boxes, self.ambient.dim)
         bad = _scatter_sum(csr, self.ambient.sides) != 1
         if bad.any():

@@ -299,6 +299,22 @@ def test_column_validation_matches_the_per_box_loop(case):
         assert want is None
 
 
+@given(boxes_near_an_ambient())
+@example((Ambient((3, 3)), (box([1], [1]), box([1], [1], [9]))))  # zip drops axis 3
+@settings(max_examples=200, deadline=None)
+def test_axis_maxima_match_a_per_box_scan(case):
+    """The column maxima behind both the family check and a listing's
+    inferred sides: None on any dimension mismatch, else the largest
+    coordinate per axis, 0 with no boxes."""
+    ambient, boxes = case
+    dim = ambient.dim
+    if any(b.dim != dim for b in boxes):
+        want = None
+    else:
+        want = tuple(max((b.factors[i][-1] for b in boxes), default=0) for i in range(dim))
+    assert geometry._axis_maxima(boxes, dim) == want
+
+
 def test_every_family_type_names_its_first_bad_box():
     amb = Ambient((3, 3))
     boxes = (box([1], [2]), box([1], [4]), box([1]))
