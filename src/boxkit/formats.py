@@ -69,6 +69,15 @@ class PartitionDocument:
         if self.labels is not None and len(self.labels) != len(self.boxes):
             raise GeometryError("labels must match boxes one-to-one")
 
+    @staticmethod
+    def _unchecked(ambient: Ambient, boxes: tuple[DiscreteBox, ...]) -> "PartitionDocument":
+        """The document with no labels and no metadata, built with no check:
+        every box must already fit ``ambient``."""
+        doc = object.__new__(PartitionDocument)
+        for name, value in (("ambient", ambient), ("boxes", boxes), ("labels", None), ("meta", ())):
+            object.__setattr__(doc, name, value)
+        return doc
+
     def family(self) -> BoxFamily:
         return BoxFamily(self.ambient, self.boxes)
 
@@ -167,7 +176,8 @@ def parse_partition_text(text: str) -> PartitionDocument:
 
     if ambient_sides is None:
         assert dim is not None
-        ambient_sides = _inferred_sides(boxes, dim)
+        # the sides are the boxes' own maxima, so every box fits them
+        return PartitionDocument._unchecked(Ambient(_inferred_sides(boxes, dim)), boxes)
     return PartitionDocument(Ambient(ambient_sides), boxes)
 
 

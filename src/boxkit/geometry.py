@@ -12,17 +12,26 @@ the package relies on:
 * ``piercing_number``   -- per-axis minimum of distinct boxes met by a line
 * ``weighted_piercing_ok`` -- label-sum piercing test for labeled partitions
 
-Verification stays exhaustive: it scatters every cell of every box into a
-dense tensor over the ambient (or over the lines of one axis) and checks
-every entry, so its cost grows with the total cardinality of the boxes plus
-the ambient volume.  Tensors above ``_CELL_LIMIT`` cells raise GeometryError
-instead of being allocated.  All types are frozen dataclasses, safe to share
-across threads.
+Verification stays exhaustive, on the quotient grid.  On each axis two
+coordinates are interchangeable when every box factor holds both or neither:
+interchangeable points lie in the same boxes, and the lines through them
+meet the same boxes.  ``_quotient`` finds these classes exactly, by
+partition refinement over each axis's distinct factors, then scatters every
+box's classes into a dense tensor with one cell per class (or per class of
+the lines of one axis) and checks every entry.  A bad point is reported at
+the smallest coordinate of its classes, the first bad point in row-major
+order.  So the cost grows with the total cardinality of the boxes on the
+quotient plus the quotient volume, and the class step with the total size
+of the distinct factors, never with a side.  The properness, oddness and
+brick flags come from the original factors.  Quotient tensors above
+``_CELL_LIMIT`` cells raise GeometryError instead of being allocated.  All
+types are frozen dataclasses, safe to share across threads.
 
 Coordinates, ambient sides and piercing labels are Python ints: numpy
 integers are stored as ``int``, and a bool, float or string raises
 GeometryError.  Each distinct factor is sorted and checked once and then
-interned, so boxes built from equal factors share one canonical tuple.
+interned, so boxes built from equal factors share one canonical tuple; a
+tuple of exact ints equal to an interned one is replaced by it unchecked.
 
 Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
 Only code that holds canonical factors calls it -- each factor either came
@@ -32,9 +41,9 @@ the public constructor would build.  ``product``, ``lift``, candidate
 enumeration and both parsers build their boxes this way.  A family, a
 document and a cover instance check their boxes against the ambient by axis
 columns (``_validate_boxes``): one dimension test per box, then one maximum
-per axis (``_axis_maxima``, which also gives a listing's inferred sides); on
-a failure the per-box ``validate_in`` runs and raises the same error it
-always did.
+per axis (``_axis_maxima``, which also gives a listing's inferred sides,
+so a listing without a header is not checked again); on a failure the
+per-box ``validate_in`` runs and raises the same error it always did.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Iterable, Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -96,10 +105,11 @@ class Ambient:
 
 
 # Canonical factor -> the one tuple object every box shares for it.  A tuple
-# found here *by identity* was checked when it went in, so it skips the
-# checks; an equal tuple of other objects, such as (True, 2) or (1.0, 2) for
-# (1, 2), is never the stored object and takes the full path.  The table is
-# cleared when it passes _INTERN_LIMIT entries; nothing depends on a hit.
+# found here by identity, or equal to an entry and made only of exact ints,
+# is that entry, which was checked when it went in, so it skips the checks;
+# an equal tuple of other objects, such as (True, 2), (1.0, 2) or
+# (np.int64(1), 2) for (1, 2), takes the full path.  The table is cleared
+# when it passes _INTERN_LIMIT entries; nothing depends on a hit.
 _CANON: dict[tuple[int, ...], tuple[int, ...]] = {}
 _INTERN_LIMIT = 1 << 16
 
@@ -111,8 +121,10 @@ def _integer(value, what: str = "coordinates") -> int:
 
 
 def _normalize_factor(factor: Iterable[int]) -> tuple[int, ...]:
-    if type(factor) is tuple and _CANON.get(factor) is factor:
-        return factor
+    if type(factor) is tuple:
+        canon = _CANON.get(factor)
+        if canon is factor or canon is not None and set(map(type, factor)) == {int}:
+            return canon
     cells = tuple(factor)
     if not all(type(c) is int for c in cells):
         cells = tuple(map(_integer, cells))
@@ -274,13 +286,12 @@ class IntermediatePartition:
             box.validate_in(self.ambient)
             if len(vec.labels) != self.ambient.dim:
                 raise GeometryError("label/dimension mismatch")
-        boxes = [box for box, _ in self.parts]
-        csr = _factor_csr(boxes, self.ambient.dim)
-        bad = _scatter_sum(csr, self.ambient.sides) != 1
+        q = _quotient([box for box, _ in self.parts], self.ambient.sides)
+        bad = _scatter_sum(q.csr, q.sides) != 1
         if bad.any():
             raise GeometryError(
                 "parts of an intermediate partition must tile the ambient; "
-                f"first bad point {_first_point(bad)}"
+                f"first bad point {_first_point(bad, q.least)}"
             )
 
     def family(self) -> BoxFamily:
@@ -332,18 +343,97 @@ def _check_cells(shape: Iterable[int], what: str) -> int:
     return cells
 
 
+def _distinct(column: Sequence[tuple[int, ...]]):
+    """The distinct factors of one axis in first-seen order, and for each box
+    the number of its factor among them."""
+    number = {f: i for i, f in enumerate(dict.fromkeys(column))}
+    return list(number), np.fromiter(map(number.__getitem__, column), np.int64, len(column))
+
+
+def _csr(axes):
+    """Per-axis CSR arrays from (runs, run of each box) per axis: ``vals[j]``
+    holds axis j's runs 0-based back to back, and box b's run starts at
+    ``starts[b, j]`` and has length ``lens[b, j]``; boxes share runs."""
+    vals, starts, lens = [], [], []
+    for runs, which in axes:
+        n = np.fromiter(map(len, runs), np.int64, len(runs))
+        vals.append(np.fromiter(itertools.chain.from_iterable(runs), np.int64) - 1)
+        starts.append((n.cumsum() - n)[which])
+        lens.append(n[which])
+    return vals, np.stack(starts, axis=1), np.stack(lens, axis=1)
+
+
+def _columns(boxes: Sequence[DiscreteBox], dim: int) -> list:
+    """Per axis, the factor of every box, in box order."""
+    return list(zip(*(b.factors for b in boxes))) if boxes else [()] * dim
+
+
 def _factor_csr(boxes: Sequence[DiscreteBox], dim: int):
-    """Factors of all boxes as per-axis CSR arrays: ``vals[j]`` holds the
-    0-based axis-j coordinates of every box back to back, and box b's run of
-    them starts at ``starts[b, j]`` and has length ``lens[b, j]``."""
-    lens = np.array([[len(f) for f in b.factors] for b in boxes], dtype=np.int64)
-    lens = lens.reshape(len(boxes), dim)
-    chain = itertools.chain.from_iterable
-    vals = [
-        np.fromiter(chain(b.factors[j] for b in boxes), np.int64) - 1
-        for j in range(dim)
-    ]
-    return vals, np.cumsum(lens, axis=0) - lens, lens
+    """The ``_csr`` of the boxes' factors, in the original coordinates."""
+    return _csr(map(_distinct, _columns(boxes, dim)))
+
+
+def _axis_classes(factors: Sequence[tuple[int, ...]], n: int):
+    """The classes of the coordinates 1..n of one axis, where two coordinates
+    are in one class when every factor holds both or neither.
+
+    Returns each factor's classes (1-based ids, numbered by the smallest
+    coordinate of the class) and each class's smallest coordinate.  This is
+    partition refinement (Paige & Tarjan, SIAM J. Comput. 1987): each factor
+    moves its cells of every class into a new class of their own, and the
+    coordinates in no factor stay in class 0, so the cost is the total size
+    of the factors, never n."""
+    cls: dict[int, int] = {}  # coordinate -> class, for the coordinates held
+    fresh = itertools.count(1)
+    for f in factors:
+        moved: dict[int, int] = {}  # class -> the class its cells in f move to
+        for c in f:
+            k = cls.get(c, 0)
+            cls[c] = moved.get(k) or moved.setdefault(k, next(fresh))
+    held = sorted(cls)
+    least: dict[int, int] = {}  # class -> its smallest coordinate
+    for c in held:
+        least.setdefault(cls[c], c)
+    if len(held) < n:  # the least coordinate in no factor
+        least[0] = next((i for i, c in enumerate(held, 1) if i != c), len(held) + 1)
+    order = sorted(least, key=least.__getitem__)
+    number = dict(zip(order, range(1, len(order) + 1)))
+    return [tuple({number[cls[c]] for c in f}) for f in factors], [least[k] for k in order]
+
+
+class _Quotient(NamedTuple):
+    """A family on its quotient grid: per axis, one cell per class."""
+
+    csr: tuple  # ``_csr`` of the boxes' classes
+    sides: tuple[int, ...]  # the number of classes per axis
+    least: tuple[list[int], ...]  # per axis, the smallest coordinate of each class
+    factors: tuple[list[tuple[int, ...]], ...]  # per axis, the distinct factors
+
+
+def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int], skip: int | None = None):
+    """The boxes on the quotient grid of ``_axis_classes``.  Equivalent points
+    lie in the same boxes, and the lines through them meet the same boxes,
+    so coverage, multiplicity and line sums on one cell per class are exact
+    for the whole ambient.  The tensor over every axis but ``skip`` is
+    bounded by ``_check_cells`` one axis at a time, so an oversized quotient
+    is refused as soon as the classes found pass the limit, before the
+    classes of the remaining axes and before any tensor."""
+    columns = _columns(boxes, len(sides))
+    axes = [j for j in range(len(sides)) if j != skip]
+    found = {}
+
+    def classes(j):
+        factors, which = _distinct(columns[j])
+        runs, least = _axis_classes(factors, sides[j])
+        found[j] = factors, which, runs, least
+        return len(least)
+
+    _check_cells(map(classes, axes), f"a tensor over {len(axes)} axes")
+    if skip is not None:
+        classes(skip)
+    factors, which, runs, least = zip(*(found[j] for j in range(len(sides))))
+    csr = _csr(zip(runs, which))
+    return _Quotient(csr, tuple(map(len, least)), least, factors)
 
 
 def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):
@@ -399,9 +489,11 @@ def _scatter_sum(
     return out.reshape(shape)
 
 
-def _first_point(bad: np.ndarray) -> tuple[int, ...]:
-    """1-based coordinates of the first True cell, in row-major order."""
-    return tuple(int(c) + 1 for c in np.unravel_index(int(np.argmax(bad)), bad.shape))
+def _first_point(bad: np.ndarray, least: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The first bad ambient point in row-major order: the smallest
+    coordinates of the classes of the first True cell of the quotient."""
+    cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return tuple(m[int(i)] for m, i in zip(least, cell))
 
 
 def _check_demand(multiplicity: int, mode: Mode) -> None:
@@ -420,9 +512,8 @@ def verify_cover(
     partition predicate."""
     _check_demand(multiplicity, mode)
     sides = family.ambient.sides
-    _check_cells(sides, f"a tensor over {len(sides)} axes")
-    csr = _factor_csr(family.boxes, family.ambient.dim)
-    cover = _scatter_sum(csr, sides)
+    q = _quotient(family.boxes, sides)
+    cover = _scatter_sum(q.csr, q.sides)
     cmin = int(cover.min())
     cmax = int(cover.max())
     if mode == "exact":
@@ -431,23 +522,19 @@ def verify_cover(
         bad = cover < multiplicity
     ok = not bool(bad.any())
 
-    vals, starts, lens = csr
-    brick = all(
-        bool((v[s + n - 1] - v[s] + 1 == n).all())
-        for v, s, n in zip(vals, starts.T, lens.T)
-    )
-    per_axis = _line_minima(csr, sides)
+    per_axis = _line_minima(q.csr, q.sides)
     return VerificationReport(
         is_partition=(cmin == 1 and cmax == 1),
         cover_multiplicity_min=cmin,
         cover_multiplicity_max=cmax,
-        all_proper=bool((lens != np.array(sides)).all()),
-        all_odd=bool((lens % 2 == 1).all()),
-        all_brick=brick,
+        # the flags read the original factors, each distinct one once
+        all_proper=all(len(f) != n for fs, n in zip(q.factors, sides) for f in fs),
+        all_odd=all(len(f) % 2 == 1 for fs in q.factors for f in fs),
+        all_brick=all(_is_interval(f) for fs in q.factors for f in fs),
         piercing_number=min(per_axis),
         per_axis_piercing=per_axis,
         multiplicity_ok=ok,
-        first_violation=None if ok else _first_point(bad),
+        first_violation=None if ok else _first_point(bad, q.least),
     )
 
 
@@ -463,17 +550,15 @@ def _line_minima(csr, sides: Sequence[int], weights=None) -> tuple[int, ...]:
 def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
     """Minimum, over all axis-parallel lines, of the number of distinct boxes
     the line meets; reported overall and per axis."""
-    sides = family.ambient.sides
-    _check_cells(sides[1:], f"a tensor over {len(sides) - 1} axes")
-    csr = _factor_csr(family.boxes, family.ambient.dim)
-    per_axis = _line_minima(csr, sides)
+    q = _quotient(family.boxes, family.ambient.sides, skip=0)
+    per_axis = _line_minima(q.csr, q.sides)
     return min(per_axis), per_axis
 
 
 def weighted_piercing_ok(ip: IntermediatePartition, k: int) -> bool:
     """True iff along every axis-j line the labels a_{.,j} of the parts the
     line crosses sum to at least k."""
-    csr = _factor_csr([box for box, _ in ip.parts], ip.ambient.dim)
+    q = _quotient([box for box, _ in ip.parts], ip.ambient.sides, skip=0)
     labels = np.array([vec.labels for _, vec in ip.parts], dtype=np.int64)
     labels = labels.reshape(len(ip.parts), ip.ambient.dim)
-    return min(_line_minima(csr, ip.ambient.sides, labels)) >= k
+    return min(_line_minima(q.csr, q.sides, labels)) >= k

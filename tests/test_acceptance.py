@@ -247,3 +247,13 @@ def test_criterion_12_product_15625():
     assert len(fam) == 15_625 and fam.ambient.sides == (5,) * 9
     assert rep.is_partition and rep.all_odd and rep.all_proper
     assert rep.piercing_number == 3
+
+
+@criterion(13, "product of two 61-brick partitions: 3,721 boxes over [16]^8 verify as a 3-piercing brick partition within 10 s")
+def test_criterion_13_product_3721():
+    fig6 = realize(intermediate_library("fig6", 3), 3)
+    fam = product(fig6, fig6)
+    rep = timed(10.0, verify_cover, fam)
+    assert len(fam) == 3_721 and fam.ambient.sides == (16,) * 8
+    assert rep.is_partition and rep.all_brick
+    assert rep.piercing_number == 3 and rep.per_axis_piercing == (3,) * 8

@@ -34,9 +34,11 @@ class TestVerify:
         assert main(["verify", "/nonexistent/file.txt"]) == 2
 
     def test_oversized_ambient_is_usage_error(self, tmp_path, capsys):
-        # refused by the tensor cell limit before anything is allocated
+        # 600 diagonal cells leave 601 classes per axis: 601^3 quotient cells
+        # pass the tensor cell limit, refused before anything is allocated
         path = tmp_path / "huge.txt"
-        path.write_text("Ambient = 100000 x 100000 x 100000\nBox(1) = {1} x {1} x {1}\n")
+        boxes = "".join(f"Box({i}) = {{{i}}} x {{{i}}} x {{{i}}}\n" for i in range(1, 601))
+        path.write_text("Ambient = 100000 x 100000 x 100000\n" + boxes)
         assert main(["verify", str(path)]) == 2
         assert "cell limit" in capsys.readouterr().err
 

@@ -55,6 +55,18 @@ class TestParseText:
         doc = parse_partition_text("Box(1) = {1}\n")
         assert doc.ambient.sides == (2,)
 
+    def test_inferred_sides_read_the_boxes_once(self):
+        """A listing without a header takes one per-axis maximum pass, and
+        its document equals the checked one."""
+        maxima = mock.Mock(wraps=geometry._axis_maxima)
+        with mock.patch.object(geometry, "_axis_maxima", maxima), mock.patch(
+            "boxkit.formats._axis_maxima", maxima
+        ):
+            doc = parse_partition_text("Box(1) = {1,3} x {2}\nBox(2) = {2} x {1}\n")
+        assert maxima.call_count == 1
+        assert doc == PartitionDocument(Ambient((3, 2)), doc.boxes)
+        assert (doc.labels, doc.meta) == (None, ())
+
     def test_id_order_independent_of_line_order(self):
         doc = parse_partition_text("Box(2) = {2}\nBox(1) = {1}\n")
         assert doc.boxes[0] == DiscreteBox.of([1])

@@ -248,6 +248,47 @@ def test_fast_path_never_admits_an_equal_tuple_of_other_types(cells, data):
     assert DiscreteBox((canon,)).factors[0] is canon
 
 
+def _normalize_factor_by_the_full_path(factor):
+    """The checks every tuple not interned by identity used to take: the
+    canonical tuple, or the text of the error."""
+    try:
+        cells = tuple(factor)
+        if not all(type(c) is int for c in cells):
+            cells = tuple(map(geometry._integer, cells))
+        cells = tuple(sorted(cells))
+        if not cells:
+            raise GeometryError("empty factor")
+        if len(set(cells)) != len(cells):
+            raise GeometryError(f"duplicate elements in factor {cells}")
+        if cells[0] < 1:
+            raise GeometryError(f"coordinates must be >= 1, got {cells}")
+    except GeometryError as exc:
+        return str(exc)
+    return geometry._CANON.get(cells, cells)
+
+
+@given(st.sets(st.integers(1, 9), min_size=1), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_equal_tuples_get_the_full_path_result(cells, interned, data):
+    """A tuple equal to a factor, each coordinate spelled as a fresh int, a
+    bool, a float or a numpy integer, interned or not: the result or error
+    of the full checks.  Exact ints get the interned tuple itself."""
+    canon = tuple(sorted(cells))
+    if interned:
+        canon = DiscreteBox((canon,)).factors[0]
+    spellings = [lambda c: int(str(c)), float, np.int64, lambda c: c == 1 or c]
+    spelled = tuple(data.draw(st.sampled_from(spellings))(c) for c in canon)
+    want = _normalize_factor_by_the_full_path(spelled)
+    try:
+        got = geometry._normalize_factor(spelled)
+    except GeometryError as exc:
+        assert str(exc) == want
+        return
+    assert got == want and all(type(c) is int for c in got)
+    if interned and not isinstance(want, str):
+        assert got is canon
+
+
 # -- column validation -------------------------------------------------------
 
 def _validate_each(boxes, ambient):
@@ -532,13 +573,34 @@ def test_boxes_spanning_several_batches():
     assert rep.per_axis_piercing == (1, 1, 2)
 
 
+def _diagonal(n, d, count):
+    """Boxes {i} x ... x {i} for i <= count in [n]^d: count + 1 classes per
+    axis, the singletons and the coordinates in no box."""
+    return BoxFamily(Ambient.cube(n, d), tuple(box(*[[i]] * d) for i in range(1, count + 1)))
+
+
 def test_tensor_cell_limit():
-    """Ambient or line tensors over the cell limit are refused, not allocated."""
-    fam = BoxFamily(Ambient.cube(100_000, 3), (DiscreteBox.of([1], [1], [1]),))
-    with pytest.raises(GeometryError, match="cell limit"):
-        verify_cover(fam)
-    with pytest.raises(GeometryError, match="cell limit"):
-        piercing_number(fam)
+    """Quotient or line tensors over the cell limit are refused, not
+    allocated: 601 classes per axis give 601^4 cells to cover and 601^3 per
+    line tensor, both past 2^27."""
+    fam = _diagonal(100_000, 4, 600)
+    with mock.patch.object(geometry, "_scatter_sum", side_effect=AssertionError):
+        with pytest.raises(GeometryError, match="cell limit"):
+            verify_cover(fam)
+        with pytest.raises(GeometryError, match="cell limit"):
+            piercing_number(fam)
+
+
+def test_one_box_in_a_huge_ambient_verifies():
+    """One cell of [10^5]^3 has a quotient of 2 x 2 x 2 cells, so it is
+    checked exactly instead of refused."""
+    fam = BoxFamily(Ambient.cube(100_000, 3), (box([1], [1], [1]),))
+    rep = verify_cover(fam)
+    assert not rep.is_partition and not rep.multiplicity_ok
+    assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (0, 1)
+    assert rep.first_violation == (1, 1, 2)
+    assert rep.per_axis_piercing == (0, 0, 0) and rep.piercing_number == 0
+    assert piercing_number(fam) == (0, (0, 0, 0))
 
 
 def test_cell_check_stops_once_past_the_limit():
@@ -565,11 +627,14 @@ def test_cell_check_stops_once_past_the_limit():
 def test_oversized_ambient_refused_before_the_factor_arrays(
     monkeypatch, check, sides, message
 ):
-    """The first tensor's cell count is checked before any per-box work, with
-    the message the tensor itself would raise."""
+    """The first tensor's cell count, over the quotient, is checked before
+    the factor arrays and any tensor are built, with the message the tensor
+    itself would raise.  The boxes {1}^d and {2}^d leave three classes on
+    every axis of side 3, so that tensor has 9 cells."""
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 8)
-    fam = BoxFamily(Ambient(sides), (DiscreteBox.of(*([1] for _ in sides)),))
-    with mock.patch.object(geometry, "_factor_csr", side_effect=AssertionError):
-        with pytest.raises(GeometryError) as exc:
-            check(fam)
+    fam = BoxFamily(Ambient(sides), (box(*[[1]] * len(sides)), box(*[[2]] * len(sides))))
+    with mock.patch.object(geometry, "_csr", side_effect=AssertionError):
+        with mock.patch.object(geometry, "_scatter_sum", side_effect=AssertionError):
+            with pytest.raises(GeometryError) as exc:
+                check(fam)
     assert str(exc.value) == message
