@@ -1,13 +1,14 @@
 """Closed-form bounds and exact parity-counting identities.
 
 The parity identity behind the 2^d lower bound for odd partitions: fix a
-nonempty B inside [n] and draw an odd-cardinality subset R of [n] uniformly
-at random; then |B meets R| is odd exactly half the time (2^{n-2} of the
-2^{n-1} odd subsets).  Restricting to *proper* odd subsets (n odd, so the
-full set is one of the odd subsets being removed) shifts the count to
-2^{n-2}-1 of 2^{n-1}-1 whenever |B| is odd, which pushes the lower bound for
-odd proper partitions up to ((2^{n-1}-1)/(2^{n-2}-1))^d, strictly above 2^d
-and equal to 3^d at n=3.
+nonempty proper subset B of [n] and draw an odd-cardinality subset R of [n]
+uniformly at random; then |B meets R| is odd exactly half the time (2^{n-2}
+of the 2^{n-1} odd subsets); for B = [n] it is odd every time.
+Restricting to *proper* odd subsets (n odd, so the full set is one of the
+odd subsets being removed) shifts the count for such B to 2^{n-2}-1 of
+2^{n-1}-1 whenever |B| is odd, which pushes the lower bound for odd proper
+partitions up to ((2^{n-1}-1)/(2^{n-2}-1))^d, strictly above 2^d and equal
+to 3^d at n=3.
 
 Also here: the trivial piercing bounds (slab upper bound k^d; corner/edge
 counting lower bounds), the exponential piercing lower bound for general
@@ -21,14 +22,13 @@ exponentials.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
 
-import numpy as np
-
-from .geometry import GeometryError
+from .geometry import GeometryError, _check_cells
 
 __all__ = [
     "ParityTally",
@@ -75,8 +75,12 @@ def parity_count(
 
     With mode "proper_odd" the full set [n] is excluded from the selectors;
     this requires n odd (otherwise [n] is not an odd subset and nothing
-    changes).  For nonempty B the all_odd count is always 2^{n-2}; the
-    proper_odd count is 2^{n-2}-1 when |B| is odd and 2^{n-2} when even.
+    changes).  For a nonempty proper subset B of [n] the all_odd count is
+    always 2^{n-2}; the proper_odd count is 2^{n-2}-1 when |B| is odd and
+    2^{n-2} when even.  For B = [n] every odd selector hits: 2^{n-1} of
+    2^{n-1}, and 2^{n-1}-1 of 2^{n-1}-1 with proper_odd.  The 2^n selector
+    masks count as cells against geometry's 2^27-cell limit, so n > 27
+    raises GeometryError before anything is allocated.
     """
     target = tuple(sorted(set(B)))
     if not target:
@@ -87,6 +91,9 @@ def parity_count(
         raise GeometryError(f"unknown mode {mode!r}")
     if mode == "proper_odd" and n % 2 == 0:
         raise GeometryError("proper_odd mode requires odd n")
+    # one factor 2 per bit, so a huge n is refused without building 1 << n
+    _check_cells(itertools.repeat(2, n), f"the selector masks of [{n}]")
+    import numpy as np
 
     masks = np.arange(1 << n, dtype=np.uint32)
     size_parity = np.zeros(1 << n, dtype=np.uint32)

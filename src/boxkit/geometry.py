@@ -33,6 +33,10 @@ GeometryError.  Each distinct factor is sorted and checked once and then
 interned, so boxes built from equal factors share one canonical tuple; a
 tuple of exact ints equal to an interned one is replaced by it unchecked.
 
+Only the functions that build or read an array import numpy, inside their
+bodies, so code that builds boxes, families and documents but no array
+never loads it.
+
 Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
 Only code that holds canonical factors calls it -- each factor either came
 out of ``_normalize_factor`` or was taken off an existing box, and both are
@@ -50,11 +54,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Literal, NamedTuple, Sequence, get_args
-
-import numpy as np
 
 __all__ = [
     "Ambient",
@@ -115,7 +118,10 @@ _INTERN_LIMIT = 1 << 16
 
 
 def _integer(value, what: str = "coordinates") -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    # no numpy integer exists before numpy is imported, so this imports nothing
+    np = sys.modules.get("numpy")
+    kinds = (int, np.integer) if np else int
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise GeometryError(f"{what} must be integers, got {value!r}")
     return int(value)
 
@@ -346,6 +352,8 @@ def _check_cells(shape: Iterable[int], what: str) -> int:
 def _distinct(column: Sequence[tuple[int, ...]]):
     """The distinct factors of one axis in first-seen order, and for each box
     the number of its factor among them."""
+    import numpy as np
+
     number = {f: i for i, f in enumerate(dict.fromkeys(column))}
     return list(number), np.fromiter(map(number.__getitem__, column), np.int64, len(column))
 
@@ -354,6 +362,8 @@ def _csr(axes):
     """Per-axis CSR arrays from (runs, run of each box) per axis: ``vals[j]``
     holds axis j's runs 0-based back to back, and box b's run starts at
     ``starts[b, j]`` and has length ``lens[b, j]``; boxes share runs."""
+    import numpy as np
+
     vals, starts, lens = [], [], []
     for runs, which in axes:
         n = np.fromiter(map(len, runs), np.int64, len(runs))
@@ -441,6 +451,8 @@ def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):
     flat index into the tensor of shape ``sides[axes]``, number of the box
     owning the cell).  A batch is a run of consecutive boxes of at most about
     ``_BATCH_CELLS`` cells; a bigger box is cut into runs of its own cells."""
+    import numpy as np
+
     vals, starts, lens = csr
     # below[b, t]: cells of box b over axes[t:]
     below = np.ones((len(lens), len(axes) + 1), dtype=np.int64)
@@ -473,13 +485,13 @@ def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):
     yield from batches(np.zeros_like(boxes), boxes, 0)
 
 
-def _scatter_sum(
-    csr, sides: Sequence[int], skip: int | None = None, weights=None
-) -> np.ndarray:
+def _scatter_sum(csr, sides: Sequence[int], skip: int | None = None, weights=None):
     """Weighted line sums: the tensor over every axis but ``skip`` whose cell
     c sums the weights (1 by default) of the boxes whose projection contains
     c, i.e. that the axis-``skip`` line through c meets.  With no axis
     skipped this is the coverage tensor."""
+    import numpy as np
+
     axes = [j for j in range(len(sides)) if j != skip]
     shape = tuple(sides[a] for a in axes)
     size = _check_cells(shape, f"a tensor over {len(shape)} axes")
@@ -489,9 +501,12 @@ def _scatter_sum(
     return out.reshape(shape)
 
 
-def _first_point(bad: np.ndarray, least: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _first_point(bad, least: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The first bad ambient point in row-major order: the smallest
-    coordinates of the classes of the first True cell of the quotient."""
+    coordinates of the classes of the first True cell of ``bad``, a boolean
+    array over the quotient."""
+    import numpy as np
+
     cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
     return tuple(m[int(i)] for m, i in zip(least, cell))
 
@@ -541,6 +556,8 @@ def verify_cover(
 def _line_minima(csr, sides: Sequence[int], weights=None) -> tuple[int, ...]:
     """Per axis i, the least weighted line sum over all axis-i lines; the
     weight of box b on axis i is ``weights[b, i]``, or 1 by default."""
+    import numpy as np
+
     w = np.ones_like(csr[2]) if weights is None else weights
     return tuple(
         int(_scatter_sum(csr, sides, i, w[:, i]).min()) for i in range(len(sides))
@@ -558,6 +575,8 @@ def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
 def weighted_piercing_ok(ip: IntermediatePartition, k: int) -> bool:
     """True iff along every axis-j line the labels a_{.,j} of the parts the
     line crosses sum to at least k."""
+    import numpy as np
+
     q = _quotient([box for box, _ in ip.parts], ip.ambient.sides, skip=0)
     labels = np.array([vec.labels for _, vec in ip.parts], dtype=np.int64)
     labels = labels.reshape(len(ip.parts), ip.ambient.dim)

@@ -11,8 +11,6 @@ limit raises GeometryError before anything is allocated.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .formats import PartitionDocument
 from .geometry import GeometryError, _check_cells, _factor_csr, _incidence, classify_box
 
@@ -22,9 +20,11 @@ _CELL = 24  # svg pixels per lattice cell
 _RECT_BYTES = 160  # svg text per drawn rectangle and its label, at least
 
 
-def _id_grid(doc: PartitionDocument) -> np.ndarray:
+def _id_grid(doc: PartitionDocument):
     """Id of the first box covering each cell (0 for uncovered cells), as
     an array over the ambient indexed by 0-based coordinates."""
+    import numpy as np
+
     sides = doc.ambient.sides
     grid = np.full(doc.ambient.volume, len(doc.boxes) + 1, dtype=np.int64)
     csr = _factor_csr(doc.boxes, doc.ambient.dim)
@@ -35,6 +35,8 @@ def _id_grid(doc: PartitionDocument) -> np.ndarray:
 
 
 def _ascii(doc: PartitionDocument) -> str:
+    import numpy as np
+
     dim = doc.ambient.dim
     if dim > 3:
         raise GeometryError("ascii rendering supports dimensions 1-3")

@@ -35,8 +35,6 @@ import time
 from dataclasses import dataclass
 from typing import Literal, get_args
 
-import numpy as np
-
 from .geometry import (
     Ambient,
     BoxFamily,
@@ -150,6 +148,8 @@ def _pool_incidence(instance: CoverInstance):
     each of its points (in ``itertools.product`` order), and per point, the
     candidates covering it in pool order.  An ambient or incidence over
     geometry's cell limit raises GeometryError before it is allocated."""
+    import numpy as np
+
     sides = instance.ambient.sides
     what = f"a {len(sides)}-axis candidate pool"
     _check_cells(sides, f"the ambient of {what}")

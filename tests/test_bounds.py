@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkit import geometry
 from boxkit.bounds import (
     growth_root,
     kp_box_exponential_lower,
@@ -50,6 +51,15 @@ class TestParityCount:
             parity_count(4, [1], "proper_odd")
         with pytest.raises(GeometryError):
             parity_count(5, [1], "sometimes_odd")
+
+    def test_selector_masks_over_the_cell_limit_refused(self, monkeypatch):
+        # 2^40 uint32 masks would take 4 TiB: refused before any allocation
+        with pytest.raises(GeometryError, match="cell limit"):
+            parity_count(40, [1])
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 8)
+        assert parity_count(3, [1]).total_selectors == 4
+        with pytest.raises(GeometryError, match="cell limit"):
+            parity_count(4, [1])
 
 
 class TestClosedForms:

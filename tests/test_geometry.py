@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from unittest import mock
 
@@ -571,6 +572,31 @@ def test_boxes_spanning_several_batches():
     assert rep.first_violation == (1, 1, 1)
     # lines in the z=1 layer miss every slab; z-lines meet the full box and one slab
     assert rep.per_axis_piercing == (1, 1, 2)
+
+
+def test_quotient_box_spanning_several_batches():
+    """The full box of [24]^3 and the 24 unit slabs on each axis: every
+    coordinate is a class of its own, so the quotient keeps all 24^3 cells
+    and the full box alone is cut across batches when it is verified."""
+    n = 24
+    amb = Ambient.cube(n, 3)
+    side = range(1, n + 1)
+    slabs = [
+        box(*[[x] if j == axis else side for j in range(3)])
+        for axis in range(3)
+        for x in side
+    ]
+    fam = BoxFamily(amb, (box(side, side, side), *slabs))
+    q = geometry._quotient(fam.boxes, amb.sides)
+    assert math.prod(q.sides) == n**3 > geometry._BATCH_CELLS
+    batches = geometry._incidence(q.csr, q.sides, [0, 1, 2])
+    assert sum(0 in owner for _, owner in batches) > 1
+    rep = verify_cover(fam, 4, "exact")
+    assert rep.multiplicity_ok and rep.first_violation is None
+    assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (4, 4)
+    # a line meets the full box, its own axis's n slabs and one slab per other axis
+    assert rep.per_axis_piercing == (n + 3,) * 3
+    assert not rep.all_proper and not rep.is_partition
 
 
 def _diagonal(n, d, count):
