@@ -132,6 +132,7 @@ def _cmd_search(args) -> int:
     )
     engine = solve_cover if args.engine == "bb" else anneal_cover
     result = engine(instance, budget)
+    sys.stderr.write(f"stopped: {result.stop_reason}\n")
     if result.best is None:
         if result.proven_optimal:
             sys.stdout.write("infeasible (proven)\n")

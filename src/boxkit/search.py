@@ -7,7 +7,8 @@ t=1 exact.  Three engines are provided:
 
 * ``solve_cover``   -- complete branch-and-bound; branches on the deficit
   point with the fewest usable candidates, prunes with a cardinality bound,
-  and proves optimality when the tree is exhausted;
+  and proves optimality when the tree is exhausted; each node's state is a
+  few Python-int bitmasks on its stack frame, so backtracking undoes nothing;
 * ``anneal_cover``  -- simulated annealing over candidate subsets, for
   instances out of reach of the exact engine (the 2-fold cover of [3]^3 by
   proper boxes has 216 candidates); results are always re-verified;
@@ -23,7 +24,9 @@ same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
 instance (pool order included), the same seed and a ``max_nodes`` that binds
 before ``wall_seconds``; a run stopped by the wall clock ends after however
 many steps the machine managed.  Its docstring lists the random draws each
-step makes: a change to them changes the results.
+step makes: a change to them changes the results.  Both search engines say
+why they stopped (``SearchResult.stop_reason``): "exhausted", "node cap" or
+"wall clock".
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ CANDIDATE_SIDE_CAP = 9
 Predicate = Literal[
     "odd_proper_box", "proper_box", "odd_proper_brick", "proper_brick"
 ]
+# why a search ended: it ran out of things to try, or of its node (step)
+# budget, or of its wall-clock budget
+StopReason = Literal["exhausted", "node cap", "wall clock"]
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,7 @@ class SearchResult:
     proven_optimal: bool
     nodes: int
     elapsed: float
+    stop_reason: StopReason
 
 
 def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[DiscreteBox]:
@@ -172,19 +179,35 @@ def _verified_result(
     proven: bool,
     nodes: int,
     start: float,
+    stop: StopReason,
 ) -> SearchResult:
     """The result for the candidates at ``selection`` (None: nothing found)
-    of a search begun at ``start``, re-verified against the instance."""
+    of a search begun at ``start`` and ended for ``stop``, re-verified
+    against the instance."""
     elapsed = time.monotonic() - start
     if selection is None:
-        return SearchResult(None, math.inf, proven, nodes, elapsed)
+        return SearchResult(None, math.inf, proven, nodes, elapsed, stop)
     family = BoxFamily(
         instance.ambient, tuple(instance.candidates[ci] for ci in selection)
     )
     report = verify_cover(family, instance.multiplicity, instance.mode)
     if not report.multiplicity_ok:
         raise GeometryError("internal error: search result failed verification")
-    return SearchResult(family, float(len(selection)), proven, nodes, elapsed)
+    return SearchResult(family, float(len(selection)), proven, nodes, elapsed, stop)
+
+
+def _bitmasks(rows, width: int) -> list[int]:
+    """One int per row with bit i set for each index i in the row (all
+    below ``width``), read from a bytearray of binary digits, so that the
+    cost is the rows' total length plus one width per row (summing
+    ``1 << i`` would be quadratic in the width)."""
+    masks = []
+    for row in rows:
+        digits = bytearray(b"0") * (width + 1)  # one more: never empty
+        for i in row:
+            digits[i] = 49  # "1"
+        masks.append(int(digits[::-1], 2))
+    return masks
 
 
 def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
@@ -198,103 +221,106 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     ceil(remaining demand / largest candidate cardinality) must beat the
     incumbent.
 
-    Option counts are updated as candidates are chosen, banned and released
-    rather than recounted at every node, and the tree is walked with an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    The state of a node is a few immutable ints kept on its stack frame:
+    the coverage levels (``levels[k]`` has a bit per point covered more
+    than k times, capped at t), the ``gone`` mask of candidates that are
+    banned or, in exact mode, pass through a point already covered t times,
+    and the remaining demand.  A child's state is computed from its
+    parent's with a few ORs and ANDs per level, so backtracking is a pop
+    with nothing to undo, and the tree is walked with an explicit stack, so
+    its depth is not bounded by the recursion limit.
 
     ``proven_optimal`` is true iff the tree was exhausted inside the budget;
     an infeasible instance yields best None, best_size infinity, proven.
+    ``stop_reason`` is "exhausted", "node cap" or "wall clock".
     """
     cand_pts, covers_point = _pool_incidence(instance)
     n_pts = len(covers_point)
     t = instance.multiplicity
     exact = instance.mode == "exact"
-    max_card = max(map(len, cand_pts), default=1)
+    # per candidate its points as a mask, and their number; per point the
+    # candidates through it as a mask, and their number
+    pt_mask = _bitmasks(cand_pts, n_pts)
+    card = list(map(len, cand_pts))
+    cand_mask = _bitmasks(covers_point, len(cand_pts))
+    n_covers = list(map(len, covers_point))
+    max_card = max(card, default=1)
+    # a bitmask's digits, point 0 first, read as 1 for each point it lacks
+    width, unset = f"0{n_pts}b", bytes.maketrans(b"01", b"\1\0")
 
-    counts = [0] * n_pts
+    levels = (0,) * t
+    gone = 0
     demand = t * n_pts
-    # blocked[ci]: 1 per ban plus, in exact mode, 1 per point of ci already
-    # covered t times; ci is usable iff blocked[ci] == 0.
-    blocked = [0] * len(cand_pts)
-    # n_opts[p]: usable candidates through p, plus `satisfied` once p is
-    # covered t times, so the first minimum of n_opts is the pivot.
-    n_opts = [len(cs) for cs in covers_point]
-    satisfied = len(cand_pts) + 1
-
-    def block(ci: int, step: int) -> None:
-        """Add step (1 or -1) to blocked[ci]; ci leaves or rejoins n_opts
-        when blocked[ci] moves between 0 and 1."""
-        blocked[ci] += step
-        if blocked[ci] == (step == 1):
-            for p in cand_pts[ci]:
-                n_opts[p] -= step
-
-    def choose(ci: int, step: int) -> None:
-        """Add (step 1) or take back (step -1) candidate ci."""
-        nonlocal demand
-        up = step == 1
-        for p in cand_pts[ci]:
-            held = counts[p] + up  # p's count while ci is chosen
-            counts[p] += step
-            if held <= t:
-                demand -= step
-                if held == t:
-                    n_opts[p] += step * satisfied
-                    if exact:
-                        for cj in covers_point[p]:  # block(cj, step), inlined
-                            blocked[cj] += step
-                            if blocked[cj] == up:
-                                for q in cand_pts[cj]:
-                                    n_opts[q] -= step
-
     best_size: float = math.inf
     best_sel: list[int] | None = None
     nodes = 0
-    start = time.monotonic()
-    exhausted = True
-    # one entry per open node: [pivot's candidates, next position, banned
-    # here]; the last candidate banned at a node is the one chosen below it
+    max_nodes, wall_seconds, monotonic = budget.max_nodes, budget.wall_seconds, time.monotonic
+    start = monotonic()
+    stop = "exhausted"
+    # one frame per open node: [levels, gone (with the node's own bans),
+    # demand, options left to try, the option being tried below it]
     stack: list[list] = []
     while True:
         nodes += 1
-        if (
-            nodes >= budget.max_nodes
-            or time.monotonic() - start > budget.wall_seconds
-        ):
-            exhausted = False
+        if nodes >= max_nodes:
+            stop = "node cap"
+            break
+        if monotonic() - start > wall_seconds:
+            stop = "wall clock"
             break
         if demand == 0:
             if len(stack) < best_size:
                 best_size = len(stack)
-                best_sel = [banned[-1] for _, _, banned in stack]
-        elif len(stack) + math.ceil(demand / max_card) < best_size:
-            fewest = min(n_opts)
+                best_sel = [frame[4] for frame in stack]
+        elif len(stack) + -(-demand // max_card) < best_size:
+            # the pivot: the first deficit point with the fewest usable
+            # candidates; none is fewer than 0
+            fewest = len(cand_pts) + 1
+            deficit = format(levels[-1], width)[::-1].encode().translate(unset)
+            for p in itertools.compress(range(n_pts), deficit):
+                n_opts = n_covers[p] - (cand_mask[p] & gone).bit_count()
+                if n_opts < fewest:
+                    fewest, pivot = n_opts, p
+                    if not n_opts:
+                        break
             if fewest:
-                stack.append([covers_point[n_opts.index(fewest)], 0, []])
-        # descend into the next usable option of the deepest open node,
-        # closing the nodes whose options are used up
+                options = cand_mask[pivot] & ~gone
+                stack.append([levels, gone, demand, options, -1])
+        # descend into the next option of the deepest open node, closing
+        # the nodes whose options are used up
         while stack:
             frame = stack[-1]
-            options, i, banned = frame
-            if banned:
-                choose(banned[-1], -1)
-            while i < len(options) and blocked[options[i]]:
-                i += 1
-            if i < len(options):
-                ci = options[i]
-                frame[1] = i + 1
+            options = frame[3]
+            if options:
+                low = options & -options
+                ci = low.bit_length() - 1
+                frame[3] = options ^ low
                 # ban before descending: a candidate may be used at most once
-                block(ci, 1)
-                banned.append(ci)
-                choose(ci, 1)
+                frame[1] |= low
+                frame[4] = ci
+                # one more cover on ci's points, capped at t: the points at
+                # level k rise to level k + 1
+                m = pt_mask[ci]
+                carry, lifted = m, []
+                for level in frame[0]:
+                    lifted.append(level | carry)
+                    carry = level & m
+                # carry: ci's points already covered t times, no demand
+                demand = frame[2] - card[ci] + carry.bit_count()
+                gone = frame[1]
+                if exact:
+                    full = lifted[-1] ^ frame[0][-1]
+                    while full:
+                        low = full & -full
+                        gone |= cand_mask[low.bit_length() - 1]
+                        full ^= low
+                levels = tuple(lifted)
                 break
-            for ci in banned:
-                block(ci, -1)
             stack.pop()
         else:  # the root's options are used up: the tree is exhausted
             break
 
-    return _verified_result(instance, best_sel, exhausted, nodes, start)
+    return _verified_result(instance, best_sel, stop == "exhausted", nodes, start, stop)
 
 
 def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
@@ -309,7 +335,9 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     one box at a time until the budget runs out.  Geometric cooling with
     reheating on stagnation.  The best feasible state is re-verified before
     being reported; ``proven_optimal`` is always false.  An empty pool
-    returns best None after no step.
+    returns best None after no step.  ``stop_reason`` is "exhausted" only
+    for an empty pool or a one-box incumbent, and otherwise names the
+    budget that ran out.
 
     Every draw comes from ``random.Random(budget.seed)``: an add/remove
     step draws ``randrange(len(pool))``; a swap step draws ``randrange(size)``
@@ -332,7 +360,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     start = monotonic()
     steps = 0
     if not n_cand:
-        return _verified_result(instance, None, False, 0, start)
+        return _verified_result(instance, None, False, 0, start, "exhausted")
 
     def point_violation(count: int) -> int:
         return abs(count - t) if exact else max(0, t - count)
@@ -379,8 +407,6 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         fixed size until the violation reaches zero or the budget ends."""
         nonlocal steps
         size = len(selection) - 1
-        if size == 0:
-            return None
         sel = selection.copy()
         rng.shuffle(sel)
         sel = sel[:size]
@@ -426,8 +452,11 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         return None
 
     best_feasible = find_feasible()
+    # a one-box incumbent has nothing left to shrink; any other exit is the
+    # budget's
     while (
         best_feasible is not None
+        and len(best_feasible) > 1
         and steps < max_nodes
         and not (monotonic() - start > wall_seconds)
     ):
@@ -435,8 +464,12 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         if smaller is None:
             break
         best_feasible = smaller
+    if best_feasible is not None and len(best_feasible) == 1:
+        stop = "exhausted"
+    else:
+        stop = "node cap" if steps >= max_nodes else "wall clock"
 
-    return _verified_result(instance, best_feasible, False, steps, start)
+    return _verified_result(instance, best_feasible, False, steps, start, stop)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,28 @@ class TestSearch:
         ) == 2
         assert "budget fields must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code, reason",
+        [
+            (["--ambient", "5,5,5", "--candidates", "odd-proper-box", "--max-nodes", "2"],
+             3, "node cap"),
+            (["--ambient", "5,5", "--candidates", "odd-proper-brick"], 0, "exhausted"),
+            (["--ambient", "3,3", "--candidates", "proper-box", "--t", "2",
+              "--engine", "anneal", "--max-nodes", "2000"], 0, "node cap"),
+            (["--ambient", "5,5,5", "--candidates", "odd-proper-box",
+              "--budget-seconds", "1e-9"], 3, "wall clock"),
+        ],
+        ids=["node-cap", "exhausted", "anneal", "wall-clock"],
+    )
+    def test_says_why_it_stopped(self, argv, code, reason, capsys):
+        assert main(["search", *argv]) == code
+        assert capsys.readouterr().err == f"stopped: {reason}\n"
+
+    def test_proof_line_unchanged(self, capsys):
+        """The stop reason goes to stderr; stdout keeps its one line."""
+        assert main(["search", "--ambient", "5,5", "--candidates", "odd-proper-brick"]) == 0
+        assert capsys.readouterr().out == "best size 9 (optimal proven: True; nodes 1711)\n"
+
     def test_writes_solution(self, tmp_path):
         out = tmp_path / "sol.txt"
         assert main(

@@ -331,6 +331,82 @@ def test_seed_order_node_counts(sides, predicate, t, size, nodes):
     assert (r.best_size, r.proven_optimal, r.nodes) == (size, True, nodes)
 
 
+# Large pools, cut by the node cap: 3,375 and 729 candidates over 125 and 64
+# points, far past the random pools of the reference-tree test.
+_OPB5X3_5000 = [
+    0, 7, 11, 13, 14, 105, 165, 195, 210, 112, 116, 118, 119, 172, 176, 178,
+    179, 202, 206, 208, 209, 217, 221, 223, 224, 1575, 2475, 2925, 3150, 1582,
+    1586, 1588, 1589, 2482, 2486, 2488, 2489, 2932, 2936, 2938, 2939, 3157,
+    3161, 3163, 3164, 1680, 1740, 1770, 1785, 2580, 2640, 2670, 2685, 3030,
+    3090, 3120, 3135, 3255, 3315, 3345, 3360, 1687, 1691, 1693, 1694, 1747,
+    1751, 1753, 1754, 1777, 1781, 1783, 1784, 1792, 1796, 1798, 1799, 2587,
+    2591, 2593, 2594, 2647, 2651, 2653, 2654, 2677, 2681, 2683, 2684, 2692,
+    2696, 2698, 2699, 3037, 3041, 3043, 3044, 3097, 3101, 3103, 3104, 3127,
+    3132, 3142, 3147, 3262, 3267, 3337, 3342,
+]
+_PBR4X3_20000 = [
+    0, 3, 6, 8, 27, 54, 72, 30, 33, 35, 57, 75, 60, 62, 79, 405, 410, 450, 455,
+]
+
+
+@pytest.mark.parametrize(
+    "sides, predicate, max_nodes, selection",
+    [
+        ((5, 5, 5), "odd_proper_box", 5000, _OPB5X3_5000),
+        ((4, 4, 4), "proper_brick", 20000, _PBR4X3_20000),
+    ],
+    ids=["opb5x3", "pbr4x3"],
+)
+def test_large_pool_node_capped_trees(sides, predicate, max_nodes, selection):
+    inst = instance(sides, predicate)
+    r = solve_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600))
+    assert (r.best_size, r.proven_optimal, r.nodes) == (len(selection), False, max_nodes)
+    assert r.best.boxes == tuple(inst.candidates[i] for i in selection)
+
+
+def _milp_optimum(inst):
+    """The instance's 0/1 program solved by HiGHS (``scipy.optimize.milp``),
+    its rows built from ``DiscreteBox.contains``: the optimum, or None."""
+    import numpy as np
+    from scipy import optimize
+    points = itertools.product(*(range(1, n + 1) for n in inst.ambient.sides))
+    rows = np.array([[c.contains(pt) for c in inst.candidates] for pt in points], dtype=float)
+    t = inst.multiplicity
+    upper = t if inst.mode == "exact" else np.inf
+    n = len(inst.candidates)
+    res = optimize.milp(
+        np.ones(n),
+        constraints=optimize.LinearConstraint(rows, t, upper),
+        integrality=np.ones(n),
+        bounds=optimize.Bounds(0, 1),
+    )
+    return None if res.status == 2 else round(res.fun)
+
+
+@pytest.mark.parametrize(
+    "sides, predicate, t",
+    [
+        # test_seed_order_node_counts and the benchmark's exact workload;
+        # the first is also acceptance criterion 4's [5]^2
+        ((5, 5), "odd_proper_brick", 1),
+        ((3, 9), "odd_proper_brick", 1),
+        ((2, 3, 4), "proper_brick", 1),
+        ((3, 5), "proper_brick", 2),
+        ((3, 3), "proper_box", 3),
+        # acceptance criterion 4
+        ((5,), "odd_proper_brick", 1),
+    ],
+)
+def test_proven_optima_match_highs(sides, predicate, t):
+    """An independent oracle for every optimum the engine proves: HiGHS
+    solving the same 0/1 program, skipped when scipy is missing."""
+    pytest.importorskip("scipy")
+    inst = instance(sides, predicate, t)
+    r = solve_cover(inst, SearchBudget())
+    assert r.proven_optimal
+    assert r.best_size == _milp_optimum(inst)
+
+
 def test_depth_beyond_recursion_limit():
     amb = Ambient.cube(7, 4)
     singletons = tuple(
@@ -339,6 +415,23 @@ def test_depth_beyond_recursion_limit():
     )
     r = solve_cover(CoverInstance(amb, singletons), SearchBudget())
     assert r.best_size == 2401 and r.proven_optimal
+
+
+def test_stop_reasons():
+    """Each engine names the exit it took."""
+    pair = instance((5, 5), "odd_proper_brick")
+    big = instance((5, 5, 5), "odd_proper_box")
+    assert solve_cover(pair, SearchBudget()).stop_reason == "exhausted"
+    assert solve_cover(big, SearchBudget(max_nodes=50)).stop_reason == "node cap"
+    assert solve_cover(big, SearchBudget(wall_seconds=1e-9)).stop_reason == "wall clock"
+    assert anneal_cover(pair, SearchBudget(max_nodes=500)).stop_reason == "node cap"
+    assert anneal_cover(big, SearchBudget(wall_seconds=1e-9)).stop_reason == "wall clock"
+    empty = CoverInstance(Ambient((3,)), ())
+    assert anneal_cover(empty, SearchBudget()).stop_reason == "exhausted"
+    # a one-box cover cannot shrink: the annealer stops before its budget
+    whole = CoverInstance(Ambient((3,)), (DiscreteBox.of([1, 2, 3]), DiscreteBox.of([1])))
+    r = anneal_cover(whole, SearchBudget(max_nodes=10_000))
+    assert (r.best_size, r.stop_reason) == (1, "exhausted") and r.nodes < 10_000
 
 
 @pytest.mark.parametrize("seconds", [0.0, -1.0, math.nan])
