@@ -175,7 +175,8 @@ def growth_root(recurrence: Iterable[float]) -> float:
     `recurrence` lists (c_1, ..., c_m); the characteristic polynomial is
     p(x) = x^m - sum c_i x^{m-i}.  With nonnegative coefficients (not all
     zero) p has a single sign change on [1, 1 + sum |c_i|], which brackets
-    the dominant root.
+    the dominant root.  A non-finite p at a bracket end raises GeometryError.
+    From 2^23 on, bisection stops at adjacent floats, over 1e-9 apart.
     """
     coeffs = [float(c) for c in recurrence]
     m = len(coeffs)
@@ -186,7 +187,13 @@ def growth_root(recurrence: Iterable[float]) -> float:
         return x**m - sum(c * x ** (m - 1 - i) for i, c in enumerate(coeffs))
 
     lo, hi = 1.0, 1.0 + sum(abs(c) for c in coeffs)
-    if p(hi) < 0:
+    try:
+        top = p(hi)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise GeometryError(f"cannot bracket a root of {coeffs}: p({hi:g}) is not finite")
+    if top < 0:
         raise GeometryError("no root in bracket")
     if p(lo) > 0:
         # dominant root below 1; widen the bracket downward
@@ -195,6 +202,8 @@ def growth_root(recurrence: Iterable[float]) -> float:
             raise GeometryError("no positive real root in bracket")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats
+            break
         if p(mid) <= 0:
             lo = mid
         else:

@@ -155,7 +155,7 @@ def _fmt(v) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    if args.root:
+    if args.root is not None:
         coeffs = [float(c) for c in args.root.split(",")]
         sys.stdout.write(f"{bounds_mod.growth_root(coeffs):.9f}\n")
         return EXIT_OK
@@ -281,8 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=_cmd_bounds)
 
     g = sub.add_parser("graph", help="two-colored graph reduction")
-    g.add_argument("--from-partition", default=None)
-    g.add_argument("--fig9", type=int, default=None, metavar="K")
+    source = g.add_mutually_exclusive_group(required=True)
+    source.add_argument("--from-partition", default=None)
+    source.add_argument("--fig9", type=int, default=None, metavar="K")
     g.add_argument("--colors", type=int, default=2)
     g.add_argument("--k", type=int, default=None)
     g.add_argument("--check", action="store_true")

@@ -334,7 +334,7 @@ def boxes_disjoint(b1: DiscreteBox, b2: DiscreteBox) -> bool:
 # Largest dense tensor (in cells) the checks below allocate; a bigger
 # ambient or line tensor raises GeometryError instead.
 _CELL_LIMIT = 1 << 27
-# Cells expanded per scatter step; bounds the incidence's working memory.
+# Most cells in one incidence batch, a run of whole boxes; a bigger box goes alone.
 _BATCH_CELLS = 1 << 13
 
 
@@ -449,40 +449,30 @@ def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int], skip: int | No
 def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):
     """Every cell of every box over ``axes``: yields batches of (row-major
     flat index into the tensor of shape ``sides[axes]``, number of the box
-    owning the cell).  A batch is a run of consecutive boxes of at most about
-    ``_BATCH_CELLS`` cells; a bigger box is cut into runs of its own cells."""
+    owning the cell), in box order.  A batch is a run of whole boxes: the
+    most consecutive boxes with at most ``_BATCH_CELLS`` cells in all, or one
+    bigger box on its own."""
     import numpy as np
 
     vals, starts, lens = csr
-    # below[b, t]: cells of box b over axes[t:]
-    below = np.ones((len(lens), len(axes) + 1), dtype=np.int64)
-    below[:, :-1] = np.cumprod(lens[:, axes[::-1]], axis=1)[:, ::-1]
-
-    def expand(flat, owner, t):
-        # each entry becomes one entry per coordinate of its box's axis-t factor
-        a, n = axes[t], lens[owner, axes[t]]
-        run = starts[owner, a] - n.cumsum() + n
-        pos = np.arange(int(n.sum())) + run.repeat(n)
-        return (flat * sides[a]).repeat(n) + vals[a][pos], owner.repeat(n)
-
-    def batches(flat, owner, t):
-        # runs ending in the same budget window; an oversized entry stands alone
-        size = below[owner, t]
-        big = size > _BATCH_CELLS
-        window = (size.cumsum() - 1) // _BATCH_CELLS
-        cuts = np.flatnonzero((window[1:] != window[:-1]) | big[1:] | big[:-1]) + 1
-        bounds = [0, *cuts.tolist(), len(owner)]
-        for i, j in zip(bounds, bounds[1:]):
-            f, o = flat[i:j], owner[i:j]
-            if j - i == 1 and big[i]:
-                yield from batches(*expand(f, o, t), t + 1)
-                continue
-            for u in range(t, len(axes)):
-                f, o = expand(f, o, u)
-            yield f, o
-
-    boxes = np.arange(len(lens))
-    yield from batches(np.zeros_like(boxes), boxes, 0)
+    # ahead[b]: the cells of the boxes before box b
+    ahead = np.concatenate(([0], lens[:, axes].prod(axis=1).cumsum()))
+    i = 0
+    while True:
+        # boxes i..j-1: the most that fit the budget, and one at least if any
+        j = int(np.searchsorted(ahead, ahead[i] + _BATCH_CELLS, "right")) - 1
+        j = min(max(j, i + 1), len(lens))
+        flat, owner = np.zeros(j - i, dtype=np.int64), np.arange(i, j)
+        for a in axes:
+            # each entry becomes one entry per coordinate of its box's axis-a factor
+            n = lens[owner, a]
+            run = starts[owner, a] - n.cumsum() + n
+            pos = np.arange(int(n.sum())) + run.repeat(n)
+            flat, owner = (flat * sides[a]).repeat(n) + vals[a][pos], owner.repeat(n)
+        yield flat, owner
+        if j == len(lens):
+            return
+        i = j
 
 
 def _scatter_sum(csr, sides: Sequence[int], skip: int | None = None, weights=None):
@@ -556,12 +546,8 @@ def verify_cover(
 def _line_minima(csr, sides: Sequence[int], weights=None) -> tuple[int, ...]:
     """Per axis i, the least weighted line sum over all axis-i lines; the
     weight of box b on axis i is ``weights[b, i]``, or 1 by default."""
-    import numpy as np
-
-    w = np.ones_like(csr[2]) if weights is None else weights
-    return tuple(
-        int(_scatter_sum(csr, sides, i, w[:, i]).min()) for i in range(len(sides))
-    )
+    columns = [None] * len(sides) if weights is None else weights.T
+    return tuple(int(_scatter_sum(csr, sides, i, w).min()) for i, w in enumerate(columns))
 
 
 def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:

@@ -48,6 +48,7 @@ from .geometry import (
     _check_demand,
     _factor_csr,
     _incidence,
+    _is_interval,
     _normalize_factor,
     _validate_boxes,
     verify_cover,
@@ -122,27 +123,11 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
 
     per_axis: list[list[tuple[int, ...]]] = []
     for n in ambient.sides:
-        factors = []
-        if want_brick:
-            subsets = (
-                tuple(range(a, b + 1))
-                for a in range(1, n + 1)
-                for b in range(a, n + 1)
-            )
-        else:
-            subsets = (
-                c
-                for size in range(1, n + 1)
-                for c in itertools.combinations(range(1, n + 1), size)
-            )
-        for s in subsets:
-            if len(s) == n:
-                continue  # proper
-            if want_odd and len(s) % 2 == 0:
-                continue
-            factors.append(_normalize_factor(s))  # shared by every box below
-        factors.sort()
-        per_axis.append(factors)
+        # proper: sizes below n; each factor is shared by every box below
+        sizes = range(1, n, 2 if want_odd else 1)
+        subsets = (s for k in sizes for s in itertools.combinations(range(1, n + 1), k))
+        factors = (s for s in subsets if not want_brick or _is_interval(s))
+        per_axis.append(sorted(map(_normalize_factor, factors)))
     what = f"a {ambient.dim}-axis candidate pool"
     _check_cells([*map(len, per_axis), ambient.dim], what)
     _check_cells([sum(map(len, fs)) for fs in per_axis], f"the incidence of {what}")
@@ -232,10 +217,13 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
 
     ``proven_optimal`` is true iff the tree was exhausted inside the budget;
     an infeasible instance yields best None, best_size infinity, proven.
-    ``stop_reason`` is "exhausted", "node cap" or "wall clock".
+    ``stop_reason`` is "exhausted", "node cap" or "wall clock".  Masks over
+    the cell limit in bytes (a bit per candidate and point) are refused.
     """
+    what = f"a {instance.ambient.dim}-axis candidate pool"
+    n_pts = _check_cells(instance.ambient.sides, f"the ambient of {what}")
+    _check_cells([len(instance.candidates), -(-n_pts // 8)], f"the masks of {what}")
     cand_pts, covers_point = _pool_incidence(instance)
-    n_pts = len(covers_point)
     t = instance.multiplicity
     exact = instance.mode == "exact"
     # per candidate its points as a mask, and their number; per point the

@@ -128,6 +128,13 @@ class TestGrowthRoot:
         with pytest.raises(GeometryError):
             growth_root([])
 
+    @pytest.mark.parametrize("coeffs", [[math.nan], [1e200, 0], [1, -1e300, 1e300]])
+    def test_unbracketable_rejected(self, coeffs):
+        """A NaN, or p overflowing at the top of the bracket.  The cases a
+        regression would leave looping run in a subprocess in the CLI tests."""
+        with pytest.raises(GeometryError, match="cannot bracket a root"):
+            growth_root(coeffs)
+
 
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)

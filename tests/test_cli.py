@@ -1,12 +1,31 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import get_args
 
 import pytest
 
+import boxkit
 from boxkit import geometry
 from boxkit.cli import main
 from boxkit.constructions import _LIBRARY, APPENDIX_25_LISTING
 from boxkit.search import Predicate
+
+
+def _boxkit(argv):
+    """``python -m boxkit.cli`` on ``argv`` in a fresh interpreter, killed
+    after 20 s."""
+    src = str(Path(boxkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "boxkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -193,6 +212,21 @@ class TestBounds:
         assert main(["bounds", "--root", "0,13,9"]) == 0
         assert capsys.readouterr().out.startswith("3.911627")
 
+    @pytest.mark.parametrize("root", ["1e200,0", "1e308,1e308", "inf", "-inf", "nan", ""])
+    def test_root_it_cannot_bracket_is_usage_error(self, root):
+        """Overflow, a non-finite bracket, a NaN or no coefficient at all: exit
+        2 and one error line, in a subprocess, so a bisection that never ends
+        fails the test."""
+        done = _boxkit(["bounds", f"--root={root}"])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert done.stdout == ""
+
+    def test_huge_root_ends(self):
+        """Past 2^23 adjacent floats are over 1e-9 apart; bisection stops there."""
+        done = _boxkit(["bounds", "--root", "1e8"])
+        assert (done.returncode, done.stdout) == (0, "100000000.000000000\n")
+
 
 class TestGraph:
     def test_fig9_check(self, capsys):
@@ -209,6 +243,16 @@ class TestGraph:
         assert main(
             ["graph", "--from-partition", str(out), "--k", "3"]
         ) == 0
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--fig9", "4", "--from-partition", "q.txt"], ["--check"]]
+    )
+    def test_one_source_required(self, argv, capsys):
+        """Neither or both of --fig9 and --from-partition: a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", *argv])
+        assert exc.value.code == 2
+        assert "--from-partition" in capsys.readouterr().err
 
     def test_from_partition_requires_k(self, tmp_path):
         out = tmp_path / "q.txt"
@@ -248,6 +292,16 @@ class TestExportRender:
         argv = [command, "--ambient", "2,2,2,2,2,2", "--candidates", "proper-box"]
         assert main(argv) == 2
         assert "candidate pool exceeds the 383-cell limit" in capsys.readouterr().err
+
+    def test_oversized_masks_refuse_search_not_export(self, monkeypatch, capsys):
+        # 576 odd proper bricks of [9]^2: 5,776 incidence cells, 576 x 11 mask bytes
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 576 * 11 - 1)
+        argv = ["--ambient", "9,9", "--candidates", "odd-proper-brick"]
+        assert main(["search", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: the masks of a 2-axis candidate pool exceeds the 6335-cell limit\n"
+        )
+        assert main(["export", *argv]) == 0
 
     @pytest.mark.parametrize("format", ["ascii", "svg"])
     def test_render_oversized_text_is_usage_error(

@@ -491,8 +491,8 @@ def random_partitions(draw):
     return BoxFamily(Ambient(tuple(sides)), tuple(DiscreteBox(p) for p in parts))
 
 
-# 1 and 3 cut almost every box into runs of its own cells; the default budget
-# keeps these families in a single batch.
+# 1 and 3 put almost every box in a batch of its own, bigger than the budget;
+# the default budget keeps these families in a single batch.
 batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
 
 
@@ -574,10 +574,32 @@ def test_boxes_spanning_several_batches():
     assert rep.per_axis_piercing == (1, 1, 2)
 
 
+@given(random_families(), st.sampled_from([1, 3, 5, 40, geometry._BATCH_CELLS]))
+@settings(max_examples=150, deadline=None)
+def test_batches_are_runs_of_whole_boxes(fam, budget):
+    """Each batch holds whole consecutive boxes, in order: the most that fit
+    the budget, or one bigger box alone.  No boxes give one empty batch."""
+    csr = geometry._factor_csr(fam.boxes, fam.ambient.dim)
+    axes = list(range(fam.ambient.dim))
+    with mock.patch.object(geometry, "_BATCH_CELLS", budget):
+        batches = list(geometry._incidence(csr, fam.ambient.sides, axes))
+    cells = [b.cardinality for b in fam.boxes]
+    runs = [np.unique(owner).tolist() for _, owner in batches]
+    assert [b for run in runs for b in run] == list(range(len(fam)))
+    assert all(runs) if fam.boxes else len(batches) == 1
+    for (flat, owner), run in zip(batches, runs):
+        assert len(flat) == len(owner) == sum(cells[b] for b in run)
+        assert (np.diff(owner) >= 0).all()
+        assert len(run) == 1 or sum(cells[b] for b in run) <= budget
+        end = run[-1] + 1 if run else 0
+        if end < len(fam):  # the next box would not have fit
+            assert sum(cells[b] for b in run) + cells[end] > budget
+
+
 def test_quotient_box_spanning_several_batches():
     """The full box of [24]^3 and the 24 unit slabs on each axis: every
     coordinate is a class of its own, so the quotient keeps all 24^3 cells
-    and the full box alone is cut across batches when it is verified."""
+    and the full box alone is bigger than a batch when it is verified."""
     n = 24
     amb = Ambient.cube(n, 3)
     side = range(1, n + 1)
@@ -589,8 +611,6 @@ def test_quotient_box_spanning_several_batches():
     fam = BoxFamily(amb, (box(side, side, side), *slabs))
     q = geometry._quotient(fam.boxes, amb.sides)
     assert math.prod(q.sides) == n**3 > geometry._BATCH_CELLS
-    batches = geometry._incidence(q.csr, q.sides, [0, 1, 2])
-    assert sum(0 in owner for _, owner in batches) > 1
     rep = verify_cover(fam, 4, "exact")
     assert rep.multiplicity_ok and rep.first_violation is None
     assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (4, 4)

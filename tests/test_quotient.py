@@ -156,7 +156,7 @@ def products(draw):
 
 
 families = st.one_of(any_families(), refined_partitions(), lifted(), products())
-# 1 and 3 cut almost every box into runs of its own cells
+# 1 and 3 put almost every box in a batch of its own, bigger than the budget
 batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
 
 

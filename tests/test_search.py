@@ -286,6 +286,21 @@ def test_pool_incidence_matches_contains(inst, batch_cells):
     ]
 
 
+def test_oversized_masks_refused_before_the_incidence(monkeypatch):
+    """40 singletons of [40]^2: 40 x 1,600 bits, 8,000 bytes of masks, against
+    an ambient of 1,600 cells and an incidence of 40.  One byte under that,
+    ``solve_cover`` refuses before the pool's incidence is built."""
+    inst = CoverInstance(Ambient((40, 40)), tuple(DiscreteBox.of([i], [i]) for i in range(1, 41)))
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 8000)
+    result = solve_cover(inst, SearchBudget())
+    assert (result.best, result.proven_optimal) == (None, True)
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 7999)
+    monkeypatch.setattr(search, "_pool_incidence", None)
+    with pytest.raises(GeometryError) as exc:
+        solve_cover(inst, SearchBudget())
+    assert str(exc.value) == "the masks of a 2-axis candidate pool exceeds the 7999-cell limit"
+
+
 def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
     """A one-box pool over [10^5]^2 is refused before the per-point lists or
     the factor arrays are built, by every engine."""
