@@ -190,11 +190,10 @@ def _cmd_graph(args) -> int:
         g = fig9_graph(args.fig9, args.colors)
         k = args.k if args.k is not None else args.fig9
     else:
-        doc = _read_document(args.from_partition)
-        g = partition_to_graph(doc.family())
         if args.k is None:
             raise GeometryError("--k is required with --from-partition")
         k = args.k
+        g = partition_to_graph(_read_document(args.from_partition).family())
     sys.stdout.write(
         f"graph: {g.vertex_count} vertices, "
         + ", ".join(

@@ -22,10 +22,11 @@ obtained from the greedy clique-peeling recursion, which approaches
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .bounds import BoundValue
-from .geometry import BoxFamily, GeometryError, _factor_csr, _incidence, verify_cover
+from .geometry import BoxFamily, GeometryError, _check_cells, _factor_csr, _incidence, verify_cover
 
 __all__ = [
     "TwoColoredGraph",
@@ -180,13 +181,17 @@ def fig9_graph(k: int, colors: int = 2) -> TwoColoredGraph:
     of the lower-indexed group otherwise; partner groups (2c, 2c+1) are not
     joined.  For two colors this is exactly the four-group picture: two
     diagonal red cliques joined to their row-neighbors in red, the other
-    diagonal in blue joined along columns.
+    diagonal in blue joined along columns.  A graph whose edge count,
+    C(n, 2) - colors*(k-1)^2 for n = 2*colors*(k-1), passes the cell limit
+    is refused before any edge is built.
     """
     if k < 2:
         raise GeometryError("k must be >= 2")
     if colors < 2:
         raise GeometryError("need at least two colors")
     m = k - 1
+    n = 2 * colors * m
+    _check_cells([math.comb(n, 2) - colors * m * m], f"the edges of a {colors}-color fig9 graph")
     group = lambda g: range(g * m, (g + 1) * m)
     edges: list[set[tuple[int, int]]] = [set() for _ in range(colors)]
     for g in range(2 * colors):
@@ -200,7 +205,7 @@ def fig9_graph(k: int, colors: int = 2) -> TwoColoredGraph:
         for a in group(g):
             for b in group(h):
                 edges[c].add(_norm_edge((a, b)))
-    return TwoColoredGraph(2 * colors * m, tuple(frozenset(e) for e in edges))
+    return TwoColoredGraph(n, tuple(frozenset(e) for e in edges))
 
 
 def prop43_lower(k: int) -> BoundValue:

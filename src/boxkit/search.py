@@ -332,16 +332,20 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     for the outgoing slot, then ``randrange(len(pool))`` for the incoming
     candidate, and ends there, still counted, when that candidate is already
     chosen; either draws ``random()`` only when the move makes the energy
-    worse; each shrink begins with one ``shuffle`` of the incumbent.  Given
-    the same instance (pool order included), the same seed and a
-    ``max_nodes`` that binds before ``wall_seconds``, it returns the same
-    selection and step count.
+    worse; each shrink begins with one ``shuffle`` of the incumbent.  Each
+    ``randrange(m)`` is made inline as ``getrandbits(m.bit_length())``,
+    redrawn while the value is ``>= m``: that is how ``randrange(m)`` draws
+    on CPython 3.10 and 3.11, so the stream and the results are those of
+    ``randrange``.  Given the same instance (pool order included), the same
+    seed and a ``max_nodes`` that binds before ``wall_seconds``, it returns
+    the same selection and step count.
     """
     rng = random.Random(budget.seed)
-    randrange, uniform, exp, monotonic = rng.randrange, rng.random, math.exp, time.monotonic
+    bits, uniform, exp, monotonic = rng.getrandbits, rng.random, math.exp, time.monotonic
     cand_pts, covers_point = _pool_incidence(instance)
     n_pts = len(covers_point)
     n_cand = len(cand_pts)
+    k_cand = n_cand.bit_length()
     t = instance.multiplicity
     exact = instance.mode == "exact"
     max_nodes, wall_seconds = budget.max_nodes, budget.wall_seconds
@@ -367,7 +371,9 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         weight, temp = 3, 1.0
         while steps < max_nodes and not (monotonic() - start > wall_seconds):
             steps += 1
-            ci = randrange(n_cand)
+            ci = bits(k_cand)
+            while ci >= n_cand:
+                ci = bits(k_cand)
             pts = cand_pts[ci]
             if used[ci]:
                 sign, table = -1, down
@@ -395,6 +401,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         fixed size until the violation reaches zero or the budget ends."""
         nonlocal steps
         size = len(selection) - 1
+        k_size = size.bit_length()
         sel = selection.copy()
         rng.shuffle(sel)
         sel = sel[:size]
@@ -408,11 +415,16 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         temp, stagnation = 1.0, 0
         while steps < max_nodes and not (monotonic() - start > wall_seconds):
             steps += 1
-            slot = randrange(size)
-            ci_out, ci_in = sel[slot], randrange(n_cand)
+            slot = bits(k_size)
+            while slot >= size:
+                slot = bits(k_size)
+            ci_in = bits(k_cand)
+            while ci_in >= n_cand:
+                ci_in = bits(k_cand)
             if used[ci_in]:
                 continue
             # take the outgoing box out; the incoming one is only priced
+            ci_out = sel[slot]
             out_pts, in_pts = cand_pts[ci_out], cand_pts[ci_in]
             dv = 0
             for p in out_pts:

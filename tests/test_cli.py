@@ -260,6 +260,15 @@ class TestGraph:
               "--out", str(out)])
         assert main(["graph", "--from-partition", str(out)]) == 2
 
+    def test_from_partition_refused_without_k_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["graph", "--from-partition", str(missing)]) == 2
+        assert capsys.readouterr().err == "error: --k is required with --from-partition\n"
+
+    def test_unbounded_fig9_is_usage_error(self, capsys):
+        assert main(["graph", "--fig9", "3", "--colors", "100000000"]) == 2
+        assert "cell limit" in capsys.readouterr().err
+
 
 class TestExportRender:
     def test_export_lp(self, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkit import geometry
 from boxkit.constructions import grid_partition, quadrant_construction
 from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError
 from boxkit.graphq import (
@@ -150,6 +151,29 @@ class TestFig9:
         g = fig9_graph(3, colors=t)
         assert g.vertex_count == 2 * t * 2
         assert clique_property_check(g, 3).holds
+
+    def test_k8_unchanged(self):
+        """Groups of 7: a group is a clique of its color, partner groups are
+        not joined, other pairs take the color the docstring names."""
+        g = fig9_graph(8)
+        expected = [set(), set()]
+        for a, b in itertools.combinations(range(28), 2):
+            ga, gb = a // 7, b // 7
+            if ga == gb:
+                expected[ga // 2].add((a, b))
+            elif ga // 2 != gb // 2:
+                expected[gb // 2 if ga % 2 == gb % 2 else ga // 2].add((a, b))
+        assert (g.vertex_count, list(g.colored_edges)) == (28, expected)
+
+    def test_unbounded_graph_refused_before_building(self, monkeypatch):
+        with pytest.raises(GeometryError, match="cell limit"):
+            fig9_graph(3, colors=10**8)
+        # fig9_graph(8) has C(28, 2) - 2 * 7^2 = 280 edges
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 280)
+        fig9_graph(8)
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 279)
+        with pytest.raises(GeometryError, match="279-cell limit"):
+            fig9_graph(8)
 
     def test_errors(self):
         with pytest.raises(GeometryError):

@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxkit import geometry, search
@@ -643,6 +643,19 @@ def anneal_instances(draw):
 
 @given(anneal_instances(), st.integers(1, 20_000), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
+# one candidate: each draw is getrandbits(1), and half of them are redrawn
+@example(CoverInstance(Ambient((3,)), (DiscreteBox.of([2]),)), 500, 7)
+# 64 = 2^6 candidates: getrandbits(7), and again half are redrawn
+@example(instance((5, 5), "odd_proper_brick"), 20_000, 2)
+# the first cover is {1}, {2}, so shrink draws its slot with size == 1 until
+# it swaps in {1, 2}
+@example(
+    CoverInstance(
+        Ambient((2,)), (DiscreteBox.of([1]), DiscreteBox.of([2]), DiscreteBox.of([1, 2]))
+    ),
+    200,
+    8,
+)
 def test_anneal_follows_the_reference(inst, max_nodes, seed):
     r = anneal_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600, seed=seed))
     sel, size, steps = _reference_anneal_cover(inst, max_nodes, seed)
