@@ -18,6 +18,11 @@ Covers:
 Labeled partitions assign each part a vector of per-axis piercing targets;
 realization solves the (a_1,...,a_d)-piercing subproblem inside each part,
 so the final size is the sum of per-part subproblem sizes.
+
+Every construction that takes sizes from its caller counts, from those
+arguments alone, the cells its boxes' factors would hold (exactly, or bounded
+from above), and raises GeometryError past geometry's cell limit before it
+builds any factor.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .geometry import (
     GeometryError,
     IntermediatePartition,
     PiercingVector,
+    _check_cells,
     _normalize_factor,
     classify_box,
     weighted_piercing_ok,
@@ -65,7 +71,14 @@ def trivial_odd_partition(n: int, d: int) -> BoxFamily:
         raise GeometryError(f"need odd n >= 3, got {n}")
     if d < 1:
         raise GeometryError("d must be >= 1")
+    _check_slab_grid(3, n, d, "a trivial partition")
     return _slab_grid([(1,), _r(2, n - 1), (n,)], n, d)
+
+
+def _check_slab_grid(k: int, n: int, d: int, what: str) -> None:
+    """Refuse a ``_slab_grid`` of k pieces whose box factors, d * k^(d-1) * n
+    cells in all, pass the cell limit, before any piece is built."""
+    _check_cells(itertools.chain((d, n), itertools.repeat(k, d - 1)), f"the box factors of {what}")
 
 
 def _slab_grid(pieces, n: int, d: int) -> BoxFamily:
@@ -97,6 +110,7 @@ def grid_partition(d: int, k: int, n: int | None = None) -> BoxFamily:
     n = k if n is None else n
     if n < k:
         raise GeometryError(f"side {n} too small for {k} slabs")
+    _check_slab_grid(k, n, d, "a grid partition")
     return _slab_grid(_even_split(_r(1, n), k), n, d)
 
 
@@ -168,6 +182,11 @@ def lift(p: BoxFamily, m: int) -> BoxFamily:
         raise GeometryError(f"cannot lift [{n}]^d down to [{m}]^d")
     if m == n:
         return p
+    # every factor ending at n grows by m - n cells
+    _check_cells(
+        [sum(len(f) + (f[-1] == n) * (m - n) for b in p.boxes for f in b.factors)],
+        "the box factors of a lifted family",
+    )
     tail = tuple(range(n + 1, m + 1))
     # one lifted tuple per distinct factor, interned once, so every box shares it
     grown = {
@@ -265,8 +284,13 @@ def quadrant_construction(d: int, k: int) -> BoxFamily:
         raise GeometryError("d must be >= 1")
     if k < 2:
         raise GeometryError("k must be >= 2")
+    what = "the box factors of a quadrant construction"
+    # at least 2^d boxes of d factors each: refused before _plan's table grows
+    _check_cells(itertools.chain((d,), itertools.repeat(2, d)), what)
     labels = (k,) * d
-    sides = tuple(max(n, 2) for n in _plan(labels)[1])
+    size, need = _plan(labels)
+    sides = tuple(max(n, 2) for n in need)
+    _check_cells([size, sum(sides)], what)
     factors = tuple(tuple(range(1, n + 1)) for n in sides)
     boxes = tuple(DiscreteBox(f) for f in _build(factors, labels))
     return BoxFamily(Ambient(sides), boxes)
@@ -547,6 +571,11 @@ def _part_labels(ip: IntermediatePartition, k: int, tail_dims: int):
     the labels are checked to reach k."""
     if tail_dims < 0:
         raise GeometryError("tail_dims must be >= 0")
+    # every part becomes boxes of d + tail_dims factors, at least 2^tail_dims
+    # of them when k > 1: refused before the labels and _plan's table grow
+    least = (len(ip.parts), ip.ambient.dim + tail_dims)
+    doubling = itertools.repeat(2, tail_dims if k > 1 else 0)
+    _check_cells(itertools.chain(least, doubling), "the box factors of a realized partition")
     if not weighted_piercing_ok(ip, k):
         raise GeometryError("labels do not reach the piercing target k")
     return [vec.labels + (k,) * tail_dims for _, vec in ip.parts]
@@ -577,6 +606,10 @@ def realize(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> BoxFamily:
     scale = [side // n for n in sides]
     tail_sides = (side,) * tail_dims
     new_sides = (side,) * len(sides) + tail_sides
+    _check_cells(
+        [sum(_plan(lab)[0] for lab in labels), len(new_sides), side],
+        "the box factors of a realized partition",
+    )
 
     boxes = []
     for (box, _), lab in zip(ip.parts, labels):

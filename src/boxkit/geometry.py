@@ -424,26 +424,15 @@ def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int], skip: int | No
     """The boxes on the quotient grid of ``_axis_classes``.  Equivalent points
     lie in the same boxes, and the lines through them meet the same boxes,
     so coverage, multiplicity and line sums on one cell per class are exact
-    for the whole ambient.  The tensor over every axis but ``skip`` is
-    bounded by ``_check_cells`` one axis at a time, so an oversized quotient
-    is refused as soon as the classes found pass the limit, before the
-    classes of the remaining axes and before any tensor."""
-    columns = _columns(boxes, len(sides))
-    axes = [j for j in range(len(sides)) if j != skip]
-    found = {}
-
-    def classes(j):
-        factors, which = _distinct(columns[j])
-        runs, least = _axis_classes(factors, sides[j])
-        found[j] = factors, which, runs, least
-        return len(least)
-
-    _check_cells(map(classes, axes), f"a tensor over {len(axes)} axes")
-    if skip is not None:
-        classes(skip)
-    factors, which, runs, least = zip(*(found[j] for j in range(len(sides))))
-    csr = _csr(zip(runs, which))
-    return _Quotient(csr, tuple(map(len, least)), least, factors)
+    for the whole ambient.  The classes of every axis are found in one pass,
+    whose cost is the total size of the distinct factors, and then the
+    tensor over every axis but ``skip`` is bounded by ``_check_cells``, so an
+    oversized quotient is refused before any tensor is allocated."""
+    factors, which = zip(*map(_distinct, _columns(boxes, len(sides))))
+    runs, least = zip(*map(_axis_classes, factors, sides))
+    shape = [len(c) for j, c in enumerate(least) if j != skip]
+    _check_cells(shape, f"a tensor over {len(shape)} axes")
+    return _Quotient(_csr(zip(runs, which)), tuple(map(len, least)), least, factors)
 
 
 def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):

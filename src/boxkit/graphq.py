@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .bounds import BoundValue
 from .geometry import BoxFamily, GeometryError, _check_cells, _factor_csr, _incidence, verify_cover
+from .search import _bitmasks
 
 __all__ = [
     "TwoColoredGraph",
@@ -110,31 +111,31 @@ def partition_to_graph(p: BoxFamily) -> TwoColoredGraph:
     return TwoColoredGraph(len(p.boxes), tuple(colored))
 
 
-def _find_clique_with(
-    v: int, adj: list[set[int]], k: int, budget: list[int]
-) -> tuple[int, ...] | None:
-    """A k-clique containing v in the graph given by adjacency sets, or
-    None.  Plain branch-and-bound on the neighborhood; each call decrements
-    the shared node budget and raises when it is exhausted."""
-
-    def extend(clique: list[int], allowed: list[int]) -> tuple[int, ...] | None:
+def _find_clique_with(v: int, nbr: list[int], k: int, budget: list[int]) -> tuple[int, ...] | None:
+    """A k-clique containing v in the graph given by neighbour bitmasks, or
+    None.  Plain branch-and-bound on the neighborhood, walked with an
+    explicit stack: ``left[i]`` masks the vertices still to try after
+    ``clique[i]``, lowest first.  Each node decrements the shared budget and
+    raises when it is exhausted."""
+    clique, left = [v], [nbr[v]]
+    while True:
         budget[0] -= 1
         if budget[0] < 0:
             raise GeometryError("clique search budget exhausted")
         if len(clique) == k:
             return tuple(clique)
-        if len(clique) + len(allowed) < k:
-            return None
-        for idx, u in enumerate(allowed):
-            clique.append(u)
-            narrowed = [w for w in allowed[idx + 1 :] if w in adj[u]]
-            found = extend(clique, narrowed)
-            if found is not None:
-                return found
+        if len(clique) + left[-1].bit_count() < k:
+            left[-1] = 0  # too few left: try no child
+        while not left[-1]:
+            left.pop()
             clique.pop()
-        return None
-
-    return extend([v], sorted(adj[v]))
+            if not left:
+                return None
+        low = left[-1] & -left[-1]
+        left[-1] ^= low
+        u = low.bit_length() - 1
+        clique.append(u)
+        left.append(left[-1] & nbr[u])
 
 
 def clique_property_check(
@@ -148,22 +149,19 @@ def clique_property_check(
     budget = [max_nodes]
     all_witnesses = []
     for color in range(g.colors):
-        adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
+        adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
         for a, b in g.colored_edges[color]:
-            adj[a].add(b)
-            adj[b].add(a)
+            adj[a].append(b)
+            adj[b].append(a)
+        nbr = _bitmasks(adj, g.vertex_count)
         witnesses: list[tuple[int, ...] | None] = [None] * g.vertex_count
         for v in range(g.vertex_count):
             if witnesses[v] is not None:
                 continue
-            clique = _find_clique_with(v, adj, k, budget)
+            clique = _find_clique_with(v, nbr, k, budget)
             if clique is None:
-                return CliquePropertyReport(
-                    False,
-                    tuple(tuple(w or () for w in all_witnesses)),
-                    v,
-                    color,
-                )
+                witnessed = tuple(w or () for w in all_witnesses)
+                return CliquePropertyReport(False, witnessed, v, color)
             for u in clique:  # one witness serves all its members
                 if witnesses[u] is None:
                     witnesses[u] = clique

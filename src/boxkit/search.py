@@ -477,7 +477,9 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
 
 def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
     """Emit the 0/1 program for the instance: one binary variable per
-    candidate (in pool order), one constraint per ambient point."""
+    candidate (in pool order), one constraint per ambient point.  A CNF
+    model whose clause count passes geometry's cell limit raises
+    GeometryError before any clause is built."""
     _, covers_point = _pool_incidence(instance)
     n_vars = len(instance.candidates)
 
@@ -506,6 +508,9 @@ def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
                 "cnf export supports only exact multiplicity 1 "
                 "(no cardinality encoding is provided)"
             )
+        # one at-least-one clause per point and one at-most-one clause per pair
+        pairs = sum(math.comb(len(cs), 2) for cs in covers_point)
+        _check_cells([len(covers_point) + pairs], "the clauses of a cnf model")
         clauses: list[list[int]] = []
         for cs in covers_point:
             vs = [ci + 1 for ci in cs]

@@ -120,6 +120,24 @@ class TestConstruct:
         assert main(["construct", "grid", "--d", "2", "--k", "1"]) == 2
         assert main(["construct", "trivial", "--n", "0", "--d", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid", "--d", "2", "--k", "2", "--n", "1000000000000"],
+            ["trivial", "--n", "1000000000001"],
+            ["trivial", "--d", "1000000000000"],
+            ["quadrant", "--d", "1000000"],
+            ["quadrant", "--k", "1000000000000"],
+            ["realize", "--fig", "fig6", "--k", "1000000000000"],
+            ["realize", "--fig", "fig6", "--k", "4", "--tail", "1000000000"],
+        ],
+    )
+    def test_oversized_family_is_usage_error(self, argv, capsys):
+        """Refused from the arguments, before any factor is built."""
+        assert main(["construct", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the box factors of ") and "cell limit" in err
+
     @pytest.mark.parametrize("fig", list(_LIBRARY))
     def test_every_library_fig_realizes(self, fig, capsys):
         assert main(["construct", "realize", "--fig", fig, "--k", "3"]) == 0
@@ -269,6 +287,20 @@ class TestGraph:
         assert main(["graph", "--fig9", "3", "--colors", "100000000"]) == 2
         assert "cell limit" in capsys.readouterr().err
 
+    def test_deep_clique_fails_without_traceback(self, tmp_path):
+        """A strip of 1,001 cells beside one long box: the red K_1001 is found
+        1,001 levels deep, and the long box is in no red K_1001."""
+        strip = tmp_path / "strip.txt"
+        cells = "".join(f"Box({i}) = {{1}} x {{{i}}}\n" for i in range(1, 1002))
+        column = ",".join(map(str, range(1, 1002)))
+        strip.write_text(f"Ambient = 2 x 1001\n{cells}Box(1002) = {{2}} x {{{column}}}\n")
+        done = _boxkit(["graph", "--from-partition", str(strip), "--k", "1001"])
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.splitlines()[-1] == (
+            "clique property fails for k=1001 at vertex 1001 color 0"
+        )
+        assert "Traceback" not in done.stderr
+
 
 class TestExportRender:
     def test_export_lp(self, capsys):
@@ -282,6 +314,17 @@ class TestExportRender:
             ["export", "--ambient", "3,3", "--candidates", "proper-box",
              "--t", "2", "--format", "cnf"]
         ) == 2
+
+    def test_oversized_cnf_is_usage_error(self):
+        """385,850,353 clauses for the proper boxes of [7]^2: refused before
+        any is built, in a subprocess killed after 20 s."""
+        done = _boxkit(
+            ["export", "--ambient", "7,7", "--candidates", "proper-box", "--format", "cnf"]
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: the clauses of a cnf model exceeds the 134217728-cell limit\n"
+        )
 
     def test_render_ascii(self, p25_file, capsys):
         assert main(["render", p25_file]) == 0

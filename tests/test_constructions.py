@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkit import constructions, geometry
 from boxkit.constructions import (
     APPENDIX_25_LISTING,
     _build,
@@ -258,6 +259,66 @@ class TestRealize:
         )
         with pytest.raises(GeometryError):
             realize(ip, 3)
+
+
+def _factor_cells(fam):
+    return sum(len(f) for b in fam.boxes for f in b.factors)
+
+
+class TestCellLimit:
+    """A construction counts the factor cells of the family it would build,
+    exactly or as an upper bound, and refuses one past the cell limit before
+    building any factor: the builders are gone when it is refused."""
+
+    @pytest.mark.parametrize(
+        "build, bound, builders",
+        [
+            # 3^2 boxes whose pieces split each side: d * 3^(d-1) * n, exact
+            (lambda: trivial_odd_partition(5, 2), 30, ["_r", "_slab_grid"]),
+            (lambda: grid_partition(2, 3, 10), 60, ["_r", "_slab_grid"]),
+            # 8 boxes on [4]^2: at most 8 * (4 + 4)
+            (lambda: quadrant_construction(2, 3), 64, ["_build", "DiscreteBox"]),
+            # 8 boxes of 2 factors on [6]^2, and 24 boxes of 3 on [6]^3
+            (lambda: realize(intermediate_library("fig3", 3), 3), 96, ["_build"]),
+            (lambda: realize(intermediate_library("fig3", 3), 3, 1), 432, ["_build"]),
+        ],
+        ids=["trivial", "grid", "quadrant", "realize", "realize-tail"],
+    )
+    def test_refused_before_building(self, build, bound, builders, monkeypatch):
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", bound)
+        assert _factor_cells(build()) <= bound
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", bound - 1)
+        for name in builders:
+            monkeypatch.setattr(constructions, name, None)
+        with pytest.raises(GeometryError, match=f"^the box factors of .* {bound - 1}-cell limit"):
+            build()
+
+    def test_lift_refused_before_building(self, monkeypatch):
+        # 9 boxes on [3]^2 lifted to [5]^2: {3} grows to {3,4,5}, 30 cells exactly
+        fam = trivial_odd_partition(3, 2)
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 30)
+        assert _factor_cells(lift(fam, 5)) == 30
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 29)
+        monkeypatch.setattr(constructions, "_normalize_factor", None)
+        monkeypatch.setattr(constructions, "DiscreteBox", None)
+        with pytest.raises(GeometryError, match="^the box factors of a lifted family"):
+            lift(fam, 5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: grid_partition(2, 2, 10**12),
+            lambda: trivial_odd_partition(3, 10**12),
+            lambda: quadrant_construction(10**6, 2),
+            lambda: realize(intermediate_library("fig6", 4), 4, 10**9),
+            lambda: predicted_size(intermediate_library("fig6", 4), 4, 10**9),
+            lambda: lift(partition_25(), 10**12),
+        ],
+        ids=["grid", "trivial", "quadrant", "realize", "predicted_size", "lift"],
+    )
+    def test_unbounded_arguments_refused(self, build):
+        with pytest.raises(GeometryError, match="cell limit"):
+            build()
 
 
 @given(st.integers(3, 6), st.integers(1, 3))

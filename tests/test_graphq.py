@@ -1,13 +1,15 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkit import geometry
+from boxkit import geometry, graphq
 from boxkit.constructions import grid_partition, quadrant_construction
 from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError
 from boxkit.graphq import (
+    CliquePropertyReport,
     TwoColoredGraph,
     clique_property_check,
     fig9_graph,
@@ -128,6 +130,98 @@ class TestCliqueCheck:
         g = fig9_graph(6)
         with pytest.raises(GeometryError, match="budget"):
             clique_property_check(g, 6, max_nodes=3)
+
+
+def _reference_find_clique_with(v, adj, k, budget):
+    """The recursive search ``_find_clique_with`` walks with an explicit
+    stack, on adjacency sets: a k-clique containing v, or None."""
+
+    def extend(clique, allowed):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise GeometryError("clique search budget exhausted")
+        if len(clique) == k:
+            return tuple(clique)
+        if len(clique) + len(allowed) < k:
+            return None
+        for idx, u in enumerate(allowed):
+            clique.append(u)
+            narrowed = [w for w in allowed[idx + 1 :] if w in adj[u]]
+            found = extend(clique, narrowed)
+            if found is not None:
+                return found
+            clique.pop()
+        return None
+
+    return extend([v], sorted(adj[v]))
+
+
+def _reference_clique_property_check(g, k, max_nodes):
+    """``clique_property_check`` over ``_reference_find_clique_with``."""
+    budget = [max_nodes]
+    all_witnesses = []
+    for color in range(g.colors):
+        adj = [g.neighbors(v, color) for v in range(g.vertex_count)]
+        witnesses = [None] * g.vertex_count
+        for v in range(g.vertex_count):
+            if witnesses[v] is not None:
+                continue
+            clique = _reference_find_clique_with(v, adj, k, budget)
+            if clique is None:
+                witnessed = tuple(w or () for w in all_witnesses)
+                return CliquePropertyReport(False, witnessed, v, color)
+            for u in clique:
+                if witnesses[u] is None:
+                    witnesses[u] = clique
+        all_witnesses.append(tuple(witnesses))
+    return CliquePropertyReport(True, tuple(all_witnesses), None, None)
+
+
+@st.composite
+def colored_graphs(draw):
+    """Random graphs of up to 14 vertices, each pair in one of 1-3 colors or
+    in none."""
+    n, colors = draw(st.integers(1, 14)), draw(st.integers(1, 3))
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.integers(-1, colors - 1), min_size=len(pairs), max_size=len(pairs)))
+    edges = [frozenset(e for e, c in zip(pairs, picks) if c == color) for color in range(colors)]
+    return TwoColoredGraph(n, tuple(edges))
+
+
+def _outcome(check, g, k, max_nodes):
+    try:
+        return check(g, k, max_nodes)
+    except GeometryError as exc:
+        return str(exc)
+
+
+@given(colored_graphs(), st.integers(1, 5), st.integers(1, 300) | st.just(10**6))
+@settings(max_examples=300, deadline=None)
+def test_clique_check_follows_the_reference(g, k, max_nodes):
+    assert _outcome(clique_property_check, g, k, max_nodes) == _outcome(
+        _reference_clique_property_check, g, k, max_nodes
+    )
+    # the same nodes: every vertex's search spends the reference's budget
+    for color in range(g.colors):
+        adj = [g.neighbors(v, color) for v in range(g.vertex_count)]
+        nbr = [sum(1 << u for u in a) for a in adj]
+        for v in range(g.vertex_count):
+            ours, theirs = [10**6], [10**6]
+            found = graphq._find_clique_with(v, nbr, k, ours)
+            assert (found, ours) == (_reference_find_clique_with(v, adj, k, theirs), theirs)
+
+
+def test_deep_clique_needs_no_recursion():
+    """K_300 found 300 levels deep under a recursion limit of 200."""
+    g = TwoColoredGraph(300, (frozenset(itertools.combinations(range(300), 2)),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        report = clique_property_check(g, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.holds
+    assert report.witnesses == ((tuple(range(300)),) * 300,)
 
 
 class TestFig9:

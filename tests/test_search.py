@@ -707,6 +707,16 @@ class TestExport:
         text = export_model(instance((4, 4), "proper_box"), "cnf")
         assert text.startswith("p cnf 196 18832\n")
 
+    def test_cnf_clauses_refused_before_building(self, monkeypatch):
+        # 16 at-least-one clauses and 18,816 at-most-one pairs
+        inst = instance((4, 4), "proper_box")
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 18832)
+        assert export_model(inst, "cnf").startswith("p cnf 196 18832\n")
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 18831)
+        with mock.patch.object(search.itertools, "combinations", None):
+            with pytest.raises(GeometryError, match="^the clauses of a cnf model exceeds"):
+                export_model(inst, "cnf")
+
     def test_cnf_requires_t1_exact(self):
         with pytest.raises(GeometryError):
             export_model(instance((3, 3), "proper_box", t=2), "cnf")
