@@ -3,37 +3,20 @@
 Subcommands: verify, construct, search, bounds, graph, export, render.
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
 3 search budget exhausted without a result.
+
+Each command imports the modules it uses when it runs, so a process loads
+only those: ``bounds`` reads ``bounds`` and ``geometry``, ``export`` reads
+``search`` and ``geometry``, and numpy loads only where a command sums a
+coverage or line-sum tensor.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import get_args
 
-from . import bounds as bounds_mod
-from . import constructions as cons
-from .formats import (
-    ParseError,
-    PartitionDocument,
-    parse_partition_structured,
-    parse_partition_text,
-    write_partition_structured,
-    write_partition_text,
-)
-from .geometry import Ambient, GeometryError, Mode, verify_cover
-from .graphq import clique_property_check, fig9_graph, partition_to_graph
-from .render import render as render_doc
-from .search import (
-    CoverInstance,
-    Predicate,
-    SearchBudget,
-    anneal_cover,
-    enumerate_candidates,
-    export_model,
-    solve_cover,
-)
+from .geometry import Ambient, GeometryError, Mode, Predicate, verify_cover
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -41,7 +24,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _read_document(path: str) -> PartitionDocument:
+def _read_document(path: str):
+    from .formats import parse_partition_structured, parse_partition_text
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -90,18 +75,22 @@ def _cmd_verify(args) -> int:
 
 
 _CONSTRUCTIONS = {
-    "trivial": lambda a: cons.trivial_odd_partition(3 if a.n is None else a.n, a.d),
-    "grid": lambda a: cons.grid_partition(a.d, a.k, a.n),
-    "p25": lambda a: cons.partition_25(),
-    "quadrant": lambda a: cons.quadrant_construction(a.d, a.k),
-    "realize": lambda a: cons.realize(
-        cons.intermediate_library(a.fig, a.k), a.k, a.tail
-    ),
+    "trivial": lambda c, a: c.trivial_odd_partition(3 if a.n is None else a.n, a.d),
+    "grid": lambda c, a: c.grid_partition(a.d, a.k, a.n),
+    "p25": lambda c, a: c.partition_25(),
+    "quadrant": lambda c, a: c.quadrant_construction(a.d, a.k),
+    "realize": lambda c, a: c.realize(c.intermediate_library(a.fig, a.k), a.k, a.tail),
 }
+# the names of ``constructions._LIBRARY``, kept here so that the parser needs
+# no construction module
+_FIGS = ("fig3", "fig4", "fig5", "fig6", "fig8")
 
 
 def _cmd_construct(args) -> int:
-    fam = _CONSTRUCTIONS[args.kind](args)
+    from . import constructions
+    from .formats import PartitionDocument, write_partition_structured, write_partition_text
+
+    fam = _CONSTRUCTIONS[args.kind](constructions, args)
     report = verify_cover(fam)
     doc = PartitionDocument.from_family(fam)
     text = (
@@ -117,13 +106,17 @@ def _cmd_construct(args) -> int:
     return EXIT_OK if report.is_partition else EXIT_VERIFY
 
 
-def _make_instance(args) -> CoverInstance:
+def _make_instance(args):
+    from .search import CoverInstance, enumerate_candidates
+
     ambient = _parse_ambient(args.ambient)
     cands = tuple(enumerate_candidates(ambient, args.candidates.replace("-", "_")))
     return CoverInstance(ambient, cands, args.t, args.mode)
 
 
 def _cmd_search(args) -> int:
+    from .search import SearchBudget, anneal_cover, solve_cover
+
     instance = _make_instance(args)
     budget = SearchBudget(
         max_nodes=args.max_nodes,
@@ -144,17 +137,23 @@ def _cmd_search(args) -> int:
         f"(optimal proven: {result.proven_optimal}; nodes {result.nodes})\n"
     )
     if args.out:
+        from .formats import PartitionDocument, write_partition_text
+
         _emit(write_partition_text(PartitionDocument.from_family(result.best)), args.out)
     return EXIT_OK
 
 
 def _fmt(v) -> str:
+    from fractions import Fraction  # bounds has loaded it
+
     if isinstance(v, Fraction):
         return str(v) if v.denominator != 1 else str(v.numerator)
     return f"{v:.6g}"
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     if args.root is not None:
         coeffs = [float(c) for c in args.root.split(",")]
         sys.stdout.write(f"{bounds_mod.growth_root(coeffs):.9f}\n")
@@ -186,6 +185,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graphq import clique_property_check, fig9_graph, partition_to_graph
+
     if args.fig9 is not None:
         g = fig9_graph(args.fig9, args.colors)
         k = args.k if args.k is not None else args.fig9
@@ -215,12 +216,16 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .search import export_model
+
     instance = _make_instance(args)
     _emit(export_model(instance, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
+    from .render import render as render_doc
+
     doc = _read_document(args.file)
     _emit(render_doc(doc, args.format), args.out)
     return EXIT_OK
@@ -254,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--d", type=int, default=2)
     c.add_argument("--k", type=int, default=3)
-    c.add_argument("--fig", default="fig3", choices=list(cons._LIBRARY))
+    c.add_argument("--fig", default="fig3", choices=_FIGS)
     c.add_argument("--tail", type=int, default=0)
     c.add_argument("--format", choices=["text", "json"], default="text")
     c.add_argument("--out", default=None)
@@ -307,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GeometryError, ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # GeometryError and ParseError too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -33,9 +33,12 @@ GeometryError.  Each distinct factor is sorted and checked once and then
 interned, so boxes built from equal factors share one canonical tuple; a
 tuple of exact ints equal to an interned one is replaced by it unchecked.
 
-Only the functions that build or read an array import numpy, inside their
-bodies, so code that builds boxes, families and documents but no array
-never loads it.
+Only the quotient's coverage and line-sum tensors (``_quotient``,
+``_scatter_sum`` and the ``_incidence`` batches they read) and
+``weighted_piercing_ok`` import numpy, inside their bodies, so code that
+builds boxes, families and documents but no tensor never loads it.  Code
+that needs a box's cells but sums nothing (the search pools, the ASCII
+picture) takes them from ``_box_cells`` as plain ints.
 
 Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
 Only code that holds canonical factors calls it -- each factor either came
@@ -311,6 +314,9 @@ class IntermediatePartition:
 CornerSpec = tuple[Literal["low", "high"], ...]
 # How a cover meets its multiplicity: at every point exactly, or at least.
 Mode = Literal["exact", "at_least"]
+# Which boxes a candidate pool holds: every factor odd-sized or not, and a
+# box or a brick, every factor proper.
+Predicate = Literal["odd_proper_box", "proper_box", "odd_proper_brick", "proper_brick"]
 
 
 def classify_box(box: DiscreteBox, ambient: Ambient) -> BoxFlags:
@@ -376,11 +382,6 @@ def _csr(axes):
 def _columns(boxes: Sequence[DiscreteBox], dim: int) -> list:
     """Per axis, the factor of every box, in box order."""
     return list(zip(*(b.factors for b in boxes))) if boxes else [()] * dim
-
-
-def _factor_csr(boxes: Sequence[DiscreteBox], dim: int):
-    """The ``_csr`` of the boxes' factors, in the original coordinates."""
-    return _csr(map(_distinct, _columns(boxes, dim)))
 
 
 def _axis_classes(factors: Sequence[tuple[int, ...]], n: int):
@@ -488,6 +489,30 @@ def _first_point(bad, least: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
     return tuple(m[int(i)] for m, i in zip(least, cell))
+
+
+def _box_cells(factors: Sequence[tuple[int, ...]], sides: Sequence[int]) -> list[int]:
+    """The row-major flat indices (0-based) of a box's cells in an ambient
+    with ``sides``, in ``itertools.product`` order of its factors."""
+    flat, stride = [0], math.prod(sides)
+    for f, n in zip(factors, sides):
+        stride //= n
+        flat = [i + (c - 1) * stride for i in flat for c in f]
+    return flat
+
+
+def _bitmasks(rows, width: int) -> list[int]:
+    """One int per row with bit i set for each index i in the row (all
+    below ``width``), read from a bytearray of binary digits, so that the
+    cost is the rows' total length plus one width per row (summing
+    ``1 << i`` would be quadratic in the width)."""
+    masks = []
+    for row in rows:
+        digits = bytearray(b"0") * (width + 1)  # one more: never empty
+        for i in row:
+            digits[i] = 49  # "1"
+        masks.append(int(digits[::-1], 2))
+    return masks
 
 
 def _check_demand(multiplicity: int, mode: Mode) -> None:

@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import BoundValue
-from .geometry import BoxFamily, GeometryError, _check_cells, _factor_csr, _incidence, verify_cover
-from .search import _bitmasks
+from .geometry import BoxFamily, GeometryError, _bitmasks, _check_cells, verify_cover
 
 __all__ = [
     "TwoColoredGraph",
@@ -97,14 +96,13 @@ def partition_to_graph(p: BoxFamily) -> TwoColoredGraph:
     report = verify_cover(p)
     if not report.is_partition:
         raise GeometryError("graph reduction expects a verified partition")
-    csr = _factor_csr(p.boxes, 2)
     colored = []
     for a, side in enumerate(p.ambient.sides):
-        # owners[x]: the boxes holding axis-a coordinate x, in increasing order
+        # owners[x]: the boxes holding axis-a coordinate x + 1, in increasing order
         owners: list[list[int]] = [[] for _ in range(side)]
-        for flat, owner in _incidence(csr, p.ambient.sides, [a]):
-            for x, b in zip(flat.tolist(), owner.tolist()):
-                owners[x].append(b)
+        for b, box in enumerate(p.boxes):
+            for x in box.factors[a]:
+                owners[x - 1].append(b)
         colored.append(
             frozenset(e for group in owners for e in itertools.combinations(group, 2))
         )

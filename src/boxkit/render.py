@@ -12,7 +12,7 @@ limit raises GeometryError before anything is allocated.
 from __future__ import annotations
 
 from .formats import PartitionDocument
-from .geometry import GeometryError, _check_cells, _factor_csr, _incidence, classify_box
+from .geometry import GeometryError, _box_cells, _check_cells, classify_box
 
 __all__ = ["render"]
 
@@ -20,44 +20,35 @@ _CELL = 24  # svg pixels per lattice cell
 _RECT_BYTES = 160  # svg text per drawn rectangle and its label, at least
 
 
-def _id_grid(doc: PartitionDocument):
-    """Id of the first box covering each cell (0 for uncovered cells), as
-    an array over the ambient indexed by 0-based coordinates."""
-    import numpy as np
-
-    sides = doc.ambient.sides
-    grid = np.full(doc.ambient.volume, len(doc.boxes) + 1, dtype=np.int64)
-    csr = _factor_csr(doc.boxes, doc.ambient.dim)
-    for flat, owner in _incidence(csr, sides, list(range(len(sides)))):
-        np.minimum.at(grid, flat, owner + 1)
-    grid[grid > len(doc.boxes)] = 0
-    return grid.reshape(sides)
+def _id_grid(doc: PartitionDocument) -> list[int]:
+    """Id of the first box covering each cell (0 for uncovered cells), per
+    ambient cell in row-major order."""
+    grid = [0] * doc.ambient.volume
+    # the last box first, so that the first box over a cell writes it last
+    for i in range(len(doc.boxes), 0, -1):
+        for p in _box_cells(doc.boxes[i - 1].factors, doc.ambient.sides):
+            grid[p] = i
+    return grid
 
 
 def _ascii(doc: PartitionDocument) -> str:
-    import numpy as np
-
     dim = doc.ambient.dim
     if dim > 3:
         raise GeometryError("ascii rendering supports dimensions 1-3")
     width = len(str(len(doc.boxes)))
     _check_cells([*doc.ambient.sides, width + 1], f"the text of a picture over {dim} axes")
-    labels = np.array(
-        [(str(i) if i else ".").rjust(width) for i in range(len(doc.boxes) + 1)]
-    )
-    cells = labels[_id_grid(doc)]
-
-    def grid2d(layer) -> str:  # rows top down: y decreasing
-        return "\n".join(" ".join(layer[:, y]) for y in range(layer.shape[1] - 1, -1, -1))
-
+    labels = [(str(i) if i else ".").rjust(width) for i in range(len(doc.boxes) + 1)]
+    cells = [labels[i] for i in _id_grid(doc)]
     if dim == 1:
         return " ".join(cells) + "\n"
+    _, ny, nz = (*doc.ambient.sides, 1)[:3]
+
+    def grid2d(z: int) -> str:  # rows top down: y decreasing; x runs with stride ny * nz
+        return "\n".join(" ".join(cells[y * nz + z :: ny * nz]) for y in range(ny - 1, -1, -1))
+
     if dim == 2:
-        return grid2d(cells) + "\n"
-    blocks = [
-        f"layer z={z + 1}\n" + grid2d(cells[:, :, z]) for z in range(cells.shape[2])
-    ]
-    return "\n\n".join(blocks) + "\n"
+        return grid2d(0) + "\n"
+    return "\n\n".join(f"layer z={z + 1}\n" + grid2d(z) for z in range(nz)) + "\n"
 
 
 def _svg(doc: PartitionDocument) -> str:

@@ -16,7 +16,9 @@ t=1 exact.  Three engines are provided:
   SAT clauses (DIMACS CNF, t=1 exact only), one variable per candidate and
   one constraint per point.
 
-All three read the pool as geometry's box->cell incidence (``_pool_incidence``).
+All three read the pool as each candidate's flat cell indices, built in
+plain Python by geometry's ``_box_cells`` (``_pool_incidence``); only the
+re-verification of a search result loads numpy.
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
@@ -44,10 +46,11 @@ from .geometry import (
     DiscreteBox,
     GeometryError,
     Mode,
+    Predicate,
+    _bitmasks,
+    _box_cells,
     _check_cells,
     _check_demand,
-    _factor_csr,
-    _incidence,
     _is_interval,
     _normalize_factor,
     _validate_boxes,
@@ -66,9 +69,6 @@ __all__ = [
 
 CANDIDATE_SIDE_CAP = 9
 
-Predicate = Literal[
-    "odd_proper_box", "proper_box", "odd_proper_brick", "proper_brick"
-]
 # why a search ended: it ran out of things to try, or of its node (step)
 # budget, or of its wall-clock budget
 StopReason = Literal["exhausted", "node cap", "wall clock"]
@@ -140,17 +140,11 @@ def _pool_incidence(instance: CoverInstance):
     each of its points (in ``itertools.product`` order), and per point, the
     candidates covering it in pool order.  An ambient or incidence over
     geometry's cell limit raises GeometryError before it is allocated."""
-    import numpy as np
-
     sides = instance.ambient.sides
     what = f"a {len(sides)}-axis candidate pool"
     _check_cells(sides, f"the ambient of {what}")
-    csr = _factor_csr(instance.candidates, len(sides))
-    ends = np.cumsum(csr[2].prod(axis=1)).tolist()
-    _check_cells(ends[-1:], f"the incidence of {what}")
-    batches = _incidence(csr, sides, list(range(len(sides))))
-    flat = np.concatenate([f for f, _ in batches]).tolist()
-    cand_pts = [tuple(flat[i:j]) for i, j in zip([0, *ends], ends)]
+    _check_cells([sum(b.cardinality for b in instance.candidates)], f"the incidence of {what}")
+    cand_pts = [tuple(_box_cells(b.factors, sides)) for b in instance.candidates]
     covers_point: list[list[int]] = [[] for _ in range(math.prod(sides))]
     for ci, pts in enumerate(cand_pts):
         for p in pts:
@@ -179,20 +173,6 @@ def _verified_result(
     if not report.multiplicity_ok:
         raise GeometryError("internal error: search result failed verification")
     return SearchResult(family, float(len(selection)), proven, nodes, elapsed, stop)
-
-
-def _bitmasks(rows, width: int) -> list[int]:
-    """One int per row with bit i set for each index i in the row (all
-    below ``width``), read from a bytearray of binary digits, so that the
-    cost is the rows' total length plus one width per row (summing
-    ``1 << i`` would be quadratic in the width)."""
-    masks = []
-    for row in rows:
-        digits = bytearray(b"0") * (width + 1)  # one more: never empty
-        for i in row:
-            digits[i] = 49  # "1"
-        masks.append(int(digits[::-1], 2))
-    return masks
 
 
 def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
@@ -485,21 +465,14 @@ def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
 
     if format == "lp":
         rel = "=" if instance.mode == "exact" else ">="
-        lines = ["Minimize"]
-        lines.append(
-            " obj: " + " + ".join(f"x_{i + 1}" for i in range(n_vars))
-        )
-        lines.append("Subject To")
+        names = [f"x_{i + 1}" for i in range(n_vars)]
+        lines = ["Minimize", " obj: " + " + ".join(names), "Subject To"]
         points = itertools.product(*(range(1, n + 1) for n in instance.ambient.sides))
         for pt, cs in zip(points, covers_point):
-            name = "p_" + "_".join(str(c) for c in pt)
-            terms = " + ".join(f"x_{ci + 1}" for ci in cs)
+            name = "p_" + "_".join(map(str, pt))
+            terms = " + ".join(map(names.__getitem__, cs))
             lines.append(f" {name}: {terms} {rel} {instance.multiplicity}")
-        lines.append("Binary")
-        lines.append(
-            " " + " ".join(f"x_{i + 1}" for i in range(n_vars))
-        )
-        lines.append("End")
+        lines.extend(["Binary", " " + " ".join(names), "End"])
         return "\n".join(lines) + "\n"
 
     if format == "cnf":

@@ -8,7 +8,7 @@ from typing import get_args
 import pytest
 
 import boxkit
-from boxkit import geometry
+from boxkit import cli, geometry
 from boxkit.cli import main
 from boxkit.constructions import _LIBRARY, APPENDIX_25_LISTING
 from boxkit.search import Predicate
@@ -137,6 +137,10 @@ class TestConstruct:
         assert main(["construct", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the box factors of ") and "cell limit" in err
+
+    def test_fig_choices_are_the_library(self):
+        """The parser lists the figures without importing constructions."""
+        assert list(cli._FIGS) == list(_LIBRARY)
 
     @pytest.mark.parametrize("fig", list(_LIBRARY))
     def test_every_library_fig_realizes(self, fig, capsys):

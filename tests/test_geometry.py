@@ -491,6 +491,11 @@ def random_partitions(draw):
     return BoxFamily(Ambient(tuple(sides)), tuple(DiscreteBox(p) for p in parts))
 
 
+def _factor_csr(boxes, dim):
+    """The ``_csr`` of the boxes' factors, in the original coordinates."""
+    return geometry._csr(map(geometry._distinct, geometry._columns(boxes, dim)))
+
+
 # 1 and 3 put almost every box in a batch of its own, bigger than the budget;
 # the default budget keeps these families in a single batch.
 batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
@@ -565,7 +570,7 @@ def test_boxes_spanning_several_batches():
     full = DiscreteBox.of(range(1, n + 1), range(1, n + 1), range(1, n + 1))
     slabs = [DiscreteBox.of([x], range(1, n + 1), range(2, n + 1)) for x in range(1, n + 1)]
     fam = BoxFamily(amb, (full, *slabs))
-    csr = geometry._factor_csr(fam.boxes, 3)
+    csr = _factor_csr(fam.boxes, 3)
     assert len(list(geometry._incidence(csr, amb.sides, [0, 1, 2]))) > 2
     rep = verify_cover(fam, 2, "exact")
     assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (1, 2)
@@ -579,7 +584,7 @@ def test_boxes_spanning_several_batches():
 def test_batches_are_runs_of_whole_boxes(fam, budget):
     """Each batch holds whole consecutive boxes, in order: the most that fit
     the budget, or one bigger box alone.  No boxes give one empty batch."""
-    csr = geometry._factor_csr(fam.boxes, fam.ambient.dim)
+    csr = _factor_csr(fam.boxes, fam.ambient.dim)
     axes = list(range(fam.ambient.dim))
     with mock.patch.object(geometry, "_BATCH_CELLS", budget):
         batches = list(geometry._incidence(csr, fam.ambient.sides, axes))

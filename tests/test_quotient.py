@@ -25,7 +25,8 @@ from boxkit.geometry import (
     IntermediatePartition,
     PiercingVector,
     VerificationReport,
-    _factor_csr,
+    _csr,
+    _distinct,
     _scatter_sum,
     piercing_number,
     verify_cover,
@@ -33,6 +34,11 @@ from boxkit.geometry import (
 )
 
 # -- the dense reference -----------------------------------------------------
+
+
+def _factor_csr(boxes, dim):
+    """The ``_csr`` of the boxes' factors, in the original coordinates."""
+    return _csr(map(_distinct, geometry._columns(boxes, dim)))
 
 
 def _dense_first_point(bad):

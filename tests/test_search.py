@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -269,15 +270,13 @@ def any_pools(draw):
     return CoverInstance(Ambient(sides), tuple(DiscreteBox.of(*b) for b in boxes))
 
 
-@given(any_pools(), st.sampled_from([1, 2, 5, 1 << 13]))
+@given(any_pools())
 @settings(max_examples=150, deadline=None)
-def test_pool_incidence_matches_contains(inst, batch_cells):
+def test_pool_incidence_matches_contains(inst):
     """Against ``DiscreteBox.contains``: each candidate's points in product
-    (row-major) order, and each point's candidates in pool order, whatever
-    the incidence's batch size."""
+    (row-major) order, and each point's candidates in pool order."""
     points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
-    with mock.patch.object(geometry, "_BATCH_CELLS", batch_cells):
-        cand_pts, covers_point = _pool_incidence(inst)
+    cand_pts, covers_point = _pool_incidence(inst)
     assert len(cand_pts) == len(inst.candidates)
     for c, pts in zip(inst.candidates, cand_pts):
         assert [points[p] for p in pts] == [pt for pt in points if c.contains(pt)]
@@ -303,9 +302,9 @@ def test_oversized_masks_refused_before_the_incidence(monkeypatch):
 
 def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
     """A one-box pool over [10^5]^2 is refused before the per-point lists or
-    the factor arrays are built, by every engine."""
+    any box's cells are built, by every engine."""
     inst = CoverInstance(Ambient((10**5, 10**5)), (DiscreteBox.of([1], [1]),))
-    monkeypatch.setattr(search, "_factor_csr", None)
+    monkeypatch.setattr(search, "_box_cells", None)
     message = "the ambient of a 2-axis candidate pool exceeds the"
     with pytest.raises(GeometryError, match=message):
         _pool_incidence(inst)
@@ -728,3 +727,17 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(GeometryError):
             export_model(instance((3,), "odd_proper_box"), "mps")
+
+    @pytest.mark.parametrize(
+        "sides, t, mode, format, digest",
+        [
+            ((7, 7), 1, "exact", "lp", "18d6f18a2ae9215985c22e49f03a5e04144e2b0a7f15f0146a52b147479f772d"),
+            ((3, 3, 3), 2, "at_least", "lp", "1cecbe2a878266e602fdc728c2fc708673bfdd5de14db6d6cf2a6ac18384d515"),
+            ((4, 4), 1, "exact", "cnf", "cebe36b72ebb2d367bdca3893ec1e2e14976696ac203febf3f2fd51d4ef12578"),
+        ],
+    )
+    def test_pinned_bytes(self, sides, t, mode, format, digest):
+        """Proper-box models, byte for byte as the array-based pool
+        incidence wrote them (sha256 of the text)."""
+        text = export_model(instance(sides, "proper_box", t, mode), format)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

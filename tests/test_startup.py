@@ -1,16 +1,39 @@
-"""Start-up: commands and calls that build or read no array never import
-numpy; the incidence kernel imports it on first use.
+"""Start-up: ``import boxkit`` loads no submodule, each command loads only
+the modules it uses, and commands and calls that build or read no array
+never import numpy; the incidence kernel imports it on first use.
 
 Each check runs in a fresh interpreter, since the test modules import numpy
 themselves."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import boxkit
+from boxkit.constructions import partition_25
+from boxkit.formats import PartitionDocument, write_partition_text
+
+
+def _fresh(code: str, *args: str) -> dict:
+    """The JSON that ``code`` prints, run in a fresh interpreter that imports
+    boxkit from the sources under test."""
+    src = str(Path(boxkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
 
 SCRIPT = """
 import io, json, sys
@@ -59,19 +82,75 @@ print(json.dumps({"steps": steps, "codes": codes, "partition": report.is_partiti
 
 
 def test_numpy_loads_only_with_the_incidence_kernel(tmp_path):
-    src = str(Path(boxkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "q25.txt")],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout)
+    out = _fresh(SCRIPT, str(tmp_path / "q25.txt"))
     assert out["codes"] == [0, 0, 0, 0]
     assert out["partition"]
     steps = out["steps"]
     assert steps.pop("verify_cover") is True
     assert steps == dict.fromkeys(steps, False)
+
+
+LOADED = """
+import io, json, sys
+from contextlib import redirect_stdout
+from boxkit.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+loaded = [m for m in sys.modules if m == "numpy" or m.startswith("boxkit.")]
+print(json.dumps({"code": code, "loaded": sorted(loaded)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["bounds", "--root", "0,13,9"], ["bounds"]),
+        (["bounds", "--d-max", "3", "--k-max", "4", "--csv"], ["bounds"]),
+        (["graph", "--fig9", "8", "--check"], ["bounds", "graphq"]),
+        (["render", "{p25}"], ["formats", "render"]),
+        (["render", "{p25}", "--format", "ascii"], ["formats", "render"]),
+        (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "cnf"], ["search"]),
+        (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "lp"], ["search"]),
+    ],
+    ids=["bounds-root", "bounds-table", "graph-fig9", "render", "render-ascii", "export-cnf", "export-lp"],
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
+    """The exact boxkit modules a command loads besides the CLI and
+    geometry, and no numpy."""
+    p25 = tmp_path / "p25.txt"
+    p25.write_text(write_partition_text(PartitionDocument.from_family(partition_25())))
+    out = _fresh(LOADED, json.dumps([a.format(p25=p25) for a in argv]))
+    assert out["code"] == 0
+    assert out["loaded"] == sorted(f"boxkit.{m}" for m in ["cli", "geometry", *modules])
+
+
+def test_import_loads_no_submodule():
+    code = "import json, sys, boxkit; print(json.dumps(sorted(m for m in sys.modules if m.startswith(('boxkit.', 'numpy')))))"
+    assert _fresh(code) == []
+
+
+def test_every_public_name_resolves():
+    """Each name of ``__all__`` is its submodule's object of that name, and
+    the names are exactly those the submodules export."""
+    exported = set()
+    for module in set(boxkit._SUBMODULE.values()):
+        exported |= set(importlib.import_module(f"boxkit.{module}").__all__)
+    assert set(boxkit.__all__) == exported
+    for name in boxkit.__all__:
+        module = importlib.import_module(f"boxkit.{boxkit._SUBMODULE[name]}")
+        assert getattr(boxkit, name) is getattr(module, name)
+    # the submodule of the same name, imported above, does not take the name
+    assert callable(boxkit.render)
+    with pytest.raises(AttributeError):
+        boxkit.no_such_name
+
+
+def test_names_resolve_in_a_fresh_interpreter():
+    """Every name resolves on first use, and ``boxkit.render`` is the function
+    even when the submodule ``boxkit.render`` was imported first."""
+    code = (
+        "import json, boxkit.render\n"
+        "ok = [n for n in boxkit.__all__ if getattr(boxkit, n) is not None]\n"
+        "print(json.dumps([len(ok), callable(boxkit.render)]))"
+    )
+    assert _fresh(code) == [len(boxkit.__all__), True]
