@@ -8,7 +8,7 @@ t=1 exact.  Three engines are provided:
 * ``solve_cover``   -- complete branch-and-bound; branches on the deficit
   point with the fewest usable candidates, prunes with a cardinality bound,
   and proves optimality when the tree is exhausted; each node's state is a
-  few Python-int bitmasks on its stack frame, so backtracking undoes nothing;
+  few Python-int bitmasks on its stack frame, built only for a node to expand;
 * ``anneal_cover``  -- simulated annealing over candidate subsets, for
   instances out of reach of the exact engine (the 2-fold cover of [3]^3 by
   proper boxes has 216 candidates); results are always re-verified;
@@ -33,6 +33,7 @@ why they stopped (``SearchResult.stop_reason``): "exhausted", "node cap" or
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -144,7 +145,10 @@ def _pool_incidence(instance: CoverInstance):
     what = f"a {len(sides)}-axis candidate pool"
     _check_cells(sides, f"the ambient of {what}")
     _check_cells([sum(b.cardinality for b in instance.candidates)], f"the incidence of {what}")
-    cand_pts = [tuple(_box_cells(b.factors, sides)) for b in instance.candidates]
+    # a box's cells: its leading factors' cells (built once per pool) by its last factor
+    head = functools.cache(lambda lead: [i * sides[-1] - 1 for i in _box_cells(lead, sides[:-1])])
+    factors = (b.factors for b in instance.candidates)
+    cand_pts = [tuple([h + c for h in head(f[:-1]) for c in f[-1]]) for f in factors]
     covers_point: list[list[int]] = [[] for _ in range(math.prod(sides))]
     for ci, pts in enumerate(cand_pts):
         for p in pts:
@@ -193,7 +197,12 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     and the remaining demand.  A child's state is computed from its
     parent's with a few ORs and ANDs per level, so backtracking is a pop
     with nothing to undo, and the tree is walked with an explicit stack, so
-    its depth is not bounded by the recursion limit.
+    its depth is not bounded by the recursion limit.  A child's demand is
+    known from its parent's, so a leaf or pruned child is counted and
+    settled in the option loop without a state.  It falls by at most the
+    candidate's cardinality: a run of options with fewer than the parent's
+    demand - max_card * (incumbent - child's chosen - 1) points is pruned,
+    banned and counted in one step (stopping at exactly ``max_nodes``).
 
     ``proven_optimal`` is true iff the tree was exhausted inside the budget;
     an infeasible instance yields best None, best_size infinity, proven.
@@ -207,86 +216,107 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     t = instance.multiplicity
     exact = instance.mode == "exact"
     # per candidate its points as a mask, and their number; per point the
-    # candidates through it as a mask, and their number
+    # candidates through it as a mask
     pt_mask = _bitmasks(cand_pts, n_pts)
     card = list(map(len, cand_pts))
     cand_mask = _bitmasks(covers_point, len(cand_pts))
-    n_covers = list(map(len, covers_point))
     max_card = max(card, default=1)
+    # card_ge[k]: the candidates with k points or more
+    by_card = [[] for _ in range(max_card + 1)]
+    for ci, k in enumerate(card):
+        by_card[k].append(ci)
+    card_ge = [*itertools.accumulate(_bitmasks(by_card[::-1], len(card)), int.__or__)][::-1]
     # a bitmask's digits, point 0 first, read as 1 for each point it lacks
     width, unset = f"0{n_pts}b", bytes.maketrans(b"01", b"\1\0")
 
     levels = (0,) * t
     gone = 0
     demand = t * n_pts
-    best_size: float = math.inf
+    # no incumbent yet: a size above any depth + bound, so nothing is pruned
+    best = len(cand_pts) + demand + 1
     best_sel: list[int] | None = None
-    nodes = 0
     max_nodes, wall_seconds, monotonic = budget.max_nodes, budget.wall_seconds, time.monotonic
     start = monotonic()
-    stop = "exhausted"
+    nodes, stop = 1, ("node cap" if max_nodes == 1 else None)  # the root: never pruned
     # one frame per open node: [levels, gone (with the node's own bans),
     # demand, options left to try, the option being tried below it]
     stack: list[list] = []
-    while True:
-        nodes += 1
-        if nodes >= max_nodes:
-            stop = "node cap"
-            break
-        if monotonic() - start > wall_seconds:
-            stop = "wall clock"
-            break
-        if demand == 0:
-            if len(stack) < best_size:
-                best_size = len(stack)
-                best_sel = [frame[4] for frame in stack]
-        elif len(stack) + -(-demand // max_card) < best_size:
-            # the pivot: the first deficit point with the fewest usable
-            # candidates; none is fewer than 0
-            fewest = len(cand_pts) + 1
-            deficit = format(levels[-1], width)[::-1].encode().translate(unset)
-            for p in itertools.compress(range(n_pts), deficit):
-                n_opts = n_covers[p] - (cand_mask[p] & gone).bit_count()
-                if n_opts < fewest:
-                    fewest, pivot = n_opts, p
-                    if not n_opts:
-                        break
-            if fewest:
-                options = cand_mask[pivot] & ~gone
-                stack.append([levels, gone, demand, options, -1])
-        # descend into the next option of the deepest open node, closing
-        # the nodes whose options are used up
+    while not stop:
+        # the node (levels, gone, demand) is counted; its pivot: the first
+        # deficit point with the fewest usable candidates; none is fewer than 0
+        free = ~gone
+        fewest = len(cand_pts) + 1
+        deficit = format(levels[-1], width)[::-1].encode().translate(unset)
+        for p in itertools.compress(range(n_pts), deficit):
+            n_opts = (cand_mask[p] & free).bit_count()
+            if n_opts < fewest:
+                fewest, pivot = n_opts, p
+                if not n_opts:
+                    break
+        if fewest:
+            stack.append([levels, gone, demand, cand_mask[pivot] & free, -1])
+        # try the deepest open node's options, closing those used up; settle
+        # leaves and pruned children here, and build only a child to expand
         while stack:
             frame = stack[-1]
             options = frame[3]
-            if options:
+            if not options:
+                stack.pop()
+                continue
+            depth = len(stack)
+            # a child's demand falls by at most card[ci]: the run of options
+            # with fewer than need points makes pruned children
+            need = frame[2] - max_card * (best - depth - 1)
+            keep = options if need <= 0 else options & card_ge[need] if need <= max_card else 0
+            pruned = options & ((keep & -keep) - 1)
+            if pruned:
+                frame[1] |= pruned
+                frame[3] = options ^ pruned
+                nodes += pruned.bit_count()
+            else:
                 low = options & -options
                 ci = low.bit_length() - 1
                 frame[3] = options ^ low
                 # ban before descending: a candidate may be used at most once
                 frame[1] |= low
                 frame[4] = ci
-                # one more cover on ci's points, capped at t: the points at
-                # level k rise to level k + 1
-                m = pt_mask[ci]
-                carry, lifted = m, []
-                for level in frame[0]:
-                    lifted.append(level | carry)
-                    carry = level & m
-                # carry: ci's points already covered t times, no demand
-                demand = frame[2] - card[ci] + carry.bit_count()
-                gone = frame[1]
-                if exact:
-                    full = lifted[-1] ^ frame[0][-1]
-                    while full:
-                        low = full & -full
-                        gone |= cand_mask[low.bit_length() - 1]
-                        full ^= low
-                levels = tuple(lifted)
+                # less ci's points not yet covered t times (in exact mode, all)
+                demand = frame[2] - card[ci] + (frame[0][-1] & pt_mask[ci]).bit_count()
+                nodes += 1
+            if nodes >= max_nodes:
+                nodes, stop = max_nodes, "node cap"
                 break
-            stack.pop()
-        else:  # the root's options are used up: the tree is exhausted
+            if monotonic() - start > wall_seconds:
+                stop = "wall clock"
+                break
+            if pruned or depth + -(-demand // max_card) >= best:
+                continue
+            if not demand:  # a leaf that beats the incumbent
+                best, best_sel = depth, [frame[4] for frame in stack]
+                continue
+            # one more cover on ci's points, capped at t: the points at
+            # level k rise to level k + 1
+            m = pt_mask[ci]
+            gone = frame[1]
+            if exact and t == 1:  # all of ci's points become full
+                levels = (frame[0][0] | m,)
+                for p in cand_pts[ci]:
+                    gone |= cand_mask[p]
+                break
+            carry, lifted = m, []
+            for level in frame[0]:
+                lifted.append(level | carry)
+                carry = level & m
+            if exact:
+                full = lifted[-1] ^ frame[0][-1]
+                while full:
+                    low = full & -full
+                    gone |= cand_mask[low.bit_length() - 1]
+                    full ^= low
+            levels = tuple(lifted)
             break
+        else:  # the root's options are used up: the tree is exhausted
+            stop = "exhausted"
 
     return _verified_result(instance, best_sel, stop == "exhausted", nodes, start, stop)
 

@@ -260,6 +260,22 @@ def test_solver_walks_the_reference_tree(inst, max_nodes):
         assert r.best == BoxFamily(inst.ambient, tuple(inst.candidates[i] for i in sel))
 
 
+@pytest.mark.parametrize(
+    "t, mode", [(3, "exact"), (2, "at_least")], ids=["t3-exact", "t2-at-least"]
+)
+def test_every_node_cap_walks_the_reference_tree(t, mode):
+    """Every cap from 1 to 400 on [3,3] proper boxes: pruned children are
+    counted in runs, and a cap that falls inside a run stops the search at
+    exactly that many nodes, with the reference's incumbent."""
+    inst = instance((3, 3), "proper_box", t, mode)
+    for max_nodes in range(1, 401):
+        r = solve_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600))
+        sel, size, proven, nodes = _reference_solve_cover(inst, max_nodes)
+        assert (r.nodes, r.proven_optimal, r.best_size) == (nodes, proven, size), max_nodes
+        want = None if sel is None else tuple(inst.candidates[i] for i in sel)
+        assert (r.best and r.best.boxes) == want, max_nodes
+
+
 @st.composite
 def any_pools(draw):
     """Arbitrary boxes (not only proper ones), possibly none, 1-D included."""
@@ -343,6 +359,14 @@ def test_pool_incidence_cell_limit(monkeypatch):
 def test_seed_order_node_counts(sides, predicate, t, size, nodes):
     r = solve_cover(instance(sides, predicate, t), SearchBudget())
     assert (r.best_size, r.proven_optimal, r.nodes) == (size, True, nodes)
+
+
+def test_at_least_node_count():
+    """In at_least mode a child keeps the demand of its points already
+    covered t times, so some children pass the bulk prune and are pruned
+    one by one."""
+    r = solve_cover(instance((3, 3), "proper_box", 2, "at_least"), SearchBudget())
+    assert (r.best_size, r.proven_optimal, r.nodes) == (5, True, 944)
 
 
 # Large pools, cut by the node cap: 3,375 and 729 candidates over 125 and 64
