@@ -42,6 +42,7 @@ from .geometry import (
     IntermediatePartition,
     PiercingVector,
     _check_cells,
+    _gc_paused,
     _normalize_factor,
     classify_box,
     weighted_piercing_ok,
@@ -155,8 +156,10 @@ def partition_25() -> BoxFamily:
 # ---------------------------------------------------------------------------
 # composition
 
+@_gc_paused
 def product(p1: BoxFamily, p2: BoxFamily) -> BoxFamily:
-    """Concatenate axes: a partition of [n]^{d1+d2} of size |p1|*|p2|."""
+    """Concatenate axes: a partition of [n]^{d1+d2} of size |p1|*|p2|,
+    built with the cyclic garbage collector paused."""
     sides = set(p1.ambient.sides) | set(p2.ambient.sides)
     if len(sides) != 1:
         raise GeometryError(

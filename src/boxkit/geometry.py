@@ -25,7 +25,10 @@ quotient plus the quotient volume, and the class step with the total size
 of the distinct factors, never with a side.  The properness, oddness and
 brick flags come from the original factors.  Quotient tensors above
 ``_CELL_LIMIT`` cells raise GeometryError instead of being allocated.  All
-types are frozen dataclasses, safe to share across threads.
+types are frozen dataclasses, safe to share across threads.  The calls
+that build a whole family (``product`` and both parsers) pause Python's
+cyclic garbage collector through ``_gc_paused``; the pause holds for the
+whole process, other threads included, until the call returns or raises.
 
 Coordinates, ambient sides and piercing labels are Python ints: numpy
 integers are stored as ``int``, and a bool, float or string raises
@@ -55,6 +58,8 @@ per-box ``validate_in`` runs and raises the same error it always did.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import math
 import sys
@@ -217,6 +222,24 @@ def _validate_boxes(boxes: Sequence[DiscreteBox], ambient: Ambient) -> None:
         return
     for b in boxes:
         b.validate_in(ambient)
+
+
+def _gc_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused, for a call that
+    builds a whole family (no cycles, a container per box and factor); the
+    collector's earlier state comes back on every exit."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _is_interval(cells: tuple[int, ...]) -> bool:

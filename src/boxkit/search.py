@@ -16,9 +16,11 @@ t=1 exact.  Three engines are provided:
   SAT clauses (DIMACS CNF, t=1 exact only), one variable per candidate and
   one constraint per point.
 
-All three read the pool as each candidate's flat cell indices, built in
-plain Python by geometry's ``_box_cells`` (``_pool_incidence``); only the
-re-verification of a search result loads numpy.
+All three read the pool as flat cell indices, built in plain Python by
+geometry's ``_box_cells`` in one walk over the candidates
+(``_pool_cells``): the search engines keep each candidate's cells and each
+point's candidates (``_pool_incidence``), the export only each point's
+candidates.  Only the re-verification of a search result loads numpy.
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
@@ -136,11 +138,11 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
     return list(map(DiscreteBox._canonical, itertools.product(*per_axis)))
 
 
-def _pool_incidence(instance: CoverInstance):
-    """The pool as flat point indices: per candidate, the row-major index of
-    each of its points (in ``itertools.product`` order), and per point, the
-    candidates covering it in pool order.  An ambient or incidence over
-    geometry's cell limit raises GeometryError before it is allocated."""
+def _pool_cells(instance: CoverInstance):
+    """Each candidate's points as row-major flat indices (in
+    ``itertools.product`` order), in pool order, built as the iterator is
+    read.  An ambient or incidence over geometry's cell limit raises
+    GeometryError at once."""
     sides = instance.ambient.sides
     what = f"a {len(sides)}-axis candidate pool"
     _check_cells(sides, f"the ambient of {what}")
@@ -148,12 +150,25 @@ def _pool_incidence(instance: CoverInstance):
     # a box's cells: its leading factors' cells (built once per pool) by its last factor
     head = functools.cache(lambda lead: [i * sides[-1] - 1 for i in _box_cells(lead, sides[:-1])])
     factors = (b.factors for b in instance.candidates)
-    cand_pts = [tuple([h + c for h in head(f[:-1]) for c in f[-1]]) for f in factors]
-    covers_point: list[list[int]] = [[] for _ in range(math.prod(sides))]
-    for ci, pts in enumerate(cand_pts):
+    return ([h + c for h in head(f[:-1]) for c in f[-1]] for f in factors)
+
+
+def _point_candidates(cells, ambient: Ambient) -> list[list[int]]:
+    """Per point of ``ambient``, the candidates covering it in pool order,
+    from ``_pool_cells``."""
+    covers_point: list[list[int]] = [[] for _ in range(ambient.volume)]
+    for ci, pts in enumerate(cells):
         for p in pts:
             covers_point[p].append(ci)
-    return cand_pts, covers_point
+    return covers_point
+
+
+def _pool_incidence(instance: CoverInstance):
+    """The pool as flat point indices: per candidate, the tuple of its
+    points from ``_pool_cells``, and per point, the candidates covering it
+    in pool order."""
+    cand_pts = list(map(tuple, _pool_cells(instance)))
+    return cand_pts, _point_candidates(cand_pts, instance.ambient)
 
 
 def _verified_result(
@@ -490,7 +505,8 @@ def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
     candidate (in pool order), one constraint per ambient point.  A CNF
     model whose clause count passes geometry's cell limit raises
     GeometryError before any clause is built."""
-    _, covers_point = _pool_incidence(instance)
+    # the text reads only each point's candidates, so no candidate keeps its cells
+    covers_point = _point_candidates(_pool_cells(instance), instance.ambient)
     n_vars = len(instance.candidates)
 
     if format == "lp":

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import json
 from typing import get_args
 from unittest import mock
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkit import geometry
+from boxkit import constructions, formats, geometry
 from boxkit.cli import main
 from boxkit.constructions import (
     intermediate_library,
@@ -356,3 +358,87 @@ def test_unchecked_boxes_equal_checked_ones(limit, data):
                     assert type(f) is tuple and f == g, caller
                     assert all(type(c) is int for c in f), caller
                     assert f is g or limit == 4, caller
+
+
+# metadata text: any character, plus the ones json must escape or may not
+# write as they are
+_META_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x08\n\x1f\x7fé\u2028€😀')),
+    max_size=8,
+)
+
+
+@st.composite
+def wide_documents(draw):
+    """Documents of 1-9 axes, with or without labels, and metadata that
+    json must escape."""
+    d = draw(st.integers(1, 9))
+    sides = tuple(draw(st.integers(2, 4)) for _ in range(d))
+    factor = lambda n: st.sets(st.integers(1, n), min_size=1, max_size=n)
+    rows = draw(st.lists(st.tuples(*map(factor, sides)), min_size=1, max_size=6))
+    boxes = tuple(DiscreteBox.of(*r) for r in rows)
+    labels = None
+    if draw(st.booleans()):
+        vector = st.tuples(*[st.integers(1, 5)] * d)
+        labels = tuple(PiercingVector(draw(vector)) for _ in boxes)
+    meta = tuple(sorted(draw(st.dictionaries(_META_TEXT, _META_TEXT, max_size=3)).items()))
+    return PartitionDocument(Ambient(sides), boxes, labels, meta)
+
+
+@given(wide_documents())
+@settings(max_examples=200, deadline=None)
+def test_structured_writer_is_json_dumps(doc):
+    """The writer's bytes are those of ``json.dumps`` over the whole
+    document, so spelling each factor once changes no byte."""
+    obj = {
+        "ambient": list(doc.ambient.sides),
+        "boxes": [b.factors for b in doc.boxes],
+        "labels": None if doc.labels is None else [v.labels for v in doc.labels],
+        "meta": dict(doc.meta),
+    }
+    assert write_partition_structured(doc) == json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _recording(seen, fn):
+    """``fn``, noting whether the collector was on at each call."""
+
+    def call(*args):
+        seen.append(gc.isenabled())
+        return fn(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_bulk_builders_restore_the_collector(enabled, monkeypatch):
+    """Both parsers and ``product`` build their family with the collector
+    paused, and leave it as they found it, whether they return or raise."""
+    p25 = partition_25()
+    doc = PartitionDocument.from_family(p25)
+    text, js = write_partition_text(doc), write_partition_structured(doc)
+    p25_on_7 = lift(p25, 7)
+    seen = []
+    monkeypatch.setattr(formats, "_parse_factor", _recording(seen, formats._parse_factor))
+    monkeypatch.setattr(formats, "_normalize_factor", _recording(seen, formats._normalize_factor))
+    monkeypatch.setattr(constructions, "BoxFamily", _recording(seen, BoxFamily))
+    calls = [
+        (parse_partition_text, (text,), None),
+        (parse_partition_text, ("Box(1) = {1}\nBox 2 = {2}\n",), ParseError),
+        (parse_partition_structured, (js,), None),
+        (parse_partition_structured, (js[:-9],), ParseError),
+        (product, (p25, p25), None),
+        (product, (p25, p25_on_7), GeometryError),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for fn, args, error in calls:
+            if error is None:
+                fn(*args)
+            else:
+                with pytest.raises(error):
+                    fn(*args)
+            assert gc.isenabled() is enabled, (fn.__name__, error)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
