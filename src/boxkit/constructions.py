@@ -231,7 +231,9 @@ def _quadrant_branches(labels, i, j):
 @functools.lru_cache(maxsize=None)
 def _plan(labels: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(size, need): how many pieces the recursive construction makes, and
-    the minimal per-axis cell counts it needs to fit."""
+    the minimal per-axis cell counts it needs to fit.  The memo shares the
+    branches within one call wrapped by ``_plan_per_call`` and is emptied when
+    that call ends."""
     d = len(labels)
     active = _pick_axes(labels)
     if not active:
@@ -245,6 +247,20 @@ def _plan(labels: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     need[i] *= 2
     need[j] *= 2
     return 2 * s1 + 2 * s2, tuple(need)
+
+
+def _plan_per_call(fn):
+    """``fn`` with ``_plan``'s memo emptied on every exit, so that it holds
+    the states of one public call, never of all a process has planned."""
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _plan.cache_clear()
+
+    return scoped
 
 
 def _build(factors, labels):
@@ -280,6 +296,7 @@ def _build(factors, labels):
         yield from _build(tuple(quad), sub)
 
 
+@_plan_per_call
 def quadrant_construction(d: int, k: int) -> BoxFamily:
     """k-piercing brick partition from the quadrant recursion: k slabs in
     1D, 4(k-1) bricks in 2D, and at most 4^{d-1} k bricks in general."""
@@ -584,12 +601,14 @@ def _part_labels(ip: IntermediatePartition, k: int, tail_dims: int):
     return [vec.labels + (k,) * tail_dims for _, vec in ip.parts]
 
 
+@_plan_per_call
 def predicted_size(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> int:
     """Exact size `realize` will produce: the sum over parts of the
     recursive subproblem sizes."""
     return sum(_plan(lab)[0] for lab in _part_labels(ip, k, tail_dims))
 
 
+@_plan_per_call
 def realize(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> BoxFamily:
     """Turn a labeled partition into a concrete partition with piercing
     number at least k, refining the grid so every part has room for its

@@ -16,8 +16,8 @@ Verification stays exhaustive, on the quotient grid.  On each axis two
 coordinates are interchangeable when every box factor holds both or neither:
 interchangeable points lie in the same boxes, and the lines through them
 meet the same boxes.  ``_quotient`` finds these classes exactly, by
-partition refinement over each axis's distinct factors, then scatters every
-box's classes into a dense tensor with one cell per class (or per class of
+partition refinement over each axis's distinct factors, and ``_sums`` adds
+every box's classes into a tensor with one cell per class (or per class of
 the lines of one axis) and checks every entry.  A bad point is reported at
 the smallest coordinate of its classes, the first bad point in row-major
 order.  So the cost grows with the total cardinality of the boxes on the
@@ -36,12 +36,20 @@ GeometryError.  Each distinct factor is sorted and checked once and then
 interned, so boxes built from equal factors share one canonical tuple; a
 tuple of exact ints equal to an interned one is replaced by it unchecked.
 
-Only the quotient's coverage and line-sum tensors (``_quotient``,
-``_scatter_sum`` and the ``_incidence`` batches they read) and
-``weighted_piercing_ok`` import numpy, inside their bodies, so code that
-builds boxes, families and documents but no tensor never loads it.  Code
-that needs a box's cells but sums nothing (the search pools, the ASCII
-picture) takes them from ``_box_cells`` as plain ints.
+``_sums`` is the one place that picks how a tensor is summed, by the cell
+count of the quotient grid alone.  Up to ``_MASK_CELLS`` (1,024) cells each
+box is one Python int with a bit per cell, and the masks are added into
+binary bit-slice counters, from which the least and greatest sum and the
+bad cells follow (``_mask_slices``); above it the numpy kernel
+(``_scatter_sum`` over the ``_incidence`` batches) fills an int64 tensor.
+Both are exhaustive on the quotient grid and give the same answers.  The
+masks win on tiny grids, where importing numpy costs more than the whole
+check, and lose as the cells grow (about 12 against 4 ms at 15,625 cells),
+so numpy keeps every bigger grid.  Only the numpy kernel imports numpy,
+inside its functions: code that builds boxes, families and documents, or
+verifies a family with a small quotient grid (the 25-box partition, a
+search result), never loads it.  Code that needs a box's cells but sums nothing (the search pools, the
+ASCII picture) takes them from ``_box_cells`` as plain ints.
 
 Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
 Only code that holds canonical factors calls it -- each factor either came
@@ -65,7 +73,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Literal, NamedTuple, Sequence, get_args
+from typing import Iterable, Literal, Sequence, get_args
 
 __all__ = [
     "Ambient",
@@ -319,11 +327,11 @@ class IntermediatePartition:
             if len(vec.labels) != self.ambient.dim:
                 raise GeometryError("label/dimension mismatch")
         q = _quotient([box for box, _ in self.parts], self.ambient.sides)
-        bad = _scatter_sum(q.csr, q.sides) != 1
-        if bad.any():
+        first = _sums(q, target=1)[2]
+        if first is not None:
             raise GeometryError(
                 "parts of an intermediate partition must tile the ambient; "
-                f"first bad point {_first_point(bad, q.least)}"
+                f"first bad point {_first_point(first, q)}"
             )
 
     def family(self) -> BoxFamily:
@@ -365,6 +373,15 @@ def boxes_disjoint(b1: DiscreteBox, b2: DiscreteBox) -> bool:
 _CELL_LIMIT = 1 << 27
 # Most cells in one incidence batch, a run of whole boxes; a bigger box goes alone.
 _BATCH_CELLS = 1 << 13
+# Most cells in a quotient grid whose tensors ``_sums`` adds up on Python-int
+# bit masks; a bigger grid goes to numpy.  The masks win on tiny grids, where
+# importing numpy costs more than the check, and lose as the cells grow (one
+# ``verify_cover``, masks against numpy, 2-core Xeon: 0.26 against 0.29 ms
+# at 125 cells, 1.5 against 0.7 ms at 4,096, 12 against 4 ms at 15,625), so
+# the bound stays below 4,096.  The grid, not each tensor, decides: once a
+# family's cover tensor needs numpy, its four line tensors of 512 cells take
+# 0.5 ms together there against 1.1 ms on masks.
+_MASK_CELLS = 1 << 10
 
 
 def _check_cells(shape: Iterable[int], what: str) -> int:
@@ -381,10 +398,8 @@ def _check_cells(shape: Iterable[int], what: str) -> int:
 def _distinct(column: Sequence[tuple[int, ...]]):
     """The distinct factors of one axis in first-seen order, and for each box
     the number of its factor among them."""
-    import numpy as np
-
     number = {f: i for i, f in enumerate(dict.fromkeys(column))}
-    return list(number), np.fromiter(map(number.__getitem__, column), np.int64, len(column))
+    return list(number), list(map(number.__getitem__, column))
 
 
 def _csr(axes):
@@ -396,6 +411,7 @@ def _csr(axes):
     vals, starts, lens = [], [], []
     for runs, which in axes:
         n = np.fromiter(map(len, runs), np.int64, len(runs))
+        which = np.fromiter(which, np.int64, len(which))
         vals.append(np.fromiter(itertools.chain.from_iterable(runs), np.int64) - 1)
         starts.append((n.cumsum() - n)[which])
         lens.append(n[which])
@@ -435,13 +451,20 @@ def _axis_classes(factors: Sequence[tuple[int, ...]], n: int):
     return [tuple({number[cls[c]] for c in f}) for f in factors], [least[k] for k in order]
 
 
-class _Quotient(NamedTuple):
+@dataclass
+class _Quotient:
     """A family on its quotient grid: per axis, one cell per class."""
 
-    csr: tuple  # ``_csr`` of the boxes' classes
+    runs: tuple[list[tuple[int, ...]], ...]  # per axis, each distinct factor's classes
+    which: tuple[list[int], ...]  # per axis, each box's number among the distinct factors
     sides: tuple[int, ...]  # the number of classes per axis
     least: tuple[list[int], ...]  # per axis, the smallest coordinate of each class
     factors: tuple[list[tuple[int, ...]], ...]  # per axis, the distinct factors
+
+    @functools.cached_property
+    def csr(self):
+        """``_csr`` of the boxes' classes, built on the array kernel's first use."""
+        return _csr(zip(self.runs, self.which))
 
 
 def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int], skip: int | None = None):
@@ -456,7 +479,47 @@ def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int], skip: int | No
     runs, least = zip(*map(_axis_classes, factors, sides))
     shape = [len(c) for j, c in enumerate(least) if j != skip]
     _check_cells(shape, f"a tensor over {len(shape)} axes")
-    return _Quotient(_csr(zip(runs, which)), tuple(map(len, least)), least, factors)
+    return _Quotient(runs, which, tuple(map(len, least)), least, factors)
+
+
+def _sums(
+    q: _Quotient,
+    skip: int | None = None,
+    weights=None,
+    target: int | None = None,
+    mode: Mode = "exact",
+):
+    """(least, greatest, first bad cell) of the tensor over every axis but
+    ``skip`` whose cell c sums ``weights[b]`` (1 by default) over the boxes b
+    whose projection contains c, i.e. that the axis-``skip`` line through c
+    meets; with no axis skipped this is the coverage tensor.  A cell is bad
+    when its sum is not ``target`` (mode "exact") or is below it
+    ("at_least"); the first bad cell is its row-major flat index, or None
+    when no cell is bad or no target is given.
+
+    The one place that picks a kernel, by the quotient grid's cell count
+    alone, so that every tensor of one check goes to the same kernel: up to
+    ``_MASK_CELLS`` cells the sums are bit slices of Python ints
+    (``_mask_slices``), above it a numpy tensor (``_scatter_sum``).  Both are
+    exact and give the same answers."""
+    shape = [n for j, n in enumerate(q.sides) if j != skip]
+    size = _check_cells(shape, f"a tensor over {len(shape)} axes")
+    if math.prod(q.sides) <= _MASK_CELLS:
+        slices = _mask_slices(q, skip, weights)
+        full = (1 << size) - 1
+        least, greatest = _mask_extremes(slices, full)
+        bad = 0 if target is None else _mask_bad(slices, full, target, mode)
+        return least, greatest, (bad & -bad).bit_length() - 1 if bad else None
+    import numpy as np
+
+    if weights is not None:
+        weights = np.fromiter(weights, np.int64, len(q.which[0]))
+    out = _scatter_sum(q.csr, q.sides, skip, weights).ravel()
+    first = None
+    if target is not None:
+        bad = out != target if mode == "exact" else out < target
+        first = int(np.argmax(bad)) if bad.any() else None
+    return int(out.min()), int(out.max()), first
 
 
 def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):
@@ -504,14 +567,86 @@ def _scatter_sum(csr, sides: Sequence[int], skip: int | None = None, weights=Non
     return out.reshape(shape)
 
 
-def _first_point(bad, least: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The first bad ambient point in row-major order: the smallest
-    coordinates of the classes of the first True cell of ``bad``, a boolean
-    array over the quotient."""
-    import numpy as np
+def _mask_slices(q: _Quotient, skip: int | None, weights) -> list[int]:
+    """The sums of ``_sums`` as bit slices: bit c of ``slices[k]`` is bit k
+    of cell c's sum.  Each box is one int with a bit per cell it covers
+    (row-major), built from the last axis to the first by shifting copies
+    of the mask of its factors on the axes after; boxes with equal factors
+    on those axes share that mask, and boxes with one mask add their weights
+    before the mask is added once per set bit of the total."""
+    keys, masks, stride = [0] * len(q.which[0]), [1], 1
+    for a in reversed(range(len(q.sides))):
+        if a == skip:
+            continue
+        number: dict[tuple[int, int], int] = {}
+        keys = [number.setdefault(k, len(number)) for k in zip(q.which[a], keys)]
+        runs = q.runs[a]
+        masks = [sum(masks[key] << (c - 1) * stride for c in runs[f]) for f, key in number]
+        stride *= q.sides[a]
+    totals = [0] * len(masks)
+    for key, w in zip(keys, itertools.repeat(1) if weights is None else weights):
+        totals[key] += w
+    slices: list[int] = []
+    for mask, w in zip(masks, totals):
+        for k in range(w.bit_length()):
+            if w >> k & 1:
+                _add_at(slices, mask, k)
+    return slices
 
-    cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return tuple(m[int(i)] for m, i in zip(least, cell))
+
+def _add_at(slices: list[int], mask: int, k: int) -> None:
+    """Add 2^k to the sum of every cell in ``mask``: a ripple-carry add into
+    the bit slices from slice k up."""
+    slices.extend([0] * (k - len(slices)))
+    while mask:
+        if k == len(slices):
+            slices.append(mask)
+            return
+        s = slices[k]
+        slices[k] = s ^ mask
+        mask &= s
+        k += 1
+
+
+def _mask_extremes(slices: list[int], full: int) -> tuple[int, int]:
+    """The least and the greatest sum over the cells of ``full``, bit by bit
+    from the top slice: keep the cells that can still reach the extreme."""
+    low, high, least, greatest = full, full, 0, 0
+    for k in reversed(range(len(slices))):
+        s = slices[k]
+        if low & ~s:
+            low &= ~s
+        else:
+            least |= 1 << k
+        if high & s:
+            high &= s
+            greatest |= 1 << k
+    return least, greatest
+
+
+def _mask_bad(slices: list[int], full: int, target: int, mode: Mode) -> int:
+    """The cells of ``full`` whose sum is not ``target`` (mode "exact") or is
+    below it ("at_least"), compared from the top bit down."""
+    equal, below = full, 0
+    for k in reversed(range(max(len(slices), target.bit_length()))):
+        s = slices[k] if k < len(slices) else 0
+        if target >> k & 1:
+            below |= equal & ~s
+            equal &= s
+        else:
+            equal &= ~s
+    return full & ~equal if mode == "exact" else below
+
+
+def _first_point(flat: int, q: _Quotient) -> tuple[int, ...]:
+    """The first bad ambient point in row-major order: the smallest
+    coordinates of the classes of the quotient cell with row-major index
+    ``flat``."""
+    cell = []
+    for n in reversed(q.sides):
+        flat, i = divmod(flat, n)
+        cell.append(i)
+    return tuple(m[i] for m, i in zip(q.least, reversed(cell)))
 
 
 def _box_cells(factors: Sequence[tuple[int, ...]], sides: Sequence[int]) -> list[int]:
@@ -555,16 +690,9 @@ def verify_cover(
     _check_demand(multiplicity, mode)
     sides = family.ambient.sides
     q = _quotient(family.boxes, sides)
-    cover = _scatter_sum(q.csr, q.sides)
-    cmin = int(cover.min())
-    cmax = int(cover.max())
-    if mode == "exact":
-        bad = cover != multiplicity
-    else:
-        bad = cover < multiplicity
-    ok = not bool(bad.any())
-
-    per_axis = _line_minima(q.csr, q.sides)
+    cmin, cmax, first = _sums(q, target=multiplicity, mode=mode)
+    ok = first is None
+    per_axis = _line_minima(q)
     return VerificationReport(
         is_partition=(cmin == 1 and cmax == 1),
         cover_multiplicity_min=cmin,
@@ -576,31 +704,27 @@ def verify_cover(
         piercing_number=min(per_axis),
         per_axis_piercing=per_axis,
         multiplicity_ok=ok,
-        first_violation=None if ok else _first_point(bad, q.least),
+        first_violation=None if ok else _first_point(first, q),
     )
 
 
-def _line_minima(csr, sides: Sequence[int], weights=None) -> tuple[int, ...]:
+def _line_minima(q: _Quotient, weights=None) -> tuple[int, ...]:
     """Per axis i, the least weighted line sum over all axis-i lines; the
-    weight of box b on axis i is ``weights[b, i]``, or 1 by default."""
-    columns = [None] * len(sides) if weights is None else weights.T
-    return tuple(int(_scatter_sum(csr, sides, i, w).min()) for i, w in enumerate(columns))
+    weight of box b on axis i is ``weights[b][i]``, or 1 by default."""
+    columns = [None] * len(q.sides) if weights is None else zip(*weights)
+    return tuple(_sums(q, i, w)[0] for i, w in enumerate(columns))
 
 
 def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
     """Minimum, over all axis-parallel lines, of the number of distinct boxes
     the line meets; reported overall and per axis."""
     q = _quotient(family.boxes, family.ambient.sides, skip=0)
-    per_axis = _line_minima(q.csr, q.sides)
+    per_axis = _line_minima(q)
     return min(per_axis), per_axis
 
 
 def weighted_piercing_ok(ip: IntermediatePartition, k: int) -> bool:
     """True iff along every axis-j line the labels a_{.,j} of the parts the
     line crosses sum to at least k."""
-    import numpy as np
-
     q = _quotient([box for box, _ in ip.parts], ip.ambient.sides, skip=0)
-    labels = np.array([vec.labels for _, vec in ip.parts], dtype=np.int64)
-    labels = labels.reshape(len(ip.parts), ip.ambient.dim)
-    return min(_line_minima(q.csr, q.sides, labels)) >= k
+    return min(_line_minima(q, [vec.labels for _, vec in ip.parts])) >= k

@@ -20,7 +20,8 @@ All three read the pool as flat cell indices, built in plain Python by
 geometry's ``_box_cells`` in one walk over the candidates
 (``_pool_cells``): the search engines keep each candidate's cells and each
 point's candidates (``_pool_incidence``), the export only each point's
-candidates.  Only the re-verification of a search result loads numpy.
+candidates.  Only the re-verification of a search result can load numpy,
+and only when its quotient tensor passes ``geometry._MASK_CELLS`` cells.
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.

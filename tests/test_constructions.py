@@ -359,3 +359,29 @@ def test_build_fills_exactly_its_planned_room(labels):
     assert verify_cover(fam).is_partition
     _, per_axis = piercing_number(fam)
     assert all(got >= labels[a] for got, a in zip(per_axis, axes))
+
+
+@pytest.mark.parametrize(
+    "call, raises",
+    [
+        (lambda ip: quadrant_construction(3, 3), False),
+        (lambda ip: quadrant_construction(1, 1), True),
+        (lambda ip: predicted_size(ip, 4), False),
+        (lambda ip: predicted_size(ip, 4, -1), True),
+        (lambda ip: realize(ip, 4), False),
+        (lambda ip: realize(ip, 4, -1), True),
+    ],
+    ids=["quadrant", "quadrant-raises", "predicted", "predicted-raises", "realize", "realize-raises"],
+)
+def test_plan_memo_lasts_one_call(call, raises):
+    """``_plan`` keeps no state once a public call returns or raises: a
+    long-lived process would otherwise hold every state it ever planned."""
+    ip = intermediate_library("fig6", 4)
+    _plan((3, 3, 3))
+    assert _plan.cache_info().currsize > 0
+    if raises:
+        with pytest.raises(GeometryError):
+            call(ip)
+    else:
+        call(ip)
+    assert _plan.cache_info().currsize == 0

@@ -4,7 +4,9 @@
 coordinates.  The reference below is the dense check kept as a test-only
 copy: it scatters every ambient cell, in the original coordinates, through
 the same ``_factor_csr``/``_scatter_sum`` helpers.  Every report, piercing
-vector, weighted piercing answer and tiling error must match it.
+vector, weighted piercing answer and tiling error must match it, on both
+kernels: each test forces the bit-mask or the numpy side by patching
+``_MASK_CELLS``.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxkit import geometry
-from boxkit.constructions import lift, product
+from boxkit.constructions import lift, product, quadrant_construction
 from boxkit.geometry import (
     Ambient,
     BoxFamily,
@@ -164,38 +166,107 @@ def products(draw):
 families = st.one_of(any_families(), refined_partitions(), lifted(), products())
 # 1 and 3 put almost every box in a batch of its own, bigger than the budget
 batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
+# the bit-mask kernel for every tensor, or numpy for every tensor
+MASKS, ARRAYS = geometry._CELL_LIMIT, 0
+kernels = st.sampled_from([MASKS, ARRAYS])
 
 
 # -- differential tests ------------------------------------------------------
 
 
-@given(families, batch_budgets)
+@given(families, batch_budgets, kernels)
 @settings(max_examples=300, deadline=None)
-def test_reports_match_the_dense_check(fam, budget):
+def test_reports_match_the_dense_check(fam, budget, kernel):
     with mock.patch.object(geometry, "_BATCH_CELLS", budget):
-        for t, mode in itertools.product((1, 2, 3), ("exact", "at_least")):
-            assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
-        assert piercing_number(fam) == dense_piercing_number(fam)
+        with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+            for t, mode in itertools.product((1, 2, 3), ("exact", "at_least")):
+                assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
+            assert piercing_number(fam) == dense_piercing_number(fam)
 
 
-@given(families, st.data())
+@given(families, kernels, st.data())
 @settings(max_examples=200, deadline=None)
-def test_intermediate_partitions_match_the_dense_check(fam, data):
-    """The tiling error text, and on a tiling the weighted piercing answer."""
+def test_intermediate_partitions_match_the_dense_check(fam, kernel, data):
+    """The tiling error text, and on a tiling the weighted piercing answer;
+    labels up to 9 carry into a fourth bit slice."""
     d = fam.ambient.dim
-    labels = [data.draw(st.tuples(*[st.integers(1, 3)] * d)) for _ in fam.boxes]
+    labels = [data.draw(st.tuples(*[st.integers(1, 9)] * d)) for _ in fam.boxes]
     parts = tuple(zip(fam.boxes, map(PiercingVector, labels)))
     want = dense_tiling_error(fam.ambient, fam.boxes)
-    try:
-        ip = IntermediatePartition(fam.ambient, parts)
-    except GeometryError as exc:
-        assert str(exc) == want
-        return
-    assert want is None
-    for k in range(1, 3 * d + 2):
-        assert weighted_piercing_ok(ip, k) == dense_weighted_piercing_ok(
-            fam.ambient, fam.boxes, labels, k
-        )
+    with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+        try:
+            ip = IntermediatePartition(fam.ambient, parts)
+        except GeometryError as exc:
+            assert str(exc) == want
+            return
+        assert want is None
+        for k in range(1, 9 * d + 2):
+            assert weighted_piercing_ok(ip, k) == dense_weighted_piercing_ok(
+                fam.ambient, fam.boxes, labels, k
+            )
+
+
+@pytest.mark.parametrize("kernel", [MASKS, ARRAYS], ids=["masks", "arrays"])
+@pytest.mark.parametrize(
+    "fam",
+    [
+        BoxFamily(Ambient((3, 4)), ()),
+        BoxFamily(Ambient((3, 4)), (DiscreteBox.of([1, 3], [2, 3, 4]),) * 300),
+        BoxFamily(Ambient((3,)), (DiscreteBox.of([1, 2, 3]),) * 300),
+    ],
+    ids=["empty", "300-repeats", "300-repeats-1d"],
+)
+def test_edge_families_match_the_dense_check(fam, kernel):
+    """No boxes at all (every sum 0), and one box 300 times, whose count
+    needs nine bit slices; targets below, at and above 300."""
+    with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+        for t, mode in itertools.product((1, 299, 300, 301, 512), ("exact", "at_least")):
+            assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
+        assert piercing_number(fam) == dense_piercing_number(fam)
+    if fam.boxes and fam.ambient.dim == 2:
+        rep = verify_cover(fam, 300)
+        assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (0, 300)
+        assert rep.first_violation == (1, 1)
+        assert rep.per_axis_piercing == (0, 0)
+
+
+@pytest.mark.parametrize("kernel", [MASKS, ARRAYS], ids=["masks", "arrays"])
+def test_repeated_parts_match_the_dense_check(kernel):
+    """A tiling of [2] x [3] whose least line sums are 151 (axis 0) and 255
+    (axis 1), from labels of up to nine bits; doubled, it tiles nothing."""
+    boxes = (DiscreteBox.of([1], [1, 2, 3]), DiscreteBox.of([2], [1, 2]), DiscreteBox.of([2], [3]))
+    labels = [(150, 255), (300, 7), (1, 511)]
+    amb = Ambient((2, 3))
+    with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+        ip = IntermediatePartition(amb, tuple(zip(boxes, map(PiercingVector, labels))))
+        targets = (150, 151, 152, 255, 256, 512)
+        got = [weighted_piercing_ok(ip, k) for k in targets]
+        assert got == [dense_weighted_piercing_ok(amb, boxes, labels, k) for k in targets]
+        assert got == [True, True, False, False, False, False]
+        with pytest.raises(GeometryError) as exc:
+            IntermediatePartition(amb, tuple(zip(boxes * 2, map(PiercingVector, labels * 2))))
+    assert str(exc.value) == dense_tiling_error(amb, boxes * 2)
+
+
+def test_the_kernel_follows_the_quotient_size():
+    """Every tensor of a family whose quotient grid has at most
+    ``_MASK_CELLS`` cells is summed on masks, and every tensor of a bigger
+    one by numpy: the quotient of the quadrant partition of [8]^2 has 64
+    cells, and each line tensor 8."""
+    q25 = quadrant_construction(2, 5)
+    calls = []
+    real = geometry._mask_slices
+
+    def spy(q, skip, weights):
+        calls.append(skip)
+        return real(q, skip, weights)
+
+    with mock.patch.object(geometry, "_mask_slices", spy):
+        for limit, masked in [(64, [None, 0, 1]), (63, []), (8, [])]:
+            calls.clear()
+            with mock.patch.object(geometry, "_MASK_CELLS", limit):
+                assert verify_cover(q25) == dense_verify_cover(q25)
+            assert calls == masked
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Start-up: ``import boxkit`` loads no submodule, each command loads only
-the modules it uses, and commands and calls that build or read no array
-never import numpy; the incidence kernel imports it on first use.
+the modules it uses, and commands and calls that sum no tensor above
+``geometry._MASK_CELLS`` cells never import numpy; the numpy kernel imports
+it on first use.
 
 Each check runs in a fresh interpreter, since the test modules import numpy
 themselves."""
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import boxkit
-from boxkit.constructions import partition_25
+from boxkit.constructions import partition_25, quadrant_construction
 from boxkit.formats import PartitionDocument, write_partition_text
 
 
@@ -76,12 +77,15 @@ codes = [
     step("graph_fig9", main, ["graph", "--fig9", "8", "--check"]),
     step("render_svg", main, ["render", sys.argv[1], "--format", "svg"]),
 ]
+step("verify_cover_p25", verify_cover, p25)
 report = step("verify_cover", verify_cover, q44)
 print(json.dumps({"steps": steps, "codes": codes, "partition": report.is_partition}))
 """
 
 
 def test_numpy_loads_only_with_the_incidence_kernel(tmp_path):
+    """The 125 quotient cells of p25 are summed on bit masks; the 4,096 of
+    the quadrant partition of [16]^4 by numpy."""
     out = _fresh(SCRIPT, str(tmp_path / "q25.txt"))
     assert out["codes"] == [0, 0, 0, 0]
     assert out["partition"]
@@ -111,15 +115,25 @@ print(json.dumps({"code": code, "loaded": sorted(loaded)}))
         (["render", "{p25}", "--format", "ascii"], ["formats", "render"]),
         (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "cnf"], ["search"]),
         (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "lp"], ["search"]),
+        (["construct", "p25"], ["constructions", "formats"]),
+        (["verify", "{p25}", "--piercing", "3"], ["formats"]),
+        (["search", "--ambient", "5,5", "--candidates", "odd-proper-brick"], ["search"]),
+        (["graph", "--from-partition", "{q25}", "--k", "5"], ["bounds", "formats", "graphq"]),
     ],
-    ids=["bounds-root", "bounds-table", "graph-fig9", "render", "render-ascii", "export-cnf", "export-lp"],
+    ids=[
+        "bounds-root", "bounds-table", "graph-fig9", "render", "render-ascii", "export-cnf",
+        "export-lp", "construct-p25", "verify-p25", "search-bb", "graph-partition",
+    ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     """The exact boxkit modules a command loads besides the CLI and
-    geometry, and no numpy."""
-    p25 = tmp_path / "p25.txt"
-    p25.write_text(write_partition_text(PartitionDocument.from_family(partition_25())))
-    out = _fresh(LOADED, json.dumps([a.format(p25=p25) for a in argv]))
+    geometry, and no numpy: the families these commands verify have at most
+    125 quotient cells."""
+    files = {}
+    for name, fam in [("p25", partition_25()), ("q25", quadrant_construction(2, 5))]:
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(write_partition_text(PartitionDocument.from_family(fam)))
+    out = _fresh(LOADED, json.dumps([a.format(**files) for a in argv]))
     assert out["code"] == 0
     assert out["loaded"] == sorted(f"boxkit.{m}" for m in ["cli", "geometry", *modules])
 
