@@ -7,10 +7,12 @@ Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
 Each command imports the modules it uses when it runs, so a process loads
 only those: ``bounds`` reads ``bounds`` and ``geometry``, ``export`` reads
 ``search`` and ``geometry``, and numpy loads only where a command sums a
-coverage or line-sum tensor above ``geometry._MASK_CELLS`` cells: of the
-library families, ``construct quadrant --d 4 --k 4`` (4,096 quotient cells)
-does, while ``construct p25``, ``verify`` of it and the re-verification of
-a small search result add up their tensors on Python ints.
+coverage or line-sum tensor on a quotient grid above
+``geometry._COUNT_CELLS`` cells: of the library families, ``construct
+quadrant --d 4 --k 4`` (4,096 quotient cells) does, while ``construct
+p25``, ``construct realize --fig fig4 --k 3``, ``verify`` of p25 and the
+re-verification of a small search result add up their tensors on a plain
+list of counts.
 """
 
 from __future__ import annotations

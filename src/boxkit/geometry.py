@@ -37,19 +37,19 @@ interned, so boxes built from equal factors share one canonical tuple; a
 tuple of exact ints equal to an interned one is replaced by it unchecked.
 
 ``_sums`` is the one place that picks how a tensor is summed, by the cell
-count of the quotient grid alone.  Up to ``_MASK_CELLS`` (1,024) cells each
-box is one Python int with a bit per cell, and the masks are added into
-binary bit-slice counters, from which the least and greatest sum and the
-bad cells follow (``_mask_slices``); above it the numpy kernel
+count of the quotient grid alone.  Up to ``_COUNT_CELLS`` (1,024) cells
+each box is a list of flat cell indices, and its weight is added into a
+plain list of counts, one per cell, from which the least and greatest sum
+and the first bad cell follow (``_count_sums``); above it the numpy kernel
 (``_scatter_sum`` over the ``_incidence`` batches) fills an int64 tensor.
 Both are exhaustive on the quotient grid and give the same answers.  The
-masks win on tiny grids, where importing numpy costs more than the whole
-check, and lose as the cells grow (about 12 against 4 ms at 15,625 cells),
-so numpy keeps every bigger grid.  Only the numpy kernel imports numpy,
-inside its functions: code that builds boxes, families and documents, or
-verifies a family with a small quotient grid (the 25-box partition, a
-search result), never loads it.  Code that needs a box's cells but sums nothing (the search pools, the
-ASCII picture) takes them from ``_box_cells`` as plain ints.
+counts win on tiny grids, where importing numpy costs more than the whole
+check, and lose as the cells grow, so numpy keeps every bigger grid.  Only
+the numpy kernel imports numpy, inside its functions: code that builds
+boxes, families and documents, or verifies a family with a small quotient
+grid (the 25-box partition, a search result), never loads it.  Code that
+needs a box's cells but sums nothing (the search pools, the ASCII picture)
+takes them from ``_box_cells`` as plain ints.
 
 Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
 Only code that holds canonical factors calls it -- each factor either came
@@ -373,15 +373,15 @@ def boxes_disjoint(b1: DiscreteBox, b2: DiscreteBox) -> bool:
 _CELL_LIMIT = 1 << 27
 # Most cells in one incidence batch, a run of whole boxes; a bigger box goes alone.
 _BATCH_CELLS = 1 << 13
-# Most cells in a quotient grid whose tensors ``_sums`` adds up on Python-int
-# bit masks; a bigger grid goes to numpy.  The masks win on tiny grids, where
-# importing numpy costs more than the check, and lose as the cells grow (one
-# ``verify_cover``, masks against numpy, 2-core Xeon: 0.26 against 0.29 ms
-# at 125 cells, 1.5 against 0.7 ms at 4,096, 12 against 4 ms at 15,625), so
-# the bound stays below 4,096.  The grid, not each tensor, decides: once a
-# family's cover tensor needs numpy, its four line tensors of 512 cells take
-# 0.5 ms together there against 1.1 ms on masks.
-_MASK_CELLS = 1 << 10
+# Most cells in a quotient grid whose tensors ``_sums`` adds up on a plain
+# list of counts; a bigger grid goes to numpy.  The counts win on tiny grids,
+# where importing numpy costs more than the check, and lose as the cells grow
+# (one ``verify_cover``, counts against numpy, 2-core Xeon: 0.21 against
+# 0.25 ms at 125 cells, 1.9 against 0.63 ms at 4,096, 15 against 4.5 ms at
+# 15,625), so the bound stays below 4,096.  The grid, not each tensor,
+# decides: once a family's cover tensor needs numpy, its four line tensors
+# of 512 cells take 0.46 ms together there against 1.05 ms on counts.
+_COUNT_CELLS = 1 << 10
 
 
 def _check_cells(shape: Iterable[int], what: str) -> int:
@@ -467,18 +467,15 @@ class _Quotient:
         return _csr(zip(self.runs, self.which))
 
 
-def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int], skip: int | None = None):
+def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int]):
     """The boxes on the quotient grid of ``_axis_classes``.  Equivalent points
     lie in the same boxes, and the lines through them meet the same boxes,
     so coverage, multiplicity and line sums on one cell per class are exact
     for the whole ambient.  The classes of every axis are found in one pass,
-    whose cost is the total size of the distinct factors, and then the
-    tensor over every axis but ``skip`` is bounded by ``_check_cells``, so an
-    oversized quotient is refused before any tensor is allocated."""
+    whose cost is the total size of the distinct factors; no tensor is
+    allocated here, and ``_sums`` bounds each one before it is."""
     factors, which = zip(*map(_distinct, _columns(boxes, len(sides))))
     runs, least = zip(*map(_axis_classes, factors, sides))
-    shape = [len(c) for j, c in enumerate(least) if j != skip]
-    _check_cells(shape, f"a tensor over {len(shape)} axes")
     return _Quotient(runs, which, tuple(map(len, least)), least, factors)
 
 
@@ -499,17 +496,19 @@ def _sums(
 
     The one place that picks a kernel, by the quotient grid's cell count
     alone, so that every tensor of one check goes to the same kernel: up to
-    ``_MASK_CELLS`` cells the sums are bit slices of Python ints
-    (``_mask_slices``), above it a numpy tensor (``_scatter_sum``).  Both are
-    exact and give the same answers."""
+    ``_COUNT_CELLS`` cells the sums are a list of Python ints
+    (``_count_sums``), above it a numpy tensor (``_scatter_sum``).  Both are
+    exact and give the same answers.  The tensor's shape is bounded by
+    ``_check_cells`` before either kernel allocates it."""
     shape = [n for j, n in enumerate(q.sides) if j != skip]
-    size = _check_cells(shape, f"a tensor over {len(shape)} axes")
-    if math.prod(q.sides) <= _MASK_CELLS:
-        slices = _mask_slices(q, skip, weights)
-        full = (1 << size) - 1
-        least, greatest = _mask_extremes(slices, full)
-        bad = 0 if target is None else _mask_bad(slices, full, target, mode)
-        return least, greatest, (bad & -bad).bit_length() - 1 if bad else None
+    _check_cells(shape, f"a tensor over {len(shape)} axes")
+    if math.prod(q.sides) <= _COUNT_CELLS:
+        counts = _count_sums(q, skip, weights)
+        first = None
+        if target is not None:
+            bad = map(target.__ne__ if mode == "exact" else target.__gt__, counts)
+            first = next(itertools.compress(itertools.count(), bad), None)
+        return min(counts), max(counts), first
     import numpy as np
 
     if weights is not None:
@@ -567,75 +566,29 @@ def _scatter_sum(csr, sides: Sequence[int], skip: int | None = None, weights=Non
     return out.reshape(shape)
 
 
-def _mask_slices(q: _Quotient, skip: int | None, weights) -> list[int]:
-    """The sums of ``_sums`` as bit slices: bit c of ``slices[k]`` is bit k
-    of cell c's sum.  Each box is one int with a bit per cell it covers
-    (row-major), built from the last axis to the first by shifting copies
-    of the mask of its factors on the axes after; boxes with equal factors
-    on those axes share that mask, and boxes with one mask add their weights
-    before the mask is added once per set bit of the total."""
-    keys, masks, stride = [0] * len(q.which[0]), [1], 1
+def _count_sums(q: _Quotient, skip: int | None, weights) -> list[int]:
+    """The tensor of ``_sums`` as a list of counts, one per cell in row-major
+    order.  Each box's cells are built from the last axis to the first by
+    offsetting copies of the cells of its factors on the axes after; boxes
+    with equal factors on those axes share that list, and boxes with one
+    list add their weights before the list is added once."""
+    keys, cells, stride = [0] * len(q.which[0]), [[0]], 1
     for a in reversed(range(len(q.sides))):
         if a == skip:
             continue
         number: dict[tuple[int, int], int] = {}
         keys = [number.setdefault(k, len(number)) for k in zip(q.which[a], keys)]
         runs = q.runs[a]
-        masks = [sum(masks[key] << (c - 1) * stride for c in runs[f]) for f, key in number]
+        cells = [[i + (c - 1) * stride for c in runs[f] for i in cells[key]] for f, key in number]
         stride *= q.sides[a]
-    totals = [0] * len(masks)
+    totals = [0] * len(cells)
     for key, w in zip(keys, itertools.repeat(1) if weights is None else weights):
         totals[key] += w
-    slices: list[int] = []
-    for mask, w in zip(masks, totals):
-        for k in range(w.bit_length()):
-            if w >> k & 1:
-                _add_at(slices, mask, k)
-    return slices
-
-
-def _add_at(slices: list[int], mask: int, k: int) -> None:
-    """Add 2^k to the sum of every cell in ``mask``: a ripple-carry add into
-    the bit slices from slice k up."""
-    slices.extend([0] * (k - len(slices)))
-    while mask:
-        if k == len(slices):
-            slices.append(mask)
-            return
-        s = slices[k]
-        slices[k] = s ^ mask
-        mask &= s
-        k += 1
-
-
-def _mask_extremes(slices: list[int], full: int) -> tuple[int, int]:
-    """The least and the greatest sum over the cells of ``full``, bit by bit
-    from the top slice: keep the cells that can still reach the extreme."""
-    low, high, least, greatest = full, full, 0, 0
-    for k in reversed(range(len(slices))):
-        s = slices[k]
-        if low & ~s:
-            low &= ~s
-        else:
-            least |= 1 << k
-        if high & s:
-            high &= s
-            greatest |= 1 << k
-    return least, greatest
-
-
-def _mask_bad(slices: list[int], full: int, target: int, mode: Mode) -> int:
-    """The cells of ``full`` whose sum is not ``target`` (mode "exact") or is
-    below it ("at_least"), compared from the top bit down."""
-    equal, below = full, 0
-    for k in reversed(range(max(len(slices), target.bit_length()))):
-        s = slices[k] if k < len(slices) else 0
-        if target >> k & 1:
-            below |= equal & ~s
-            equal &= s
-        else:
-            equal &= ~s
-    return full & ~equal if mode == "exact" else below
+    counts = [0] * stride
+    for flat, w in zip(cells, totals):
+        for i in flat:
+            counts[i] += w
+    return counts
 
 
 def _first_point(flat: int, q: _Quotient) -> tuple[int, ...]:
@@ -718,7 +671,7 @@ def _line_minima(q: _Quotient, weights=None) -> tuple[int, ...]:
 def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
     """Minimum, over all axis-parallel lines, of the number of distinct boxes
     the line meets; reported overall and per axis."""
-    q = _quotient(family.boxes, family.ambient.sides, skip=0)
+    q = _quotient(family.boxes, family.ambient.sides)
     per_axis = _line_minima(q)
     return min(per_axis), per_axis
 
@@ -726,5 +679,5 @@ def piercing_number(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
 def weighted_piercing_ok(ip: IntermediatePartition, k: int) -> bool:
     """True iff along every axis-j line the labels a_{.,j} of the parts the
     line crosses sum to at least k."""
-    q = _quotient([box for box, _ in ip.parts], ip.ambient.sides, skip=0)
+    q = _quotient([box for box, _ in ip.parts], ip.ambient.sides)
     return min(_line_minima(q, [vec.labels for _, vec in ip.parts])) >= k

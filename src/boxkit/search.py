@@ -18,10 +18,11 @@ t=1 exact.  Three engines are provided:
 
 All three read the pool as flat cell indices, built in plain Python by
 geometry's ``_box_cells`` in one walk over the candidates
-(``_pool_cells``): the search engines keep each candidate's cells and each
-point's candidates (``_pool_incidence``), the export only each point's
-candidates.  Only the re-verification of a search result can load numpy,
-and only when its quotient tensor passes ``geometry._MASK_CELLS`` cells.
+(``_pool_cells``): ``solve_cover`` keeps each candidate's cells and each
+point's candidates, ``anneal_cover`` only each candidate's cells, the
+export only each point's candidates.  Only the re-verification of a search
+result can load numpy, and only when its quotient grid passes
+``geometry._COUNT_CELLS`` cells.
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
@@ -164,14 +165,6 @@ def _point_candidates(cells, ambient: Ambient) -> list[list[int]]:
     return covers_point
 
 
-def _pool_incidence(instance: CoverInstance):
-    """The pool as flat point indices: per candidate, the tuple of its
-    points from ``_pool_cells``, and per point, the candidates covering it
-    in pool order."""
-    cand_pts = list(map(tuple, _pool_cells(instance)))
-    return cand_pts, _point_candidates(cand_pts, instance.ambient)
-
-
 def _verified_result(
     instance: CoverInstance,
     selection: list[int] | None,
@@ -208,9 +201,11 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
 
     The state of a node is a few immutable ints kept on its stack frame:
     the coverage levels (``levels[k]`` has a bit per point covered more
-    than k times, capped at t), the ``gone`` mask of candidates that are
-    banned or, in exact mode, pass through a point already covered t times,
-    and the remaining demand.  A child's state is computed from its
+    than k times, for k below t; no point is covered more than once per
+    candidate, so the levels past the pool size, always empty, are not
+    kept, and a huge t costs nothing), the ``gone`` mask of candidates that
+    are banned or, in exact mode, pass through a point already covered t
+    times, and the remaining demand.  A child's state is computed from its
     parent's with a few ORs and ANDs per level, so backtracking is a pop
     with nothing to undo, and the tree is walked with an explicit stack, so
     its depth is not bounded by the recursion limit.  A child's demand is
@@ -228,7 +223,8 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     what = f"a {instance.ambient.dim}-axis candidate pool"
     n_pts = _check_cells(instance.ambient.sides, f"the ambient of {what}")
     _check_cells([len(instance.candidates), -(-n_pts // 8)], f"the masks of {what}")
-    cand_pts, covers_point = _pool_incidence(instance)
+    cand_pts = list(_pool_cells(instance))
+    covers_point = _point_candidates(cand_pts, instance.ambient)
     t = instance.multiplicity
     exact = instance.mode == "exact"
     # per candidate its points as a mask, and their number; per point the
@@ -245,7 +241,7 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     # a bitmask's digits, point 0 first, read as 1 for each point it lacks
     width, unset = f"0{n_pts}b", bytes.maketrans(b"01", b"\1\0")
 
-    levels = (0,) * t
+    levels = (0,) * min(t, len(cand_pts) + 1)
     gone = 0
     demand = t * n_pts
     # no incumbent yet: a size above any depth + bound, so nothing is pruned
@@ -368,8 +364,8 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     """
     rng = random.Random(budget.seed)
     bits, uniform, exp, monotonic = rng.getrandbits, rng.random, math.exp, time.monotonic
-    cand_pts, covers_point = _pool_incidence(instance)
-    n_pts = len(covers_point)
+    cand_pts = list(_pool_cells(instance))
+    n_pts = instance.ambient.volume
     n_cand = len(cand_pts)
     k_cand = n_cand.bit_length()
     t = instance.multiplicity
@@ -384,8 +380,8 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         return abs(count - t) if exact else max(0, t - count)
 
     # the change in a point's violation when its count c goes up (up[c]) or
-    # down (down[c]) by one; no count passes the point's number of covers
-    top = max(map(len, covers_point)) + 2
+    # down (down[c]) by one; no count passes the number of candidates
+    top = n_cand + 2
     up = [point_violation(c + 1) - point_violation(c) for c in range(top)]
     down = [point_violation(c - 1) - point_violation(c) for c in range(top)]
 

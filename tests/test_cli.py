@@ -193,6 +193,15 @@ class TestSearch:
         assert main(["search", *argv]) == code
         assert capsys.readouterr().err == f"stopped: {reason}\n"
 
+    def test_huge_t_is_proven_infeasible(self, capsys):
+        """A t far past the pool size, and past any tuple length, is a proof
+        of infeasibility like any other: exit 0, not a traceback."""
+        assert main(
+            ["search", "--ambient", "2,2", "--candidates", "proper-box",
+             "--t", "100000000000000000000"]
+        ) == 0
+        assert capsys.readouterr().out == "infeasible (proven)\n"
+
     def test_proof_line_unchanged(self, capsys):
         """The stop reason goes to stderr; stdout keeps its one line."""
         assert main(["search", "--ambient", "5,5", "--candidates", "odd-proper-brick"]) == 0

@@ -5,8 +5,8 @@ coordinates.  The reference below is the dense check kept as a test-only
 copy: it scatters every ambient cell, in the original coordinates, through
 the same ``_factor_csr``/``_scatter_sum`` helpers.  Every report, piercing
 vector, weighted piercing answer and tiling error must match it, on both
-kernels: each test forces the bit-mask or the numpy side by patching
-``_MASK_CELLS``.
+kernels: each test forces the count-list or the numpy side by patching
+``_COUNT_CELLS``.
 """
 
 import itertools
@@ -166,9 +166,12 @@ def products(draw):
 families = st.one_of(any_families(), refined_partitions(), lifted(), products())
 # 1 and 3 put almost every box in a batch of its own, bigger than the budget
 batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
-# the bit-mask kernel for every tensor, or numpy for every tensor
-MASKS, ARRAYS = geometry._CELL_LIMIT, 0
-kernels = st.sampled_from([MASKS, ARRAYS])
+# the count-list kernel for every tensor, or numpy for every tensor
+COUNTS, ARRAYS = geometry._CELL_LIMIT, 0
+kernels = st.sampled_from([COUNTS, ARRAYS])
+# the count-list side keeps the id "masks", the name of the kernel it replaced,
+# so that the test ids stay the same
+KERNEL_IDS = ["masks", "arrays"]
 
 
 # -- differential tests ------------------------------------------------------
@@ -178,7 +181,7 @@ kernels = st.sampled_from([MASKS, ARRAYS])
 @settings(max_examples=300, deadline=None)
 def test_reports_match_the_dense_check(fam, budget, kernel):
     with mock.patch.object(geometry, "_BATCH_CELLS", budget):
-        with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+        with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
             for t, mode in itertools.product((1, 2, 3), ("exact", "at_least")):
                 assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
             assert piercing_number(fam) == dense_piercing_number(fam)
@@ -187,13 +190,13 @@ def test_reports_match_the_dense_check(fam, budget, kernel):
 @given(families, kernels, st.data())
 @settings(max_examples=200, deadline=None)
 def test_intermediate_partitions_match_the_dense_check(fam, kernel, data):
-    """The tiling error text, and on a tiling the weighted piercing answer;
-    labels up to 9 carry into a fourth bit slice."""
+    """The tiling error text, and on a tiling the weighted piercing answer,
+    from labels up to 9."""
     d = fam.ambient.dim
     labels = [data.draw(st.tuples(*[st.integers(1, 9)] * d)) for _ in fam.boxes]
     parts = tuple(zip(fam.boxes, map(PiercingVector, labels)))
     want = dense_tiling_error(fam.ambient, fam.boxes)
-    with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+    with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
         try:
             ip = IntermediatePartition(fam.ambient, parts)
         except GeometryError as exc:
@@ -206,7 +209,7 @@ def test_intermediate_partitions_match_the_dense_check(fam, kernel, data):
             )
 
 
-@pytest.mark.parametrize("kernel", [MASKS, ARRAYS], ids=["masks", "arrays"])
+@pytest.mark.parametrize("kernel", [COUNTS, ARRAYS], ids=KERNEL_IDS)
 @pytest.mark.parametrize(
     "fam",
     [
@@ -217,9 +220,9 @@ def test_intermediate_partitions_match_the_dense_check(fam, kernel, data):
     ids=["empty", "300-repeats", "300-repeats-1d"],
 )
 def test_edge_families_match_the_dense_check(fam, kernel):
-    """No boxes at all (every sum 0), and one box 300 times, whose count
-    needs nine bit slices; targets below, at and above 300."""
-    with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+    """No boxes at all (every sum 0), and one box 300 times, whose 300
+    copies share one list of cells; targets below, at and above 300."""
+    with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
         for t, mode in itertools.product((1, 299, 300, 301, 512), ("exact", "at_least")):
             assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
         assert piercing_number(fam) == dense_piercing_number(fam)
@@ -230,14 +233,14 @@ def test_edge_families_match_the_dense_check(fam, kernel):
         assert rep.per_axis_piercing == (0, 0)
 
 
-@pytest.mark.parametrize("kernel", [MASKS, ARRAYS], ids=["masks", "arrays"])
+@pytest.mark.parametrize("kernel", [COUNTS, ARRAYS], ids=KERNEL_IDS)
 def test_repeated_parts_match_the_dense_check(kernel):
     """A tiling of [2] x [3] whose least line sums are 151 (axis 0) and 255
     (axis 1), from labels of up to nine bits; doubled, it tiles nothing."""
     boxes = (DiscreteBox.of([1], [1, 2, 3]), DiscreteBox.of([2], [1, 2]), DiscreteBox.of([2], [3]))
     labels = [(150, 255), (300, 7), (1, 511)]
     amb = Ambient((2, 3))
-    with mock.patch.object(geometry, "_MASK_CELLS", kernel):
+    with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
         ip = IntermediatePartition(amb, tuple(zip(boxes, map(PiercingVector, labels))))
         targets = (150, 151, 152, 255, 256, 512)
         got = [weighted_piercing_ok(ip, k) for k in targets]
@@ -250,23 +253,23 @@ def test_repeated_parts_match_the_dense_check(kernel):
 
 def test_the_kernel_follows_the_quotient_size():
     """Every tensor of a family whose quotient grid has at most
-    ``_MASK_CELLS`` cells is summed on masks, and every tensor of a bigger
-    one by numpy: the quotient of the quadrant partition of [8]^2 has 64
-    cells, and each line tensor 8."""
+    ``_COUNT_CELLS`` cells is summed on a count list, and every tensor of a
+    bigger one by numpy: the quotient of the quadrant partition of [8]^2 has
+    64 cells, and each line tensor 8."""
     q25 = quadrant_construction(2, 5)
     calls = []
-    real = geometry._mask_slices
+    real = geometry._count_sums
 
     def spy(q, skip, weights):
         calls.append(skip)
         return real(q, skip, weights)
 
-    with mock.patch.object(geometry, "_mask_slices", spy):
-        for limit, masked in [(64, [None, 0, 1]), (63, []), (8, [])]:
+    with mock.patch.object(geometry, "_count_sums", spy):
+        for limit, counted in [(64, [None, 0, 1]), (63, []), (8, [])]:
             calls.clear()
-            with mock.patch.object(geometry, "_MASK_CELLS", limit):
+            with mock.patch.object(geometry, "_COUNT_CELLS", limit):
                 assert verify_cover(q25) == dense_verify_cover(q25)
-            assert calls == masked
+            assert calls == counted
 
 
 @pytest.mark.parametrize(

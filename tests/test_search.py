@@ -14,7 +14,8 @@ from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError, veri
 from boxkit.search import (
     CoverInstance,
     SearchBudget,
-    _pool_incidence,
+    _point_candidates,
+    _pool_cells,
     anneal_cover,
     enumerate_candidates,
     export_model,
@@ -243,7 +244,10 @@ def random_pools(draw):
     )
     random.Random(draw(st.integers(0, 2**16))).shuffle(pool)
     picked = pool[: draw(st.integers(1, 120))]
-    t = draw(st.integers(1, 3))
+    # a t past the pool size covers no point t times: every level above the
+    # pool size stays empty, and 10^20 levels would not fit a tuple
+    n = len(picked)
+    t = draw(st.one_of(st.integers(1, 3), st.sampled_from([n, n + 1, n + 2, 10**20])))
     mode = draw(st.sampled_from(["exact", "at_least"]))
     return CoverInstance(amb, tuple(picked), t, mode)
 
@@ -292,7 +296,8 @@ def test_pool_incidence_matches_contains(inst):
     """Against ``DiscreteBox.contains``: each candidate's points in product
     (row-major) order, and each point's candidates in pool order."""
     points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
-    cand_pts, covers_point = _pool_incidence(inst)
+    cand_pts = list(_pool_cells(inst))
+    covers_point = _point_candidates(cand_pts, inst.ambient)
     assert len(cand_pts) == len(inst.candidates)
     for c, pts in zip(inst.candidates, cand_pts):
         assert [points[p] for p in pts] == [pt for pt in points if c.contains(pt)]
@@ -310,7 +315,7 @@ def test_oversized_masks_refused_before_the_incidence(monkeypatch):
     result = solve_cover(inst, SearchBudget())
     assert (result.best, result.proven_optimal) == (None, True)
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 7999)
-    monkeypatch.setattr(search, "_pool_incidence", None)
+    monkeypatch.setattr(search, "_pool_cells", None)
     with pytest.raises(GeometryError) as exc:
         solve_cover(inst, SearchBudget())
     assert str(exc.value) == "the masks of a 2-axis candidate pool exceeds the 7999-cell limit"
@@ -321,9 +326,10 @@ def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
     any box's cells are built, by every engine."""
     inst = CoverInstance(Ambient((10**5, 10**5)), (DiscreteBox.of([1], [1]),))
     monkeypatch.setattr(search, "_box_cells", None)
+    monkeypatch.setattr(search, "_point_candidates", None)
     message = "the ambient of a 2-axis candidate pool exceeds the"
     with pytest.raises(GeometryError, match=message):
-        _pool_incidence(inst)
+        _pool_cells(inst)
     with pytest.raises(GeometryError, match=message):
         solve_cover(inst, SearchBudget())
     with pytest.raises(GeometryError, match=message):
@@ -338,12 +344,12 @@ def test_pool_incidence_cell_limit(monkeypatch):
     inst = CoverInstance(Ambient((4, 4)), (full, full))
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 31)
     with pytest.raises(GeometryError) as exc:
-        _pool_incidence(inst)
+        _pool_cells(inst)
     assert str(exc.value) == "the incidence of a 2-axis candidate pool exceeds the 31-cell limit"
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 32)
-    cand_pts, covers_point = _pool_incidence(inst)
-    assert cand_pts == [tuple(range(16))] * 2
-    assert covers_point == [[0, 1]] * 16
+    cand_pts = list(_pool_cells(inst))
+    assert cand_pts == [list(range(16))] * 2
+    assert _point_candidates(cand_pts, inst.ambient) == [[0, 1]] * 16
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Start-up: ``import boxkit`` loads no submodule, each command loads only
 the modules it uses, and commands and calls that sum no tensor above
-``geometry._MASK_CELLS`` cells never import numpy; the numpy kernel imports
+``geometry._COUNT_CELLS`` cells never import numpy; the numpy kernel imports
 it on first use.
 
 Each check runs in a fresh interpreter, since the test modules import numpy
@@ -84,7 +84,7 @@ print(json.dumps({"steps": steps, "codes": codes, "partition": report.is_partiti
 
 
 def test_numpy_loads_only_with_the_incidence_kernel(tmp_path):
-    """The 125 quotient cells of p25 are summed on bit masks; the 4,096 of
+    """The 125 quotient cells of p25 are summed on a count list; the 4,096 of
     the quadrant partition of [16]^4 by numpy."""
     out = _fresh(SCRIPT, str(tmp_path / "q25.txt"))
     assert out["codes"] == [0, 0, 0, 0]
@@ -116,13 +116,15 @@ print(json.dumps({"code": code, "loaded": sorted(loaded)}))
         (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "cnf"], ["search"]),
         (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "lp"], ["search"]),
         (["construct", "p25"], ["constructions", "formats"]),
+        (["construct", "realize", "--fig", "fig4", "--k", "3"], ["constructions", "formats"]),
         (["verify", "{p25}", "--piercing", "3"], ["formats"]),
         (["search", "--ambient", "5,5", "--candidates", "odd-proper-brick"], ["search"]),
         (["graph", "--from-partition", "{q25}", "--k", "5"], ["bounds", "formats", "graphq"]),
     ],
     ids=[
         "bounds-root", "bounds-table", "graph-fig9", "render", "render-ascii", "export-cnf",
-        "export-lp", "construct-p25", "verify-p25", "search-bb", "graph-partition",
+        "export-lp", "construct-p25", "construct-realize", "verify-p25", "search-bb",
+        "graph-partition",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
