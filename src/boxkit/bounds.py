@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from .geometry import GeometryError, _check_cells
+from .geometry import GeometryError, _check_cells, _Record
 
 __all__ = [
     "ParityTally",
@@ -42,30 +41,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParityTally:
+class ParityTally(_Record):
     """Exhaustive count of odd-size selector subsets hitting a target oddly."""
 
-    total_selectors: int
-    odd_hits: int
+    __slots__ = ("total_selectors", "odd_hits")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.odd_hits <= self.total_selectors:
+    def __init__(self, total_selectors: int, odd_hits: int) -> None:
+        if not 0 <= odd_hits <= total_selectors:
             raise GeometryError("odd_hits out of range")
+        self._set(total_selectors, odd_hits)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(_Record):
     """A named bound value."""
 
-    name: str
-    value: Fraction | float
+    __slots__ = ("name", "value")
 
-    def __post_init__(self) -> None:
-        if not self.value > 0 or (
-            isinstance(self.value, float) and not math.isfinite(self.value)
-        ):
-            raise GeometryError(f"bound {self.name} must be finite positive")
+    def __init__(self, name: str, value: Fraction | float) -> None:
+        if not value > 0 or (isinstance(value, float) and not math.isfinite(value)):
+            raise GeometryError(f"bound {name} must be finite positive")
+        self._set(name, value)
 
 
 def parity_count(

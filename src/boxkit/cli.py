@@ -8,11 +8,12 @@ Each command imports the modules it uses when it runs, so a process loads
 only those: ``bounds`` reads ``bounds`` and ``geometry``, ``export`` reads
 ``search`` and ``geometry``, and numpy loads only where a command sums a
 coverage or line-sum tensor on a quotient grid above
-``geometry._COUNT_CELLS`` cells: of the library families, ``construct
-quadrant --d 4 --k 4`` (4,096 quotient cells) does, while ``construct
-p25``, ``construct realize --fig fig4 --k 3``, ``verify`` of p25 and the
-re-verification of a small search result add up their tensors on a plain
-list of counts.
+``geometry._COLD_COUNT_CELLS`` (4,096) cells, such as ``construct realize
+--fig fig6 --k 4`` (20,160): ``construct p25``, ``construct quadrant --d 4
+--k 4`` (4,096 quotient cells), ``construct realize --fig fig4 --k 3``,
+``verify`` of p25 and the re-verification of a small search result add up
+their tensors on a plain list of counts.  No command imports
+``dataclasses`` or ``inspect``.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass
 
 from .geometry import (
     Ambient,
@@ -46,6 +45,7 @@ from .geometry import (
     DiscreteBox,
     GeometryError,
     PiercingVector,
+    _Record,
     _axis_maxima,
     _gc_paused,
     _normalize_factor,
@@ -66,27 +66,29 @@ class ParseError(ValueError):
     """Malformed partition text; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class PartitionDocument:
+class PartitionDocument(_Record):
     """A box family with stable 1-based ids, optional labels and metadata."""
 
-    ambient: Ambient
-    boxes: tuple[DiscreteBox, ...]
-    labels: tuple[PiercingVector, ...] | None = None
-    meta: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("ambient", "boxes", "labels", "meta")
 
-    def __post_init__(self) -> None:
-        _validate_boxes(self.boxes, self.ambient)
-        if self.labels is not None and len(self.labels) != len(self.boxes):
+    def __init__(
+        self,
+        ambient: Ambient,
+        boxes: tuple[DiscreteBox, ...],
+        labels: tuple[PiercingVector, ...] | None = None,
+        meta: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        _validate_boxes(boxes, ambient)
+        if labels is not None and len(labels) != len(boxes):
             raise GeometryError("labels must match boxes one-to-one")
+        self._set(ambient, boxes, labels, meta)
 
     @staticmethod
     def _unchecked(ambient: Ambient, boxes: tuple[DiscreteBox, ...]) -> "PartitionDocument":
         """The document with no labels and no metadata, built with no check:
         every box must already fit ``ambient``."""
         doc = object.__new__(PartitionDocument)
-        for name, value in (("ambient", ambient), ("boxes", boxes), ("labels", None), ("meta", ())):
-            object.__setattr__(doc, name, value)
+        doc._set(ambient, boxes, None, ())
         return doc
 
     def family(self) -> BoxFamily:

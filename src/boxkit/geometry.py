@@ -25,7 +25,10 @@ quotient plus the quotient volume, and the class step with the total size
 of the distinct factors, never with a side.  The properness, oddness and
 brick flags come from the original factors.  Quotient tensors above
 ``_CELL_LIMIT`` cells raise GeometryError instead of being allocated.  All
-types are frozen dataclasses, safe to share across threads.  The calls
+public types are immutable ``_Record`` classes with ``__slots__``, compared
+and hashed by value, safe to share across threads; they are plain classes,
+not dataclasses, because importing ``dataclasses`` (and with it ``inspect``)
+and generating each class's methods cost every command's start.  The calls
 that build a whole family (``product`` and both parsers) pause Python's
 cyclic garbage collector through ``_gc_paused``; the pause holds for the
 whole process, other threads included, until the call returns or raises.
@@ -37,17 +40,19 @@ interned, so boxes built from equal factors share one canonical tuple; a
 tuple of exact ints equal to an interned one is replaced by it unchecked.
 
 ``_sums`` is the one place that picks how a tensor is summed, by the cell
-count of the quotient grid alone.  Up to ``_COUNT_CELLS`` (1,024) cells
-each box is a list of flat cell indices, and its weight is added into a
-plain list of counts, one per cell, from which the least and greatest sum
-and the first bad cell follow (``_count_sums``); above it the numpy kernel
-(``_scatter_sum`` over the ``_incidence`` batches) fills an int64 tensor.
-Both are exhaustive on the quotient grid and give the same answers.  The
-counts win on tiny grids, where importing numpy costs more than the whole
-check, and lose as the cells grow, so numpy keeps every bigger grid.  Only
-the numpy kernel imports numpy, inside its functions: code that builds
-boxes, families and documents, or verifies a family with a small quotient
-grid (the 25-box partition, a search result), never loads it.  Code that
+count of the quotient grid and whether numpy is loaded.  Up to
+``_COUNT_CELLS`` (1,024) cells, or ``_COLD_COUNT_CELLS`` (4,096) while numpy
+is not loaded, each box is a list of flat cell indices, and its weight is
+added into a plain list of counts, one per cell, from which the least and
+greatest sum and the first bad cell follow (``_count_sums``); above it the
+numpy kernel (``_scatter_sum`` over the ``_incidence`` batches) fills an
+int64 tensor.  Both are exhaustive on the quotient grid and give the same
+answers.  The counts win on tiny grids and lose as the cells grow, but up
+to 4,096 cells they lose less than importing numpy costs.  Only the numpy
+kernel imports numpy, inside its functions: code that builds boxes,
+families and documents, or verifies a family with a small quotient grid
+(the 25-box partition, the quadrant partition of [16]^4, a search result),
+never loads it.  Code that
 needs a box's cells but sums nothing (the search pools, the ASCII picture)
 takes them from ``_box_cells`` as plain ints.
 
@@ -71,7 +76,6 @@ import gc
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Literal, Sequence, get_args
 
@@ -97,18 +101,55 @@ class GeometryError(ValueError):
     """Structural error: invalid box, dimension mismatch, bad coordinates."""
 
 
-@dataclass(frozen=True)
-class Ambient:
+class _Record:
+    """Base of the immutable records: equality and hash over the fields
+    named in ``__slots__``, in that order, a repr naming them, and no
+    assignment or deletion: ``__init__`` sets the fields once, through
+    ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ambient(_Record):
     """Ambient cube [n_1] x ... x [n_d]; coordinates are 1-based."""
 
-    sides: tuple[int, ...]
+    __slots__ = ("sides",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sides", tuple(_integer(n, "sides") for n in self.sides))
-        if len(self.sides) < 1:
+    def __init__(self, sides: tuple[int, ...]) -> None:
+        sides = tuple(_integer(n, "sides") for n in sides)
+        if len(sides) < 1:
             raise GeometryError("ambient must have dimension >= 1")
-        if any(n < 2 for n in self.sides):
-            raise GeometryError(f"every side must be >= 2, got {self.sides}")
+        if any(n < 2 for n in sides):
+            raise GeometryError(f"every side must be >= 2, got {sides}")
+        self._set(sides)
 
     @staticmethod
     def cube(n: int, d: int) -> "Ambient":
@@ -162,14 +203,13 @@ def _normalize_factor(factor: Iterable[int]) -> tuple[int, ...]:
     return _CANON.setdefault(cells, cells)
 
 
-@dataclass(frozen=True)
-class DiscreteBox:
+class DiscreteBox(_Record):
     """Product of per-axis coordinate sets; factors are sorted tuples."""
 
-    factors: tuple[tuple[int, ...], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(map(_normalize_factor, self.factors)))
+    def __init__(self, factors: Iterable[Iterable[int]]) -> None:
+        self._set(tuple(map(_normalize_factor, factors)))
 
     @staticmethod
     def _canonical(factors: tuple[tuple[int, ...], ...]) -> "DiscreteBox":
@@ -254,17 +294,16 @@ def _is_interval(cells: tuple[int, ...]) -> bool:
     return cells[-1] - cells[0] + 1 == len(cells)
 
 
-@dataclass(frozen=True)
-class BoxFlags:
+class BoxFlags(_Record):
     """Properness, oddness and brickness of one box inside its ambient."""
 
-    proper: bool
-    odd: bool
-    brick: bool
+    __slots__ = ("proper", "odd", "brick")
+
+    def __init__(self, proper: bool, odd: bool, brick: bool) -> None:
+        self._set(proper, odd, brick)
 
 
-@dataclass(frozen=True)
-class BoxFamily:
+class BoxFamily(_Record):
     """An ordered list of boxes over a common ambient.
 
     No disjointness or covering is assumed; families are *verified*, never
@@ -272,44 +311,55 @@ class BoxFamily:
     representable too.
     """
 
-    ambient: Ambient
-    boxes: tuple[DiscreteBox, ...]
+    __slots__ = ("ambient", "boxes")
 
-    def __post_init__(self) -> None:
-        _validate_boxes(self.boxes, self.ambient)
+    def __init__(self, ambient: Ambient, boxes: tuple[DiscreteBox, ...]) -> None:
+        _validate_boxes(boxes, ambient)
+        self._set(ambient, boxes)
 
     def __len__(self) -> int:
         return len(self.boxes)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    is_partition: bool
-    cover_multiplicity_min: int
-    cover_multiplicity_max: int
-    all_proper: bool
-    all_odd: bool
-    all_brick: bool
-    piercing_number: int
-    per_axis_piercing: tuple[int, ...]
-    multiplicity_ok: bool = True
-    first_violation: tuple[int, ...] | None = None
+class VerificationReport(_Record):
+    __slots__ = (
+        "is_partition", "cover_multiplicity_min", "cover_multiplicity_max", "all_proper",
+        "all_odd", "all_brick", "piercing_number", "per_axis_piercing", "multiplicity_ok",
+        "first_violation",
+    )
+
+    def __init__(
+        self,
+        is_partition: bool,
+        cover_multiplicity_min: int,
+        cover_multiplicity_max: int,
+        all_proper: bool,
+        all_odd: bool,
+        all_brick: bool,
+        piercing_number: int,
+        per_axis_piercing: tuple[int, ...],
+        multiplicity_ok: bool = True,
+        first_violation: tuple[int, ...] | None = None,
+    ) -> None:
+        self._set(
+            is_partition, cover_multiplicity_min, cover_multiplicity_max, all_proper, all_odd,
+            all_brick, piercing_number, per_axis_piercing, multiplicity_ok, first_violation,
+        )
 
 
-@dataclass(frozen=True)
-class PiercingVector:
+class PiercingVector(_Record):
     """Per-axis piercing targets attached to one part of a labeled partition."""
 
-    labels: tuple[int, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(_integer(a, "labels") for a in self.labels))
-        if any(a < 1 for a in self.labels):
-            raise GeometryError(f"labels must be >= 1, got {self.labels}")
+    def __init__(self, labels: tuple[int, ...]) -> None:
+        labels = tuple(_integer(a, "labels") for a in labels)
+        if any(a < 1 for a in labels):
+            raise GeometryError(f"labels must be >= 1, got {labels}")
+        self._set(labels)
 
 
-@dataclass(frozen=True)
-class IntermediatePartition:
+class IntermediatePartition(_Record):
     """A partition whose parts carry piercing vectors.
 
     The parts must tile the ambient exactly once.  A valid labeling makes the
@@ -318,21 +368,23 @@ class IntermediatePartition:
     may be general boxes (some constructions deliberately use non-bricks).
     """
 
-    ambient: Ambient
-    parts: tuple[tuple[DiscreteBox, PiercingVector], ...]
+    __slots__ = ("ambient", "parts")
 
-    def __post_init__(self) -> None:
-        for box, vec in self.parts:
-            box.validate_in(self.ambient)
-            if len(vec.labels) != self.ambient.dim:
+    def __init__(
+        self, ambient: Ambient, parts: tuple[tuple[DiscreteBox, PiercingVector], ...]
+    ) -> None:
+        for box, vec in parts:
+            box.validate_in(ambient)
+            if len(vec.labels) != ambient.dim:
                 raise GeometryError("label/dimension mismatch")
-        q = _quotient([box for box, _ in self.parts], self.ambient.sides)
+        q = _quotient([box for box, _ in parts], ambient.sides)
         first = _sums(q, target=1)[2]
         if first is not None:
             raise GeometryError(
                 "parts of an intermediate partition must tile the ambient; "
                 f"first bad point {_first_point(first, q)}"
             )
+        self._set(ambient, parts)
 
     def family(self) -> BoxFamily:
         return BoxFamily(self.ambient, tuple(box for box, _ in self.parts))
@@ -374,14 +426,18 @@ _CELL_LIMIT = 1 << 27
 # Most cells in one incidence batch, a run of whole boxes; a bigger box goes alone.
 _BATCH_CELLS = 1 << 13
 # Most cells in a quotient grid whose tensors ``_sums`` adds up on a plain
-# list of counts; a bigger grid goes to numpy.  The counts win on tiny grids,
-# where importing numpy costs more than the check, and lose as the cells grow
-# (one ``verify_cover``, counts against numpy, 2-core Xeon: 0.21 against
-# 0.25 ms at 125 cells, 1.9 against 0.63 ms at 4,096, 15 against 4.5 ms at
-# 15,625), so the bound stays below 4,096.  The grid, not each tensor,
-# decides: once a family's cover tensor needs numpy, its four line tensors
-# of 512 cells take 0.46 ms together there against 1.05 ms on counts.
+# list of counts once numpy is loaded; a bigger grid goes to numpy.  The
+# counts win on tiny grids and lose as the cells grow (one ``verify_cover``,
+# counts against numpy, 2-core Xeon: 0.21 against 0.25 ms at 125 cells, 1.9
+# against 0.63 ms at 4,096, 15 against 4.5 ms at 15,625).  The grid, not each
+# tensor, decides: once a family's cover tensor needs numpy, its four line
+# tensors of 512 cells take 0.46 ms together there against 1.05 ms on counts.
 _COUNT_CELLS = 1 << 10
+# The same bound while numpy is not loaded: importing it costs 0.1-0.15 s, so
+# up to 4,096 cells the counts, at most 1-2 ms slower per check, still win.
+# Past it the gap grows (15,625 cells: 15 against 4.5 ms), so bigger grids
+# load numpy.
+_COLD_COUNT_CELLS = 1 << 12
 
 
 def _check_cells(shape: Iterable[int], what: str) -> int:
@@ -451,15 +507,15 @@ def _axis_classes(factors: Sequence[tuple[int, ...]], n: int):
     return [tuple({number[cls[c]] for c in f}) for f in factors], [least[k] for k in order]
 
 
-@dataclass
 class _Quotient:
     """A family on its quotient grid: per axis, one cell per class."""
 
-    runs: tuple[list[tuple[int, ...]], ...]  # per axis, each distinct factor's classes
-    which: tuple[list[int], ...]  # per axis, each box's number among the distinct factors
-    sides: tuple[int, ...]  # the number of classes per axis
-    least: tuple[list[int], ...]  # per axis, the smallest coordinate of each class
-    factors: tuple[list[tuple[int, ...]], ...]  # per axis, the distinct factors
+    def __init__(self, runs, which, sides, least, factors) -> None:
+        self.runs = runs  # per axis, each distinct factor's classes
+        self.which = which  # per axis, each box's number among the distinct factors
+        self.sides = sides  # the number of classes per axis
+        self.least = least  # per axis, the smallest coordinate of each class
+        self.factors = factors  # per axis, the distinct factors
 
     @functools.cached_property
     def csr(self):
@@ -494,15 +550,17 @@ def _sums(
     ("at_least"); the first bad cell is its row-major flat index, or None
     when no cell is bad or no target is given.
 
-    The one place that picks a kernel, by the quotient grid's cell count
-    alone, so that every tensor of one check goes to the same kernel: up to
-    ``_COUNT_CELLS`` cells the sums are a list of Python ints
-    (``_count_sums``), above it a numpy tensor (``_scatter_sum``).  Both are
-    exact and give the same answers.  The tensor's shape is bounded by
-    ``_check_cells`` before either kernel allocates it."""
+    The one place that picks a kernel, by the quotient grid's cell count,
+    so that every tensor of one check goes to the same kernel: up to
+    ``_COUNT_CELLS`` cells, or ``_COLD_COUNT_CELLS`` while numpy is not
+    loaded, the sums are a list of Python ints (``_count_sums``), above it a
+    numpy tensor (``_scatter_sum``).  Both are exact and give the same
+    answers.  The tensor's shape is bounded by ``_check_cells`` before
+    either kernel allocates it."""
     shape = [n for j, n in enumerate(q.sides) if j != skip]
     _check_cells(shape, f"a tensor over {len(shape)} axes")
-    if math.prod(q.sides) <= _COUNT_CELLS:
+    limit = _COUNT_CELLS if "numpy" in sys.modules else _COLD_COUNT_CELLS
+    if math.prod(q.sides) <= limit:
         counts = _count_sums(q, skip, weights)
         first = None
         if target is not None:

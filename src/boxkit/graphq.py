@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .bounds import BoundValue
-from .geometry import BoxFamily, GeometryError, _bitmasks, _check_cells, verify_cover
+from .geometry import BoxFamily, GeometryError, _bitmasks, _check_cells, _Record, verify_cover
 
 __all__ = [
     "TwoColoredGraph",
@@ -44,25 +43,26 @@ def _norm_edge(e) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class TwoColoredGraph:
+class TwoColoredGraph(_Record):
     """Vertices 0..n-1 with one edge set per color."""
 
-    vertex_count: int
-    colored_edges: tuple[frozenset[tuple[int, int]], ...]
+    __slots__ = ("vertex_count", "colored_edges")
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+    def __init__(
+        self, vertex_count: int, colored_edges: tuple[frozenset[tuple[int, int]], ...]
+    ) -> None:
+        if vertex_count < 1:
             raise GeometryError("graph needs at least one vertex")
         seen: dict[tuple[int, int], int] = {}
-        for color, edges in enumerate(self.colored_edges):
+        for color, edges in enumerate(colored_edges):
             for e in edges:
                 e = _norm_edge(e)
-                if not (0 <= e[0] < e[1] < self.vertex_count):
+                if not (0 <= e[0] < e[1] < vertex_count):
                     raise GeometryError(f"edge {e} out of range")
                 if e in seen:
                     raise GeometryError(f"edge {e} colored twice")
                 seen[e] = color
+        self._set(vertex_count, colored_edges)
 
     @property
     def colors(self) -> int:
@@ -78,12 +78,17 @@ class TwoColoredGraph:
         return out
 
 
-@dataclass(frozen=True)
-class CliquePropertyReport:
-    holds: bool
-    witnesses: tuple[tuple[tuple[int, ...], ...], ...]  # [color][vertex] -> clique
-    failing_vertex: int | None
-    failing_color: int | None
+class CliquePropertyReport(_Record):
+    __slots__ = ("holds", "witnesses", "failing_vertex", "failing_color")
+
+    def __init__(
+        self,
+        holds: bool,
+        witnesses: tuple[tuple[tuple[int, ...], ...], ...],  # [color][vertex] -> clique
+        failing_vertex: int | None,
+        failing_color: int | None,
+    ) -> None:
+        self._set(holds, witnesses, failing_vertex, failing_color)
 
 
 def partition_to_graph(p: BoxFamily) -> TwoColoredGraph:

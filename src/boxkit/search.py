@@ -22,7 +22,8 @@ geometry's ``_box_cells`` in one walk over the candidates
 point's candidates, ``anneal_cover`` only each candidate's cells, the
 export only each point's candidates.  Only the re-verification of a search
 result can load numpy, and only when its quotient grid passes
-``geometry._COUNT_CELLS`` cells.
+``geometry._COLD_COUNT_CELLS`` cells (``geometry._COUNT_CELLS`` once numpy
+is loaded).
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
@@ -42,7 +43,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Literal, get_args
 
 from .geometry import (
@@ -52,6 +52,7 @@ from .geometry import (
     GeometryError,
     Mode,
     Predicate,
+    _Record,
     _bitmasks,
     _box_cells,
     _check_cells,
@@ -79,37 +80,45 @@ CANDIDATE_SIDE_CAP = 9
 StopReason = Literal["exhausted", "node cap", "wall clock"]
 
 
-@dataclass(frozen=True)
-class CoverInstance:
-    ambient: Ambient
-    candidates: tuple[DiscreteBox, ...]
-    multiplicity: int = 1
-    mode: Mode = "exact"
+class CoverInstance(_Record):
+    __slots__ = ("ambient", "candidates", "multiplicity", "mode")
 
-    def __post_init__(self) -> None:
-        _check_demand(self.multiplicity, self.mode)
-        _validate_boxes(self.candidates, self.ambient)
+    def __init__(
+        self,
+        ambient: Ambient,
+        candidates: tuple[DiscreteBox, ...],
+        multiplicity: int = 1,
+        mode: Mode = "exact",
+    ) -> None:
+        _check_demand(multiplicity, mode)
+        _validate_boxes(candidates, ambient)
+        self._set(ambient, candidates, multiplicity, mode)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 10_000_000
-    wall_seconds: float = 60.0
-    seed: int = 0
+class SearchBudget(_Record):
+    __slots__ = ("max_nodes", "wall_seconds", "seed")
 
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1 or not (self.wall_seconds > 0):  # NaN too
+    def __init__(
+        self, max_nodes: int = 10_000_000, wall_seconds: float = 60.0, seed: int = 0
+    ) -> None:
+        if max_nodes < 1 or not (wall_seconds > 0):  # NaN too
             raise GeometryError("budget fields must be positive")
+        self._set(max_nodes, wall_seconds, seed)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    best: BoxFamily | None
-    best_size: float
-    proven_optimal: bool
-    nodes: int
-    elapsed: float
-    stop_reason: StopReason
+class SearchResult(_Record):
+    __slots__ = ("best", "best_size", "proven_optimal", "nodes", "elapsed", "stop_reason")
+
+    def __init__(
+        self,
+        best: BoxFamily | None,
+        best_size: float,
+        proven_optimal: bool,
+        nodes: int,
+        elapsed: float,
+        stop_reason: StopReason,
+    ) -> None:
+        self._set(best, best_size, proven_optimal, nodes, elapsed, stop_reason)
 
 
 def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[DiscreteBox]:

@@ -6,10 +6,11 @@ copy: it scatters every ambient cell, in the original coordinates, through
 the same ``_factor_csr``/``_scatter_sum`` helpers.  Every report, piercing
 vector, weighted piercing answer and tiling error must match it, on both
 kernels: each test forces the count-list or the numpy side by patching
-``_COUNT_CELLS``.
+``_COUNT_CELLS``, the bound while numpy is loaded, as it is here.
 """
 
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -270,6 +271,32 @@ def test_the_kernel_follows_the_quotient_size():
             with mock.patch.object(geometry, "_COUNT_CELLS", limit):
                 assert verify_cover(q25) == dense_verify_cover(q25)
             assert calls == counted
+
+
+def test_the_kernel_follows_whether_numpy_is_loaded():
+    """The quotient grid of the quadrant partition of [16]^4 has 4,096
+    cells: above ``_COUNT_CELLS`` once numpy is loaded, so numpy sums it,
+    but within ``_COLD_COUNT_CELLS`` while numpy is not, so a count list
+    does and nothing imports numpy.  The reports are equal."""
+    q44 = quadrant_construction(4, 4)
+    calls = []
+    real = geometry._count_sums
+
+    def spy(q, skip, weights):
+        calls.append(skip)
+        return real(q, skip, weights)
+
+    with mock.patch.object(geometry, "_count_sums", spy):
+        assert "numpy" in sys.modules
+        warm = verify_cover(q44)
+        assert calls == []
+        with mock.patch.dict(sys.modules):
+            del sys.modules["numpy"]
+            cold = verify_cover(q44)
+            assert "numpy" not in sys.modules
+        assert calls == [None, 0, 1, 2, 3]
+    assert cold == warm == dense_verify_cover(q44)
+    assert cold.is_partition and cold.piercing_number == 4
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Start-up: ``import boxkit`` loads no submodule, each command loads only
-the modules it uses, and commands and calls that sum no tensor above
-``geometry._COUNT_CELLS`` cells never import numpy; the numpy kernel imports
-it on first use.
+the modules it uses and neither ``dataclasses`` nor ``inspect``, and
+commands and calls that sum no tensor above ``geometry._COLD_COUNT_CELLS``
+cells never import numpy; the numpy kernel imports it on first use.
 
 Each check runs in a fresh interpreter, since the test modules import numpy
 themselves."""
@@ -51,7 +51,13 @@ def step(name, fn, *args):
 import boxkit, boxkit.cli
 steps["import"] = "numpy" in sys.modules
 from boxkit.cli import main
-from boxkit.constructions import partition_25, product, quadrant_construction
+from boxkit.constructions import (
+    intermediate_library,
+    partition_25,
+    product,
+    quadrant_construction,
+    realize,
+)
 from boxkit.formats import (
     PartitionDocument,
     parse_partition_structured,
@@ -78,17 +84,21 @@ codes = [
     step("render_svg", main, ["render", sys.argv[1], "--format", "svg"]),
 ]
 step("verify_cover_p25", verify_cover, p25)
-report = step("verify_cover", verify_cover, q44)
-print(json.dumps({"steps": steps, "codes": codes, "partition": report.is_partition}))
+q44_report = step("verify_cover_q44", verify_cover, q44)
+fig6k4 = step("realize", realize, step("intermediate_library", intermediate_library, "fig6", 4), 4)
+report = step("verify_cover", verify_cover, fig6k4)
+partitions = [q44_report.is_partition, report.is_partition]
+print(json.dumps({"steps": steps, "codes": codes, "partitions": partitions}))
 """
 
 
 def test_numpy_loads_only_with_the_incidence_kernel(tmp_path):
-    """The 125 quotient cells of p25 are summed on a count list; the 4,096 of
-    the quadrant partition of [16]^4 by numpy."""
+    """The 125 quotient cells of p25 and, while numpy is not loaded, the
+    4,096 of the quadrant partition of [16]^4 are summed on a count list;
+    the 20,160 of the realized fig6 partition of [32]^4 by numpy."""
     out = _fresh(SCRIPT, str(tmp_path / "q25.txt"))
     assert out["codes"] == [0, 0, 0, 0]
-    assert out["partition"]
+    assert out["partitions"] == [True, True]
     steps = out["steps"]
     assert steps.pop("verify_cover") is True
     assert steps == dict.fromkeys(steps, False)
@@ -100,7 +110,8 @@ from contextlib import redirect_stdout
 from boxkit.cli import main
 with redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-loaded = [m for m in sys.modules if m == "numpy" or m.startswith("boxkit.")]
+heavy = ("numpy", "dataclasses", "inspect")
+loaded = [m for m in sys.modules if m in heavy or m.startswith("boxkit.")]
 print(json.dumps({"code": code, "loaded": sorted(loaded)}))
 """
 
@@ -117,20 +128,23 @@ print(json.dumps({"code": code, "loaded": sorted(loaded)}))
         (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "lp"], ["search"]),
         (["construct", "p25"], ["constructions", "formats"]),
         (["construct", "realize", "--fig", "fig4", "--k", "3"], ["constructions", "formats"]),
+        (["construct", "quadrant", "--d", "4", "--k", "4"], ["constructions", "formats"]),
         (["verify", "{p25}", "--piercing", "3"], ["formats"]),
         (["search", "--ambient", "5,5", "--candidates", "odd-proper-brick"], ["search"]),
         (["graph", "--from-partition", "{q25}", "--k", "5"], ["bounds", "formats", "graphq"]),
     ],
     ids=[
         "bounds-root", "bounds-table", "graph-fig9", "render", "render-ascii", "export-cnf",
-        "export-lp", "construct-p25", "construct-realize", "verify-p25", "search-bb",
+        "export-lp", "construct-p25", "construct-realize", "construct-quadrant", "verify-p25",
+        "search-bb",
         "graph-partition",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     """The exact boxkit modules a command loads besides the CLI and
-    geometry, and no numpy: the families these commands verify have at most
-    125 quotient cells."""
+    geometry; no numpy, since the families these commands verify have at
+    most 4,096 quotient cells; and no ``dataclasses`` or ``inspect``, which
+    cost every command a few milliseconds to import."""
     files = {}
     for name, fam in [("p25", partition_25()), ("q25", quadrant_construction(2, 5))]:
         files[name] = tmp_path / f"{name}.txt"
