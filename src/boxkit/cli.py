@@ -13,14 +13,15 @@ coverage or line-sum tensor on a quotient grid above
 --k 4`` (4,096 quotient cells), ``construct realize --fig fig4 --k 3``,
 ``verify`` of p25 and the re-verification of a small search result add up
 their tensors on a plain list of counts.  No command imports
-``dataclasses`` or ``inspect``.
+``dataclasses`` or ``inspect``, and only a JSON document (``construct
+--format json``, or a JSON file read) loads ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import get_args
+from typing import Iterable, get_args
 
 from .geometry import Ambient, GeometryError, Mode, Predicate, verify_cover
 
@@ -40,12 +41,13 @@ def _read_document(path: str):
     return parse_partition_text(text)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write the strings to the file ``out``, or to stdout without one."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _parse_ambient(spec: str) -> Ambient:
@@ -104,7 +106,7 @@ def _cmd_construct(args) -> int:
         if args.format == "json"
         else write_partition_text(doc)
     )
-    _emit(text, args.out)
+    _emit((text,), args.out)
     sys.stderr.write(
         f"{len(fam)} boxes over {list(fam.ambient.sides)}; "
         f"piercing {report.piercing_number}\n"
@@ -145,7 +147,7 @@ def _cmd_search(args) -> int:
     if args.out:
         from .formats import PartitionDocument, write_partition_text
 
-        _emit(write_partition_text(PartitionDocument.from_family(result.best)), args.out)
+        _emit((write_partition_text(PartitionDocument.from_family(result.best)),), args.out)
     return EXIT_OK
 
 
@@ -222,10 +224,11 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from .search import export_model
+    from .search import _model_lines
 
-    instance = _make_instance(args)
-    _emit(export_model(instance, args.format), args.out)
+    # the model is written as it is spelled, never held as one string; every
+    # refusal comes before the first line, so a refused model opens no file
+    _emit(_model_lines(_make_instance(args), args.format), args.out)
     return EXIT_OK
 
 
@@ -233,7 +236,7 @@ def _cmd_render(args) -> int:
     from .render import render as render_doc
 
     doc = _read_document(args.file)
-    _emit(render_doc(doc, args.format), args.out)
+    _emit((render_doc(doc, args.format),), args.out)
     return EXIT_OK
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 
 from .geometry import (
@@ -211,6 +210,8 @@ def write_partition_structured(doc: PartitionDocument) -> str:
     """Emit the JSON format: the bytes of ``json.dumps`` with separators
     ``(",", ":")`` over ambient, boxes (factor lists), labels and meta, with
     each distinct factor spelled once."""
+    import json  # here, not at the top: the text commands never load it
+
     dumps = functools.partial(json.dumps, separators=(",", ":"))
     # a factor holds ints only, each written as json writes an int
     spell = _Memo(lambda f: "[" + ",".join(map(str, f)) + "]").__getitem__
@@ -229,6 +230,8 @@ def _reject(token: str):
 @_gc_paused
 def parse_partition_structured(text: str) -> PartitionDocument:
     """Parse the JSON format; bad JSON or a missing or ill-typed field raises ParseError."""
+    import json
+
     try:
         obj = json.loads(text, parse_float=_reject, parse_constant=_reject)
     except RecursionError:

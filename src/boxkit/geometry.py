@@ -52,9 +52,9 @@ to 4,096 cells they lose less than importing numpy costs.  Only the numpy
 kernel imports numpy, inside its functions: code that builds boxes,
 families and documents, or verifies a family with a small quotient grid
 (the 25-box partition, the quadrant partition of [16]^4, a search result),
-never loads it.  Code that
-needs a box's cells but sums nothing (the search pools, the ASCII picture)
-takes them from ``_box_cells`` as plain ints.
+never loads it.  The ASCII picture, which needs a box's cells but sums
+nothing, takes them from ``_box_cells`` as plain ints; the search pools
+build their masks from the boxes' factors and need no cells.
 
 Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
 Only code that holds canonical factors calls it -- each factor either came

@@ -16,12 +16,19 @@ t=1 exact.  Three engines are provided:
   SAT clauses (DIMACS CNF, t=1 exact only), one variable per candidate and
   one constraint per point.
 
-All three read the pool as flat cell indices, built in plain Python by
-geometry's ``_box_cells`` in one walk over the candidates
-(``_pool_cells``): ``solve_cover`` keeps each candidate's cells and each
-point's candidates, ``anneal_cover`` only each candidate's cells, the
-export only each point's candidates.  Only the re-verification of a search
-result can load numpy, and only when its quotient grid passes
+No engine walks a candidate's cells to read the pool.  Each builds what
+it needs from the per-axis factors (``_pool_axes``): ``E[a][v - 1]``, the
+mask of the candidates whose axis-a factor holds v (``_axis_masks``); per
+point, the candidates through it as the AND of ``E[a][p_a - 1]`` over the
+axes (``_cand_masks``); per candidate, its points as the product over the
+axes of its factors' spreads, whose row-major digits do not overlap, so the
+product has no carries (``_pt_masks``).  ``solve_cover`` keeps both masks
+and reads each candidate's cardinality off its point mask;
+``anneal_cover`` reads each candidate's cells off its point mask; the
+export reads each point's candidates off its candidate mask and is spelled
+line by line (``_model_lines``), so the CLI writes it without holding it
+as one string.  Only the re-verification of a search result can load
+numpy, and only when its quotient grid passes
 ``geometry._COLD_COUNT_CELLS`` cells (``geometry._COUNT_CELLS`` once numpy
 is loaded).
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
@@ -41,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 from typing import Literal, get_args
@@ -54,9 +62,9 @@ from .geometry import (
     Predicate,
     _Record,
     _bitmasks,
-    _box_cells,
     _check_cells,
     _check_demand,
+    _distinct,
     _is_interval,
     _normalize_factor,
     _validate_boxes,
@@ -149,29 +157,85 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
     return list(map(DiscreteBox._canonical, itertools.product(*per_axis)))
 
 
-def _pool_cells(instance: CoverInstance):
-    """Each candidate's points as row-major flat indices (in
-    ``itertools.product`` order), in pool order, built as the iterator is
-    read.  An ambient or incidence over geometry's cell limit raises
-    GeometryError at once."""
+def _pool_axes(instance: CoverInstance, pt_masks: bool = False, cand_masks: bool = False):
+    """Per axis, the distinct factors of the candidates on it and each
+    candidate's number among them (geometry's ``_distinct``).  Refuses with
+    GeometryError, before any mask or cell is built, an ambient, the masks
+    asked for (``pt_masks``: a bit per point for each candidate;
+    ``cand_masks``: a bit per candidate for each point) or an incidence
+    (the candidates' total cells) over geometry's cell limit."""
     sides = instance.ambient.sides
     what = f"a {len(sides)}-axis candidate pool"
-    _check_cells(sides, f"the ambient of {what}")
-    _check_cells([sum(b.cardinality for b in instance.candidates)], f"the incidence of {what}")
-    # a box's cells: its leading factors' cells (built once per pool) by its last factor
-    head = functools.cache(lambda lead: [i * sides[-1] - 1 for i in _box_cells(lead, sides[:-1])])
-    factors = (b.factors for b in instance.candidates)
-    return ([h + c for h in head(f[:-1]) for c in f[-1]] for f in factors)
+    n_pts = _check_cells(sides, f"the ambient of {what}")
+    n_cand = len(instance.candidates)
+    for wanted, rows, bits in ((pt_masks, n_cand, n_pts), (cand_masks, n_pts, n_cand)):
+        if wanted:
+            _check_cells([rows, -(-bits // 8)], f"the masks of {what}")
+    factors = [b.factors for b in instance.candidates]
+    axes = [_distinct(list(map(operator.itemgetter(a), factors))) for a in range(len(sides))]
+    # each candidate's cells: the product of its factors' lengths
+    lengths = [map([*map(len, distinct)].__getitem__, which) for distinct, which in axes]
+    cells = functools.reduce(functools.partial(map, operator.mul), lengths)
+    _check_cells([sum(cells)], f"the incidence of {what}")
+    return axes
 
 
-def _point_candidates(cells, ambient: Ambient) -> list[list[int]]:
-    """Per point of ``ambient``, the candidates covering it in pool order,
-    from ``_pool_cells``."""
-    covers_point: list[list[int]] = [[] for _ in range(ambient.volume)]
-    for ci, pts in enumerate(cells):
-        for p in pts:
-            covers_point[p].append(ci)
-    return covers_point
+def _axis_masks(instance: CoverInstance, axes) -> list[list[int]]:
+    """``E[a][v - 1]``: the mask of the candidates whose axis-a factor holds
+    v, from ``_pool_axes``.  Up to 256 distinct factors on an axis, each
+    candidate's factor number is a byte, and ``E[a][v - 1]``'s digits are
+    one ``bytes.translate`` of them; past that, each candidate's factor is
+    read, so the cost is the pool's total factor length, not its volume."""
+    n_cand = len(instance.candidates)
+    masks = []
+    for (distinct, which), n in zip(axes, instance.ambient.sides):
+        if len(distinct) <= 256:
+            numbers, row = bytes(which), []
+            for v in range(1, n + 1):
+                # digit "1" for each factor number whose factor holds v
+                table = bytes(49 if v in f else 48 for f in distinct).ljust(256, b"0")
+                row.append(int(numbers.translate(table)[::-1] or b"0", 2))
+            masks.append(row)
+            continue
+        holders: list[list[int]] = [[] for _ in range(n)]
+        for ci, i in enumerate(which):
+            for v in distinct[i]:
+                holders[v - 1].append(ci)
+        masks.append(_bitmasks(holders, n_cand))
+    return masks
+
+
+def _cand_masks(axis_masks: list[list[int]]) -> list[int]:
+    """Per point, row-major, the mask of the candidates through it: the AND
+    over the axes of ``E[a][p_a - 1]``."""
+    masks = axis_masks[0]
+    for row in axis_masks[1:]:
+        masks = [m & e for m in masks for e in row]
+    return masks
+
+
+def _pt_masks(instance: CoverInstance, axes):
+    """Per candidate, in pool order and as the iterator is read, the mask of
+    its points (bit p for row-major point p), from ``_pool_axes``: the
+    product over the axes of ``spread(f) = sum of 2^((v - 1) * stride)``
+    over its factor f.  The axes' digits fall on disjoint positions, so the
+    product has no carries."""
+    sides = instance.ambient.sides
+    columns = []
+    for a, (distinct, which) in enumerate(axes):
+        stride = math.prod(sides[a + 1:])
+        spreads = [sum(1 << (v - 1) * stride for v in f) for f in distinct]
+        columns.append(map(spreads.__getitem__, which))
+    return functools.reduce(functools.partial(map, operator.mul), columns)
+
+
+_ONES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ones(mask: int, width: int) -> bytes:
+    """A mask's ``width`` low bits, bit 0 first, as bytes 0 and 1: the
+    selectors that ``itertools.compress`` needs."""
+    return format(mask, f"0{width}b")[::-1].encode().translate(_ONES)
 
 
 def _verified_result(
@@ -229,32 +293,35 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     ``stop_reason`` is "exhausted", "node cap" or "wall clock".  Masks over
     the cell limit in bytes (a bit per candidate and point) are refused.
     """
-    what = f"a {instance.ambient.dim}-axis candidate pool"
-    n_pts = _check_cells(instance.ambient.sides, f"the ambient of {what}")
-    _check_cells([len(instance.candidates), -(-n_pts // 8)], f"the masks of {what}")
-    cand_pts = list(_pool_cells(instance))
-    covers_point = _point_candidates(cand_pts, instance.ambient)
+    axes = _pool_axes(instance, pt_masks=True)
+    n_pts, n_cand = instance.ambient.volume, len(instance.candidates)
     t = instance.multiplicity
     exact = instance.mode == "exact"
     # per candidate its points as a mask, and their number; per point the
     # candidates through it as a mask
-    pt_mask = _bitmasks(cand_pts, n_pts)
-    card = list(map(len, cand_pts))
-    cand_mask = _bitmasks(covers_point, len(cand_pts))
+    axis_masks = _axis_masks(instance, axes)
+    pt_mask = list(_pt_masks(instance, axes))
+    card = list(map(int.bit_count, pt_mask))
+    cand_mask = _cand_masks(axis_masks)
+    everyone = (1 << n_cand) - 1
+    # t=1 exact: per candidate, once first chosen, the candidates that share
+    # a point with it: on every axis, those whose factor meets its factor
+    # (never 0 once built, since a candidate meets itself)
+    meets = [0] * n_cand
     max_card = max(card, default=1)
     # card_ge[k]: the candidates with k points or more
     by_card = [[] for _ in range(max_card + 1)]
     for ci, k in enumerate(card):
         by_card[k].append(ci)
-    card_ge = [*itertools.accumulate(_bitmasks(by_card[::-1], len(card)), int.__or__)][::-1]
+    card_ge = [*itertools.accumulate(_bitmasks(by_card[::-1], n_cand), int.__or__)][::-1]
     # a bitmask's digits, point 0 first, read as 1 for each point it lacks
     width, unset = f"0{n_pts}b", bytes.maketrans(b"01", b"\1\0")
 
-    levels = (0,) * min(t, len(cand_pts) + 1)
+    levels = (0,) * min(t, n_cand + 1)
     gone = 0
     demand = t * n_pts
     # no incumbent yet: a size above any depth + bound, so nothing is pruned
-    best = len(cand_pts) + demand + 1
+    best = n_cand + demand + 1
     best_sel: list[int] | None = None
     max_nodes, wall_seconds, monotonic = budget.max_nodes, budget.wall_seconds, time.monotonic
     start = monotonic()
@@ -265,8 +332,8 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     while not stop:
         # the node (levels, gone, demand) is counted; its pivot: the first
         # deficit point with the fewest usable candidates; none is fewer than 0
-        free = ~gone
-        fewest = len(cand_pts) + 1
+        free = everyone ^ gone
+        fewest = n_cand + 1
         deficit = format(levels[-1], width)[::-1].encode().translate(unset)
         for p in itertools.compress(range(n_pts), deficit):
             n_opts = (cand_mask[p] & free).bit_count()
@@ -321,8 +388,12 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
             gone = frame[1]
             if exact and t == 1:  # all of ci's points become full
                 levels = (frame[0][0] | m,)
-                for p in cand_pts[ci]:
-                    gone |= cand_mask[p]
+                if not meets[ci]:
+                    meets[ci] = functools.reduce(int.__and__, [
+                        functools.reduce(int.__or__, [e[v - 1] for v in f])
+                        for e, f in zip(axis_masks, instance.candidates[ci].factors)
+                    ])
+                gone |= meets[ci]
                 break
             carry, lifted = m, []
             for level in frame[0]:
@@ -373,8 +444,11 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     """
     rng = random.Random(budget.seed)
     bits, uniform, exp, monotonic = rng.getrandbits, rng.random, math.exp, time.monotonic
-    cand_pts = list(_pool_cells(instance))
+    axes = _pool_axes(instance)
     n_pts = instance.ambient.volume
+    # each candidate's points, read off its mask one candidate at a time
+    cells = range(n_pts)
+    cand_pts = [list(itertools.compress(cells, _ones(m, n_pts))) for m in _pt_masks(instance, axes)]
     n_cand = len(cand_pts)
     k_cand = n_cand.bit_length()
     t = instance.multiplicity
@@ -508,42 +582,54 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
 
 def export_model(instance: CoverInstance, format: Literal["lp", "cnf"]) -> str:
     """Emit the 0/1 program for the instance: one binary variable per
-    candidate (in pool order), one constraint per ambient point.  A CNF
-    model whose clause count passes geometry's cell limit raises
-    GeometryError before any clause is built."""
-    # the text reads only each point's candidates, so no candidate keeps its cells
-    covers_point = _point_candidates(_pool_cells(instance), instance.ambient)
+    candidate (in pool order), one constraint per ambient point.  An
+    unknown format, a CNF model other than t=1 exact, and a CNF model whose
+    clause count passes geometry's cell limit raise GeometryError before
+    any text is built; so do the refusals of the pool (``_pool_axes``)."""
+    return "".join(_model_lines(instance, format))
+
+
+def _model_lines(instance: CoverInstance, format: str):
+    """``export_model``'s text as an iterator of strings (a line each, or
+    for CNF a point's clauses), after every refusal: nothing that it
+    refuses reaches the iterator.  Each point's candidates come off its
+    candidate mask, so no candidate's cells are built."""
+    t, exact = instance.multiplicity, instance.mode == "exact"
+    if format not in ("lp", "cnf"):
+        raise GeometryError(f"unknown format {format!r}")
+    if format == "cnf" and (t != 1 or not exact):
+        raise GeometryError(
+            "cnf export supports only exact multiplicity 1 "
+            "(no cardinality encoding is provided)"
+        )
     n_vars = len(instance.candidates)
+    cand_mask = _cand_masks(_axis_masks(instance, _pool_axes(instance, cand_masks=True)))
 
     if format == "lp":
-        rel = "=" if instance.mode == "exact" else ">="
+        rel = "=" if exact else ">="
         names = [f"x_{i + 1}" for i in range(n_vars)]
-        lines = ["Minimize", " obj: " + " + ".join(names), "Subject To"]
         points = itertools.product(*(range(1, n + 1) for n in instance.ambient.sides))
-        for pt, cs in zip(points, covers_point):
-            name = "p_" + "_".join(map(str, pt))
-            terms = " + ".join(map(names.__getitem__, cs))
-            lines.append(f" {name}: {terms} {rel} {instance.multiplicity}")
-        lines.extend(["Binary", " " + " ".join(names), "End"])
-        return "\n".join(lines) + "\n"
+        rows = (
+            f" p_{'_'.join(map(str, pt))}: "
+            f"{' + '.join(itertools.compress(names, _ones(m, n_vars)))} {rel} {t}\n"
+            for pt, m in zip(points, cand_mask)
+        )
+        head = ["Minimize\n", f" obj: {' + '.join(names)}\n", "Subject To\n"]
+        return itertools.chain(head, rows, ["Binary\n", f" {' '.join(names)}\n", "End\n"])
 
-    if format == "cnf":
-        if instance.multiplicity != 1 or instance.mode != "exact":
-            raise GeometryError(
-                "cnf export supports only exact multiplicity 1 "
-                "(no cardinality encoding is provided)"
-            )
-        # one at-least-one clause per point and one at-most-one clause per pair
-        pairs = sum(math.comb(len(cs), 2) for cs in covers_point)
-        _check_cells([len(covers_point) + pairs], "the clauses of a cnf model")
-        clauses: list[list[int]] = []
-        for cs in covers_point:
-            vs = [ci + 1 for ci in cs]
-            clauses.append(vs)  # at least one
-            for a, b in itertools.combinations(vs, 2):  # at most one
-                clauses.append([-a, -b])
-        out = [f"p cnf {n_vars} {len(clauses)}"]
-        out.extend(" ".join(str(v) for v in c) + " 0" for c in clauses)
-        return "\n".join(out) + "\n"
+    # one at-least-one clause per point and one at-most-one clause per pair
+    sizes = list(map(int.bit_count, cand_mask))
+    n_clauses = len(sizes) + sum(math.comb(k, 2) for k in sizes)
+    _check_cells([n_clauses], "the clauses of a cnf model")
+    var = [str(i + 1) for i in range(n_vars)]
+    neg = ["-" + v for v in var]
 
-    raise GeometryError(f"unknown format {format!r}")
+    def clauses():
+        yield f"p cnf {n_vars} {n_clauses}\n"
+        for m in cand_mask:
+            ones = _ones(m, n_vars)
+            yield " ".join(itertools.compress(var, ones)) + " 0\n"
+            pairs = itertools.combinations(itertools.compress(neg, ones), 2)
+            yield "".join(itertools.starmap("{} {} 0\n".format, pairs))
+
+    return clauses()

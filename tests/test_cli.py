@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -11,18 +13,18 @@ import boxkit
 from boxkit import cli, geometry
 from boxkit.cli import main
 from boxkit.constructions import _LIBRARY, APPENDIX_25_LISTING
-from boxkit.search import Predicate
+from boxkit.search import CoverInstance, Predicate, enumerate_candidates, export_model
 
 
-def _boxkit(argv):
+def _boxkit(argv, text=True):
     """``python -m boxkit.cli`` on ``argv`` in a fresh interpreter, killed
-    after 20 s."""
+    after 20 s; its output as str, or as bytes when ``text`` is false."""
     src = str(Path(boxkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "boxkit.cli", *argv],
         capture_output=True,
-        text=True,
+        text=text,
         timeout=20,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -338,6 +340,43 @@ class TestExportRender:
         assert done.stderr == (
             "error: the clauses of a cnf model exceeds the 134217728-cell limit\n"
         )
+
+    @pytest.mark.parametrize("ambient", ["3", "2,3", "3,3"])
+    @pytest.mark.parametrize("candidates", [n.replace("_", "-") for n in get_args(Predicate)])
+    def test_streamed_export_matches_export_model(self, ambient, candidates, tmp_path, capsys):
+        """``boxkit export`` writes the model line by line, to stdout or to
+        ``--out``; either is byte for byte ``export_model``'s text.  A
+        refused model writes nothing and creates no file."""
+        amb = geometry.Ambient(tuple(map(int, ambient.split(","))))
+        pool = tuple(enumerate_candidates(amb, candidates.replace("-", "_")))
+        for t, mode, format in itertools.product([1, 2], ["exact", "at_least"], ["lp", "cnf"]):
+            argv = ["export", "--ambient", ambient, "--candidates", candidates,
+                    "--t", str(t), "--mode", mode, "--format", format]
+            out = tmp_path / f"{t}-{mode}.{format}"
+            if format == "cnf" and (t, mode) != (1, "exact"):
+                assert main(argv) == 2
+                assert main([*argv, "--out", str(out)]) == 2
+                assert capsys.readouterr().out == "" and not out.exists()
+                continue
+            want = export_model(CoverInstance(amb, pool, t, mode), format)
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want
+            assert main([*argv, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            assert out.read_bytes() == want.encode()
+
+    def test_streamed_export_bytes_in_a_process(self, tmp_path):
+        """The console's bytes, to stdout and to ``--out``: the CNF model of
+        [4]^2 by proper boxes pinned in ``test_search``."""
+        argv = ["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "cnf"]
+        digest = "cebe36b72ebb2d367bdca3893ec1e2e14976696ac203febf3f2fd51d4ef12578"
+        done = _boxkit(argv, text=False)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
+        out = tmp_path / "m.cnf"
+        done = _boxkit([*argv, "--out", str(out)], text=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_render_ascii(self, p25_file, capsys):
         assert main(["render", p25_file]) == 0

@@ -14,8 +14,10 @@ from boxkit.geometry import Ambient, BoxFamily, DiscreteBox, GeometryError, veri
 from boxkit.search import (
     CoverInstance,
     SearchBudget,
-    _point_candidates,
-    _pool_cells,
+    _axis_masks,
+    _cand_masks,
+    _pool_axes,
+    _pt_masks,
     anneal_cover,
     enumerate_candidates,
     export_model,
@@ -290,46 +292,116 @@ def any_pools(draw):
     return CoverInstance(Ambient(sides), tuple(DiscreteBox.of(*b) for b in boxes))
 
 
+@given(any_pools(), st.sampled_from([(1, "exact"), (2, "exact"), (1, "at_least")]), st.integers(1, 500))
+@settings(max_examples=100, deadline=None)
+def test_solver_on_arbitrary_pools_walks_the_reference_tree(inst, demand, max_nodes):
+    """Arbitrary and repeated factors, with every singleton added so that a
+    cover exists: at t=1 exact, the candidates that meet a chosen one (read
+    off the per-axis masks) are those through its cells."""
+    points = itertools.product(*(range(1, n + 1) for n in inst.ambient.sides))
+    singletons = tuple(DiscreteBox.of(*([c] for c in p)) for p in points)
+    inst = CoverInstance(inst.ambient, inst.candidates + singletons, *demand)
+    r = solve_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600))
+    sel, size, proven, nodes = _reference_solve_cover(inst, max_nodes)
+    assert (r.nodes, r.proven_optimal, r.best_size) == (nodes, proven, size)
+    assert (r.best and r.best.boxes) == (sel and tuple(inst.candidates[i] for i in sel))
+
+
+def _pool_oracle(inst):
+    """Per candidate its points, per point its candidates, both as masks,
+    and per candidate its cardinality, from ``DiscreteBox.contains`` alone."""
+    points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
+    holds = [[c.contains(pt) for pt in points] for c in inst.candidates]
+    pt_mask = [sum(1 << p for p, h in enumerate(row) if h) for row in holds]
+    cand_mask = [sum(1 << ci for ci, row in enumerate(holds) if row[p]) for p in range(len(points))]
+    return pt_mask, cand_mask, [row.count(True) for row in holds]
+
+
 @given(any_pools())
 @settings(max_examples=150, deadline=None)
 def test_pool_incidence_matches_contains(inst):
-    """Against ``DiscreteBox.contains``: each candidate's points in product
-    (row-major) order, and each point's candidates in pool order."""
+    """The per-axis masks against ``DiscreteBox.contains``: each candidate's
+    points (the product of its spreads), each point's candidates (the AND
+    of the axes' masks) and each candidate's cardinality."""
+    pt_mask, cand_mask, card = _pool_oracle(inst)
+    axes = _pool_axes(inst, pt_masks=True, cand_masks=True)
+    assert list(_pt_masks(inst, axes)) == pt_mask
+    assert list(map(int.bit_count, _pt_masks(inst, axes))) == card
+    assert _cand_masks(_axis_masks(inst, axes)) == cand_mask
+
+
+@pytest.mark.parametrize("sides", [(9,), (3, 9)])
+def test_pool_incidence_past_256_factors_matches_contains(sides):
+    """An axis with 510 distinct factors (the proper boxes of [9]) builds its
+    masks factor by factor rather than from one byte per candidate."""
+    inst = instance(sides, "proper_box")
+    axes = _pool_axes(inst)
+    assert max(len(distinct) for distinct, _ in axes) == 510
+    pt_mask, cand_mask, _ = _pool_oracle(inst)
+    assert list(_pt_masks(inst, axes)) == pt_mask
+    assert _cand_masks(_axis_masks(inst, axes)) == cand_mask
+
+
+def _reference_model(inst, format):
+    """The LP or CNF text of ``export_model``, built from
+    ``DiscreteBox.contains`` point by point."""
     points = list(itertools.product(*(range(1, n + 1) for n in inst.ambient.sides)))
-    cand_pts = list(_pool_cells(inst))
-    covers_point = _point_candidates(cand_pts, inst.ambient)
-    assert len(cand_pts) == len(inst.candidates)
-    for c, pts in zip(inst.candidates, cand_pts):
-        assert [points[p] for p in pts] == [pt for pt in points if c.contains(pt)]
-    assert covers_point == [
-        [ci for ci, c in enumerate(inst.candidates) if c.contains(pt)] for pt in points
-    ]
+    through = [[ci + 1 for ci, c in enumerate(inst.candidates) if c.contains(pt)] for pt in points]
+    n_vars = len(inst.candidates)
+    if format == "lp":
+        rel = "=" if inst.mode == "exact" else ">="
+        names = [f"x_{i}" for i in range(1, n_vars + 1)]
+        lines = ["Minimize", " obj: " + " + ".join(names), "Subject To"]
+        for pt, vs in zip(points, through):
+            terms = " + ".join(f"x_{v}" for v in vs)
+            lines.append(f" p_{'_'.join(map(str, pt))}: {terms} {rel} {inst.multiplicity}")
+        lines += ["Binary", " " + " ".join(names), "End"]
+    else:
+        clauses = []
+        for vs in through:
+            clauses.append(vs)
+            clauses.extend([-a, -b] for a, b in itertools.combinations(vs, 2))
+        lines = [f"p cnf {n_vars} {len(clauses)}"] + [" ".join(map(str, c)) + " 0" for c in clauses]
+    return "".join(line + "\n" for line in lines)
+
+
+@given(any_pools(), st.sampled_from([(1, "exact"), (2, "exact"), (2, "at_least")]))
+@settings(max_examples=150, deadline=None)
+def test_export_matches_a_reference_built_from_contains(inst, demand):
+    """LP for every demand and CNF for t=1 exact, byte for byte as a naive
+    writer over ``DiscreteBox.contains`` spells them, on arbitrary pools
+    (repeated candidates, 1-D, empty)."""
+    inst = CoverInstance(inst.ambient, inst.candidates, *demand)
+    assert export_model(inst, "lp") == _reference_model(inst, "lp")
+    if demand == (1, "exact"):
+        assert export_model(inst, "cnf") == _reference_model(inst, "cnf")
 
 
 def test_oversized_masks_refused_before_the_incidence(monkeypatch):
     """40 singletons of [40]^2: 40 x 1,600 bits, 8,000 bytes of masks, against
     an ambient of 1,600 cells and an incidence of 40.  One byte under that,
-    ``solve_cover`` refuses before the pool's incidence is built."""
+    ``solve_cover`` refuses before any mask is built."""
     inst = CoverInstance(Ambient((40, 40)), tuple(DiscreteBox.of([i], [i]) for i in range(1, 41)))
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 8000)
     result = solve_cover(inst, SearchBudget())
     assert (result.best, result.proven_optimal) == (None, True)
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 7999)
-    monkeypatch.setattr(search, "_pool_cells", None)
+    monkeypatch.setattr(search, "_axis_masks", None)
+    monkeypatch.setattr(search, "_pt_masks", None)
     with pytest.raises(GeometryError) as exc:
         solve_cover(inst, SearchBudget())
     assert str(exc.value) == "the masks of a 2-axis candidate pool exceeds the 7999-cell limit"
 
 
 def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
-    """A one-box pool over [10^5]^2 is refused before the per-point lists or
-    any box's cells are built, by every engine."""
+    """A one-box pool over [10^5]^2 is refused before any mask or any box's
+    cells are built, by every engine."""
     inst = CoverInstance(Ambient((10**5, 10**5)), (DiscreteBox.of([1], [1]),))
-    monkeypatch.setattr(search, "_box_cells", None)
-    monkeypatch.setattr(search, "_point_candidates", None)
+    monkeypatch.setattr(search, "_axis_masks", None)
+    monkeypatch.setattr(search, "_pt_masks", None)
     message = "the ambient of a 2-axis candidate pool exceeds the"
     with pytest.raises(GeometryError, match=message):
-        _pool_cells(inst)
+        _pool_axes(inst)
     with pytest.raises(GeometryError, match=message):
         solve_cover(inst, SearchBudget())
     with pytest.raises(GeometryError, match=message):
@@ -339,17 +411,29 @@ def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
 
 
 def test_pool_incidence_cell_limit(monkeypatch):
-    """Two full boxes of [4]^2 make 32 incidence cells over a 16-cell ambient."""
+    """Two full boxes of [4]^2 make 32 incidence cells over a 16-cell
+    ambient: one under that, every engine refuses before any mask is
+    built; at it, the masks are the full ones."""
     full = DiscreteBox.of(range(1, 5), range(1, 5))
     inst = CoverInstance(Ambient((4, 4)), (full, full))
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 31)
-    with pytest.raises(GeometryError) as exc:
-        _pool_cells(inst)
-    assert str(exc.value) == "the incidence of a 2-axis candidate pool exceeds the 31-cell limit"
+    message = "the incidence of a 2-axis candidate pool exceeds the 31-cell limit"
+    with monkeypatch.context() as m:
+        m.setattr(search, "_axis_masks", None)
+        m.setattr(search, "_pt_masks", None)
+        for refused in (
+            lambda: _pool_axes(inst),
+            lambda: solve_cover(inst, SearchBudget()),
+            lambda: anneal_cover(inst, SearchBudget(max_nodes=10)),
+            lambda: export_model(inst, "lp"),
+        ):
+            with pytest.raises(GeometryError) as exc:
+                refused()
+            assert str(exc.value) == message
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 32)
-    cand_pts = list(_pool_cells(inst))
-    assert cand_pts == [list(range(16))] * 2
-    assert _point_candidates(cand_pts, inst.ambient) == [[0, 1]] * 16
+    axes = _pool_axes(inst)
+    assert list(_pt_masks(inst, axes)) == [(1 << 16) - 1] * 2
+    assert _cand_masks(_axis_masks(inst, axes)) == [0b11] * 16
 
 
 @pytest.mark.parametrize(
@@ -753,6 +837,16 @@ class TestExport:
             export_model(
                 instance((3,), "odd_proper_box", mode="at_least"), "cnf"
             )
+
+    def test_bad_arguments_refused_before_the_pool_is_read(self, monkeypatch):
+        """An unknown format, and CNF for t > 1 or at-least mode, are refused
+        before the pool's factors or masks are read."""
+        monkeypatch.setattr(search, "_pool_axes", None)
+        with pytest.raises(GeometryError, match="^unknown format 'mps'$"):
+            export_model(instance((3,), "odd_proper_box"), "mps")
+        for t, mode in [(2, "exact"), (1, "at_least")]:
+            with pytest.raises(GeometryError, match="^cnf export supports only exact multiplicity 1"):
+                export_model(instance((3, 3), "proper_box", t, mode), "cnf")
 
     def test_unknown_format(self):
         with pytest.raises(GeometryError):

@@ -154,6 +154,42 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     assert out["loaded"] == sorted(f"boxkit.{m}" for m in ["cli", "geometry", *modules])
 
 
+JSONLESS = """
+import io, sys
+from contextlib import redirect_stdout
+from boxkit.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print('{"code": %d, "json": %s}' % (code, str("json" in sys.modules).lower()))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, json_loaded",
+    [
+        (["construct", "p25"], False),
+        (["construct", "quadrant", "--d", "4", "--k", "4"], False),
+        (["verify", "{p25}", "--piercing", "3"], False),
+        (["render", "{p25}"], False),
+        (["graph", "--from-partition", "{q25}", "--k", "5"], False),
+        (["search", "--ambient", "5,5", "--candidates", "odd-proper-brick", "--out", "{found}"], False),
+        (["export", "--ambient", "4,4", "--candidates", "proper-box", "--format", "lp"], False),
+        (["construct", "p25", "--format", "json"], True),
+    ],
+    ids=["construct-p25", "construct-quadrant", "verify-p25", "render", "graph-partition",
+         "search-out", "export-lp", "construct-json"],
+)
+def test_only_json_documents_import_json(tmp_path, argv, json_loaded):
+    """``formats`` imports ``json`` inside its JSON reader and writer, so a
+    command that reads and writes only text never loads it."""
+    files = {"found": tmp_path / "found.txt"}
+    for name, fam in [("p25", partition_25()), ("q25", quadrant_construction(2, 5))]:
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(write_partition_text(PartitionDocument.from_family(fam)))
+    out = _fresh(JSONLESS, *[a.format(**files) for a in argv])
+    assert out == {"code": 0, "json": json_loaded}
+
+
 def test_import_loads_no_submodule():
     code = "import json, sys, boxkit; print(json.dumps(sorted(m for m in sys.modules if m.startswith(('boxkit.', 'numpy')))))"
     assert _fresh(code) == []
