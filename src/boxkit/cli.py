@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, get_args
+from typing import get_args
 
 from .geometry import Ambient, GeometryError, Mode, Predicate, verify_cover
 
@@ -41,13 +41,12 @@ def _read_document(path: str):
     return parse_partition_text(text)
 
 
-def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write the strings to the file ``out``, or to stdout without one."""
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+            fh.write(text)
     else:
-        sys.stdout.writelines(lines)
+        sys.stdout.write(text)
 
 
 def _parse_ambient(spec: str) -> Ambient:
@@ -106,7 +105,7 @@ def _cmd_construct(args) -> int:
         if args.format == "json"
         else write_partition_text(doc)
     )
-    _emit((text,), args.out)
+    _emit(text, args.out)
     sys.stderr.write(
         f"{len(fam)} boxes over {list(fam.ambient.sides)}; "
         f"piercing {report.piercing_number}\n"
@@ -147,7 +146,7 @@ def _cmd_search(args) -> int:
     if args.out:
         from .formats import PartitionDocument, write_partition_text
 
-        _emit((write_partition_text(PartitionDocument.from_family(result.best)),), args.out)
+        _emit(write_partition_text(PartitionDocument.from_family(result.best)), args.out)
     return EXIT_OK
 
 
@@ -228,7 +227,12 @@ def _cmd_export(args) -> int:
 
     # the model is written as it is spelled, never held as one string; every
     # refusal comes before the first line, so a refused model opens no file
-    _emit(_model_lines(_make_instance(args), args.format), args.out)
+    lines = _model_lines(_make_instance(args), args.format)
+    if not args.out:
+        sys.stdout.writelines(lines)
+        return EXIT_OK
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
     return EXIT_OK
 
 
@@ -236,7 +240,7 @@ def _cmd_render(args) -> int:
     from .render import render as render_doc
 
     doc = _read_document(args.file)
-    _emit((render_doc(doc, args.format),), args.out)
+    _emit(render_doc(doc, args.format), args.out)
     return EXIT_OK
 
 

@@ -54,7 +54,8 @@ families and documents, or verifies a family with a small quotient grid
 (the 25-box partition, the quadrant partition of [16]^4, a search result),
 never loads it.  The ASCII picture, which needs a box's cells but sums
 nothing, takes them from ``_box_cells`` as plain ints; the search pools
-build their masks from the boxes' factors and need no cells.
+work from the boxes' per-axis factors, as masks or as cells summed from
+per-axis offsets.
 
 Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
 Only code that holds canonical factors calls it -- each factor either came

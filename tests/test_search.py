@@ -15,7 +15,10 @@ from boxkit.search import (
     CoverInstance,
     SearchBudget,
     _axis_masks,
+    _cand_cells,
     _cand_masks,
+    _cards,
+    _point_pool,
     _pool_axes,
     _pt_masks,
     anneal_cover,
@@ -317,17 +320,50 @@ def _pool_oracle(inst):
     return pt_mask, cand_mask, [row.count(True) for row in holds]
 
 
+def _members(mask):
+    """The set bits of a mask, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _check_point_pool(inst, cand_mask):
+    """``_point_pool``'s count and pick at every point against the
+    candidate masks; whether the pool was read as masks (dense)."""
+    through, count, pick = _point_pool(inst, *_pool_axes(inst))
+    assert len(through) == len(cand_mask)
+    for entry, m in zip(through, cand_mask):
+        assert count(entry) == m.bit_count()
+        assert list(pick(range(len(inst.candidates)), entry)) == _members(m)
+    return all(isinstance(entry, int) for entry in through)
+
+
 @given(any_pools())
 @settings(max_examples=150, deadline=None)
 def test_pool_incidence_matches_contains(inst):
-    """The per-axis masks against ``DiscreteBox.contains``: each candidate's
-    points (the product of its spreads), each point's candidates (the AND
-    of the axes' masks) and each candidate's cardinality."""
+    """The per-axis algebra against ``DiscreteBox.contains``: each
+    candidate's points (the product of its spreads, and the sums of its
+    offsets), each point's candidates (the AND of the axes' masks, and
+    ``_point_pool`` on either side of its density rule) and each
+    candidate's cardinality (the product of its factors' lengths)."""
     pt_mask, cand_mask, card = _pool_oracle(inst)
-    axes = _pool_axes(inst, pt_masks=True, cand_masks=True)
+    axes, incidence = _pool_axes(inst, masks=True)
     assert list(_pt_masks(inst, axes)) == pt_mask
-    assert list(map(int.bit_count, _pt_masks(inst, axes))) == card
+    assert list(_cards(axes)) == card and incidence == sum(card)
+    assert list(_cand_cells(inst, axes)) == list(map(_members, pt_mask))
     assert _cand_masks(_axis_masks(inst, axes)) == cand_mask
+    _check_point_pool(inst, cand_mask)
+
+
+@pytest.mark.parametrize(
+    "sides, predicate, dense",
+    [((3, 3, 3), "proper_box", True), ((3, 3, 3, 3), "proper_box", False), ((2,) * 6, "proper_box", False),
+     ((4, 4), "proper_brick", True), ((5,), "odd_proper_box", True), ((2, 5, 3), "odd_proper_brick", False)],
+)
+def test_point_pool_on_either_side_of_its_density_rule(sides, predicate, dense):
+    """Pools whose masks take at most (dense) or more (sparse) bytes than
+    their incidence has cells give each point's candidates as
+    ``DiscreteBox.contains`` does."""
+    inst = instance(sides, predicate)
+    assert _check_point_pool(inst, _pool_oracle(inst)[1]) is dense
 
 
 @pytest.mark.parametrize("sides", [(9,), (3, 9)])
@@ -335,7 +371,7 @@ def test_pool_incidence_past_256_factors_matches_contains(sides):
     """An axis with 510 distinct factors (the proper boxes of [9]) builds its
     masks factor by factor rather than from one byte per candidate."""
     inst = instance(sides, "proper_box")
-    axes = _pool_axes(inst)
+    axes, _ = _pool_axes(inst)
     assert max(len(distinct) for distinct, _ in axes) == 510
     pt_mask, cand_mask, _ = _pool_oracle(inst)
     assert list(_pt_masks(inst, axes)) == pt_mask
@@ -377,6 +413,24 @@ def test_export_matches_a_reference_built_from_contains(inst, demand):
         assert export_model(inst, "cnf") == _reference_model(inst, "cnf")
 
 
+@pytest.mark.parametrize("format", ["lp", "cnf"])
+def test_export_of_a_sparse_pool_at_full_size(format):
+    """The 65,536 one-cell proper boxes of [2]^16, in row-major order, have
+    a point each: candidate masks would take 512 MiB, so the model is built
+    from the candidates' cells, within the 65,536-cell incidence."""
+    inst = instance((2,) * 16, "proper_box")
+    n = 1 << 16
+    points = itertools.product(*([1, 2],) * 16)
+    if format == "lp":
+        names = [f"x_{i}" for i in range(1, n + 1)]
+        rows = [f" p_{'_'.join(map(str, pt))}: {x} = 1\n" for pt, x in zip(points, names)]
+        want = "".join(["Minimize\n", f" obj: {' + '.join(names)}\n", "Subject To\n", *rows,
+                        "Binary\n", f" {' '.join(names)}\n", "End\n"])
+    else:
+        want = f"p cnf {n} {n}\n" + "".join(f"{i} 0\n" for i in range(1, n + 1))
+    assert export_model(inst, format) == want
+
+
 def test_oversized_masks_refused_before_the_incidence(monkeypatch):
     """40 singletons of [40]^2: 40 x 1,600 bits, 8,000 bytes of masks, against
     an ambient of 1,600 cells and an incidence of 40.  One byte under that,
@@ -393,12 +447,31 @@ def test_oversized_masks_refused_before_the_incidence(monkeypatch):
     assert str(exc.value) == "the masks of a 2-axis candidate pool exceeds the 7999-cell limit"
 
 
+def test_meet_masks_refused_before_any_mask():
+    """The 510 proper boxes of [9]: 510 x 2 bytes of point masks and 2,295
+    incidence cells, but at t=1 exact a meet mask per distinct factor, 510
+    x 64 bytes.  One byte under that, t=1 exact is refused before any mask
+    is built, and t=2 is not."""
+    inst = instance((9,), "proper_box")
+    with mock.patch.object(geometry, "_CELL_LIMIT", 510 * 64):
+        result = solve_cover(inst, SearchBudget())
+        assert (result.best_size, result.proven_optimal) == (2, True)
+    with mock.patch.object(geometry, "_CELL_LIMIT", 510 * 64 - 1):
+        result = solve_cover(instance((9,), "proper_box", t=2), SearchBudget(max_nodes=50))
+        assert result.best is not None
+        with mock.patch.object(search, "_axis_masks", None), mock.patch.object(search, "_pt_masks", None):
+            with pytest.raises(GeometryError) as exc:
+                solve_cover(inst, SearchBudget())
+    assert str(exc.value) == "the masks of a 1-axis candidate pool exceeds the 32639-cell limit"
+
+
 def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
     """A one-box pool over [10^5]^2 is refused before any mask or any box's
     cells are built, by every engine."""
     inst = CoverInstance(Ambient((10**5, 10**5)), (DiscreteBox.of([1], [1]),))
     monkeypatch.setattr(search, "_axis_masks", None)
     monkeypatch.setattr(search, "_pt_masks", None)
+    monkeypatch.setattr(search, "_cand_cells", None)
     message = "the ambient of a 2-axis candidate pool exceeds the"
     with pytest.raises(GeometryError, match=message):
         _pool_axes(inst)
@@ -421,6 +494,7 @@ def test_pool_incidence_cell_limit(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(search, "_axis_masks", None)
         m.setattr(search, "_pt_masks", None)
+        m.setattr(search, "_cand_cells", None)
         for refused in (
             lambda: _pool_axes(inst),
             lambda: solve_cover(inst, SearchBudget()),
@@ -431,7 +505,7 @@ def test_pool_incidence_cell_limit(monkeypatch):
                 refused()
             assert str(exc.value) == message
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 32)
-    axes = _pool_axes(inst)
+    axes, _ = _pool_axes(inst)
     assert list(_pt_masks(inst, axes)) == [(1 << 16) - 1] * 2
     assert _cand_masks(_axis_masks(inst, axes)) == [0b11] * 16
 
