@@ -11,7 +11,8 @@ t=1 exact.  Three engines are provided:
   few Python-int bitmasks on its stack frame, built only for a node to expand;
 * ``anneal_cover``  -- simulated annealing over candidate subsets, for
   instances out of reach of the exact engine (the 2-fold cover of [3]^3 by
-  proper boxes has 216 candidates); results are always re-verified;
+  proper boxes has 216 candidates); its state is a few masks over the
+  points, and results are always re-verified;
 * ``export_model``  -- emits the equivalent 0/1 integer program (LP text) or
   SAT clauses (DIMACS CNF, t=1 exact only), one variable per candidate and
   one constraint per point.
@@ -25,15 +26,17 @@ the axes of its factors' spreads, whose row-major digits do not overlap,
 so the product has no carries (``_pt_masks``), and its cardinality as the
 product of its factors' lengths (``_cards``).  ``solve_cover`` keeps both
 masks; at t=1 exact the candidates meeting a chosen one are the AND over
-the axes of the ORs of ``E[a][v - 1]`` over its factors.  ``anneal_cover``,
-which moves cell by cell, sums per-axis offsets into each candidate's
-cells, building each distinct run of leading factors once
-(``_cand_cells``).  The export reads each point's candidates off its
-candidate mask when the masks take no more bytes than the incidence has
-cells, and otherwise scatters the candidates' cells per point
-(``_point_pool``), so its work and memory stay within the incidence; it is
-spelled line by line (``_model_lines``), so the CLI writes it without
-holding it as one string.
+the axes of the ORs of ``E[a][v - 1]`` over its factors.  ``anneal_cover``
+keeps the point masks and cardinalities, and each point's coverage count
+as bit planes over the points; it prices a move from the candidate's mask
+and the masks of the points below, at and above t, with no walk over
+cells.  Both searches refuse point masks over the cell limit in bytes.
+The export reads each point's candidates off its candidate mask when the
+masks take no more bytes than the incidence has cells, and otherwise
+scatters the candidates' cells, summed from per-axis offsets
+(``_cand_cells``), into a list per point (``_point_pool``), so its work
+and memory stay within the incidence; it is spelled line by line
+(``_model_lines``), so the CLI writes it without holding it as one string.
 
 Only the re-verification of a search result can load numpy, and only when
 its quotient grid passes ``geometry._COLD_COUNT_CELLS`` cells
@@ -164,13 +167,14 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
     return list(map(DiscreteBox._canonical, itertools.product(*per_axis)))
 
 
-def _pool_axes(instance: CoverInstance, masks: bool = False):
+def _pool_axes(instance: CoverInstance, masks: bool = False, meets: bool = False):
     """Per axis, the distinct factors of the candidates on it and each
     candidate's number among them (geometry's ``_distinct``), and the
     pool's incidence (the candidates' total cells).  Refuses with
-    GeometryError, before any mask or cell is built, an ambient, the masks
-    when asked for (``masks``: ``solve_cover``'s, a bit per point for each
-    candidate and, at t=1 exact, a bit per candidate for each distinct
+    GeometryError, before any mask or cell is built, an ambient, the point
+    masks when asked for (``masks``: both searches', a bit per point for
+    each candidate), the meet masks when asked for (``meets``:
+    ``solve_cover``'s at t=1 exact, a bit per candidate for each distinct
     factor on each axis) or an incidence over geometry's cell limit."""
     sides = instance.ambient.sides
     what = f"a {len(sides)}-axis candidate pool"
@@ -180,7 +184,7 @@ def _pool_axes(instance: CoverInstance, masks: bool = False):
         _check_cells([n_cand, -(-n_pts // 8)], f"the masks of {what}")
     factors = [b.factors for b in instance.candidates]
     axes = [_distinct(list(map(operator.itemgetter(a), factors))) for a in range(len(sides))]
-    if masks and (instance.multiplicity, instance.mode) == (1, "exact"):
+    if meets:
         rows = sum(len(distinct) for distinct, _ in axes)
         _check_cells([rows, -(-n_cand // 8)], f"the masks of {what}")
     incidence = _check_cells([sum(_cards(axes))], f"the incidence of {what}")
@@ -254,7 +258,8 @@ def _cand_cells(instance: CoverInstance, axes):
     as row-major flat indices in increasing order, from ``_pool_axes``: the
     sums of one offset ``(v - 1) * stride`` per axis, v in its factor.  The
     cells of each distinct run of leading factors (all axes but the last)
-    are built once, axis by axis, and shared by the candidates on it."""
+    are built once, axis by axis, and shared by the candidates on it.  Only
+    the export of a sparse pool reads them (``_point_pool``)."""
     sides = instance.ambient.sides
     offsets = [
         [[(v - 1) * math.prod(sides[a + 1:]) for v in f] for f in distinct]
@@ -360,10 +365,10 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     ``stop_reason`` is "exhausted", "node cap" or "wall clock".  Masks over
     the cell limit in bytes (``_pool_axes``) are refused.
     """
-    axes, _ = _pool_axes(instance, masks=True)
-    n_pts, n_cand = instance.ambient.volume, len(instance.candidates)
     t = instance.multiplicity
     exact = instance.mode == "exact"
+    axes, _ = _pool_axes(instance, masks=True, meets=exact and t == 1)
+    n_pts, n_cand = instance.ambient.volume, len(instance.candidates)
     # per candidate its points as a mask, and their number; per point the
     # candidates through it as a mask
     axis_masks = _axis_masks(instance, axes)
@@ -495,6 +500,20 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     for an empty pool or a one-box incumbent, and otherwise names the
     budget that ran out.
 
+    The state is a few masks over the points.  Each point's coverage count
+    is kept as bit planes (plane j: the points whose count has bit j set),
+    which a move changes by adding or subtracting the box's point mask with
+    a ripple carry or borrow; after each accepted move one comparison of
+    the planes with t's bits gives the points ``below``, ``at`` and
+    ``above`` t.  A move is priced from those masks, with no walk over the
+    box's cells: adding box c changes the violation by ``card[c] - 2|m_c &
+    below|`` (exact) or ``-|m_c & below|`` (at_least), removing it by
+    ``card[c] - 2|m_c & above|`` (exact) or ``card[c] - |m_c & above|``
+    (at_least), and a swap prices its incoming box against the points
+    below t once the outgoing one is out, ``below | (m_out & at)``; a
+    rejected move changes nothing.  Point masks over the cell limit in
+    bytes (``_pool_axes``) are refused, as by ``solve_cover``.
+
     Every draw comes from ``random.Random(budget.seed)``: an add/remove
     step draws ``randrange(len(pool))``; a swap step draws ``randrange(size)``
     for the outgoing slot, then ``randrange(len(pool))`` for the incoming
@@ -510,9 +529,12 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     """
     rng = random.Random(budget.seed)
     bits, uniform, exp, monotonic = rng.getrandbits, rng.random, math.exp, time.monotonic
-    cand_pts = list(_cand_cells(instance, _pool_axes(instance)[0]))
+    axes, _ = _pool_axes(instance, masks=True)
+    # per candidate its points as a mask, and their number
+    pt_mask = list(_pt_masks(instance, axes))
+    card = list(_cards(axes))
     n_pts = instance.ambient.volume
-    n_cand = len(cand_pts)
+    n_cand = len(pt_mask)
     k_cand = n_cand.bit_length()
     t = instance.multiplicity
     exact = instance.mode == "exact"
@@ -522,19 +544,52 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     if not n_cand:
         return _verified_result(instance, None, False, 0, start, "exhausted")
 
-    def point_violation(count: int) -> int:
-        return abs(count - t) if exact else max(0, t - count)
+    # a move's change in violation: adding c, gain[c] - k|m_c & below|;
+    # removing it, card[c] - k|m_c & above|
+    k = 2 if exact else 1
+    gain = card if exact else [0] * n_cand
+    everyone = (1 << n_pts) - 1
+    high = t.bit_length()  # a bit past t's puts a point above t
 
-    # the change in a point's violation when its count c goes up (up[c]) or
-    # down (down[c]) by one; no count passes the number of candidates
-    top = n_cand + 2
-    up = [point_violation(c + 1) - point_violation(c) for c in range(top)]
-    down = [point_violation(c - 1) - point_violation(c) for c in range(top)]
+    def add(planes: list[int], m: int) -> None:
+        """One more cover on m's points: a ripple carry up the planes."""
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ m
+            m &= plane
+            if not m:
+                return
+        planes.append(m)
+
+    def sub(planes: list[int], m: int) -> None:
+        """One cover fewer on m's points (each covered at least once): a
+        ripple borrow up the planes."""
+        for j, plane in enumerate(planes):
+            plane ^= m
+            planes[j] = plane
+            m &= plane
+            if not m:
+                return
+
+    def classes(planes: list[int]) -> tuple[int, int, int]:
+        """The points covered fewer than, exactly and more than t times,
+        from the planes past t's bits and then t's bits, highest first."""
+        above, below = functools.reduce(int.__or__, planes[high:], 0), 0
+        at = everyone ^ above
+        for j in reversed(range(high)):
+            has = at & planes[j]
+            if t >> j & 1:
+                below |= at ^ has
+                at = has
+            else:
+                above |= has
+                at ^= has
+        return below, at, above
 
     def find_feasible() -> list[int] | None:
         nonlocal steps
-        counts = [0] * n_pts
+        planes = [0] * high
         used = [False] * n_cand
+        below, _, above = classes(planes)
         viol = t * n_pts
         weight, temp = 3, 1.0
         while steps < max_nodes and not (monotonic() - start > wall_seconds):
@@ -542,19 +597,16 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
             ci = bits(k_cand)
             while ci >= n_cand:
                 ci = bits(k_cand)
-            pts = cand_pts[ci]
+            m = pt_mask[ci]
             if used[ci]:
-                sign, table = -1, down
+                sign, dv = -1, card[ci] - k * (m & above).bit_count()
             else:
-                sign, table = 1, up
-            dv = 0
-            for p in pts:
-                dv += table[counts[p]]
+                sign, dv = 1, gain[ci] - k * (m & below).bit_count()
             delta = weight * dv + sign
             # temp >= 0.02 here: it is reset to 1 below that
             if delta <= 0 or uniform() < exp(-delta / temp):
-                for p in pts:
-                    counts[p] += sign
+                (add if sign > 0 else sub)(planes, m)
+                below, _, above = classes(planes)
                 used[ci] = not used[ci]
                 viol += dv
                 if viol == 0:
@@ -574,12 +626,14 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         rng.shuffle(sel)
         sel = sel[:size]
         used = [False] * n_cand
-        counts = [0] * n_pts
-        for ci in sel:
+        planes = [0] * high
+        below, at, above = classes(planes)
+        viol = t * n_pts
+        for ci in sel:  # each box priced as it is added
             used[ci] = True
-            for p in cand_pts[ci]:
-                counts[p] += 1
-        viol = sum(point_violation(c) for c in counts)
+            viol += gain[ci] - k * (pt_mask[ci] & below).bit_count()
+            add(planes, pt_mask[ci])
+            below, at, above = classes(planes)
         temp, stagnation = 1.0, 0
         while steps < max_nodes and not (monotonic() - start > wall_seconds):
             steps += 1
@@ -591,19 +645,18 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
                 ci_in = bits(k_cand)
             if used[ci_in]:
                 continue
-            # take the outgoing box out; the incoming one is only priced
+            # the outgoing box priced as a removal, the incoming one against
+            # the points below t without it
             ci_out = sel[slot]
-            out_pts, in_pts = cand_pts[ci_out], cand_pts[ci_in]
-            dv = 0
-            for p in out_pts:
-                c = counts[p]
-                dv += down[c]
-                counts[p] = c - 1
-            for p in in_pts:
-                dv += up[counts[p]]
+            m_out, m_in = pt_mask[ci_out], pt_mask[ci_in]
+            dv = (
+                card[ci_out] - k * (m_out & above).bit_count()
+                + gain[ci_in] - k * (m_in & (below | m_out & at)).bit_count()
+            )
             if dv <= 0 or uniform() < exp(-dv / (temp if temp > 1e-9 else 1e-9)):
-                for p in in_pts:
-                    counts[p] += 1
+                sub(planes, m_out)
+                add(planes, m_in)
+                below, at, above = classes(planes)
                 used[ci_out], used[ci_in] = False, True
                 sel[slot] = ci_in
                 viol += dv
@@ -611,8 +664,6 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
                     return sel
                 stagnation = 0 if dv < 0 else stagnation + 1
             else:
-                for p in out_pts:
-                    counts[p] += 1
                 stagnation += 1
             temp *= 0.9999
             if stagnation > 15_000:

@@ -401,10 +401,11 @@ class TestExportRender:
         # 576 odd proper bricks of [9]^2: 5,776 incidence cells, 576 x 11 mask bytes
         monkeypatch.setattr(geometry, "_CELL_LIMIT", 576 * 11 - 1)
         argv = ["--ambient", "9,9", "--candidates", "odd-proper-brick"]
-        assert main(["search", *argv]) == 2
-        assert capsys.readouterr().err == (
-            "error: the masks of a 2-axis candidate pool exceeds the 6335-cell limit\n"
-        )
+        for engine in ("bb", "anneal"):
+            assert main(["search", *argv, "--engine", engine]) == 2
+            assert capsys.readouterr().err == (
+                "error: the masks of a 2-axis candidate pool exceeds the 6335-cell limit\n"
+            )
         assert main(["export", *argv]) == 0
 
     @pytest.mark.parametrize("format", ["ascii", "svg"])

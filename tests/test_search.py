@@ -447,6 +447,38 @@ def test_oversized_masks_refused_before_the_incidence(monkeypatch):
     assert str(exc.value) == "the masks of a 2-axis candidate pool exceeds the 7999-cell limit"
 
 
+def test_anneal_refuses_oversized_masks(monkeypatch):
+    """The annealer keeps a bit per point for each candidate, as
+    ``solve_cover`` does: the 40 singletons of [40]^2 (8,000 bytes of
+    masks) are annealed at an 8,000-cell limit and refused one under it,
+    with ``solve_cover``'s message, before any mask is built.  The meet
+    masks of t=1 exact, which only ``solve_cover`` keeps, do not count."""
+    inst = CoverInstance(Ambient((40, 40)), tuple(DiscreteBox.of([i], [i]) for i in range(1, 41)))
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 8000)
+    assert anneal_cover(inst, SearchBudget(max_nodes=10)).nodes == 10
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 7999)
+    with monkeypatch.context() as m:
+        m.setattr(search, "_axis_masks", None)
+        m.setattr(search, "_pt_masks", None)
+        with pytest.raises(GeometryError) as exc:
+            anneal_cover(inst, SearchBudget(max_nodes=10))
+    assert str(exc.value) == "the masks of a 2-axis candidate pool exceeds the 7999-cell limit"
+    # the 510 proper boxes of [9]: 1,020 bytes of point masks, 32,640 of meet masks
+    monkeypatch.setattr(geometry, "_CELL_LIMIT", 510 * 64 - 1)
+    assert anneal_cover(instance((9,), "proper_box"), SearchBudget(max_nodes=10)).nodes == 10
+
+
+def test_anneal_refuses_the_one_cell_boxes_of_a_sparse_pool(monkeypatch):
+    """The 65,536 one-cell proper boxes of [2]^16, which the export writes
+    from their cells, would take 512 MiB of point masks: the annealer
+    refuses them before any mask is built."""
+    inst = instance((2,) * 16, "proper_box")
+    monkeypatch.setattr(search, "_pt_masks", None)
+    with pytest.raises(GeometryError) as exc:
+        anneal_cover(inst, SearchBudget(max_nodes=10))
+    assert str(exc.value) == "the masks of a 16-axis candidate pool exceeds the 134217728-cell limit"
+
+
 def test_meet_masks_refused_before_any_mask():
     """The 510 proper boxes of [9]: 510 x 2 bytes of point masks and 2,295
     incidence cells, but at t=1 exact a meet mask per distinct factor, 510
@@ -705,6 +737,14 @@ def test_anneal_pinned_runs(sides, predicate, t, mode, seed, max_nodes, size, no
     assert (picked, r.best_size, r.nodes) == (selection, size, nodes)
 
 
+@pytest.mark.parametrize("pin", [ANNEAL_PINS[2], ANNEAL_PINS[4]], ids=["exact", "at_least"])
+def test_anneal_reads_no_cells(pin, monkeypatch):
+    """The annealer prices its moves from point masks: with no cell list to
+    build, it walks its pinned runs."""
+    monkeypatch.setattr(search, "_cand_cells", None)
+    test_anneal_pinned_runs(*pin)
+
+
 def _reference_anneal_cover(inst, max_nodes, seed):
     """The annealer of ``anneal_cover`` as first written, one closure call
     per point and no wall clock: returns (chosen candidate indices or None,
@@ -842,6 +882,31 @@ def anneal_instances(draw):
     ),
     200,
     8,
+)
+# point counts past 2t + 1, so more count planes than t has bits: 8 covers of
+# a point at t=1 at_least, 10 at t=3 at_least, and in the two 1-D pools, whose
+# pairs all pass through point 1, 8 at t=3 exact and 4 at t=1 exact; each
+# in a shrink phase, and each run shrinks its first cover at least once
+@example(instance((4, 3, 3), "proper_brick", 1, "at_least"), 2000, 737)
+@example(instance((4, 3, 2), "proper_box", 3, "at_least"), 2000, 602)
+@example(
+    CoverInstance(
+        Ambient((5,)),
+        tuple(map(DiscreteBox.of, [[1, 2], [1, 3], [1, 4], [1, 5]] * 3 + [[1], [2], [3], [4], [5]] * 3
+                  + [range(1, 6)] * 2)),
+        3,
+    ),
+    10_000,
+    10,
+)
+@example(
+    CoverInstance(
+        Ambient((6,)),
+        tuple(map(DiscreteBox.of, [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6]] * 3
+                  + [[1], [2], [3], [4], [5], [6]] * 2)),
+    ),
+    5000,
+    89,
 )
 def test_anneal_follows_the_reference(inst, max_nodes, seed):
     r = anneal_cover(inst, SearchBudget(max_nodes=max_nodes, wall_seconds=600, seed=seed))
