@@ -42,8 +42,10 @@ from .geometry import (
     IntermediatePartition,
     PiercingVector,
     _check_cells,
+    _factors,
     _gc_paused,
     _normalize_factor,
+    _unchecked_boxes,
     classify_box,
     weighted_piercing_ok,
 )
@@ -166,10 +168,9 @@ def product(p1: BoxFamily, p2: BoxFamily) -> BoxFamily:
             f"product requires a common side length, got {sorted(sides)}"
         )
     ambient = Ambient(p1.ambient.sides + p2.ambient.sides)
-    canonical = DiscreteBox._canonical  # factors off existing boxes
-    boxes = tuple(
-        canonical(b1.factors + b2.factors) for b1 in p1.boxes for b2 in p2.boxes
-    )
+    pairs = itertools.product(map(_factors, p1.boxes), map(_factors, p2.boxes))
+    # factors off existing boxes
+    boxes = _unchecked_boxes(itertools.starmap(tuple.__add__, pairs), len(p1) * len(p2))
     return BoxFamily(ambient, boxes)
 
 
@@ -185,22 +186,18 @@ def lift(p: BoxFamily, m: int) -> BoxFamily:
         raise GeometryError(f"cannot lift [{n}]^d down to [{m}]^d")
     if m == n:
         return p
+    flat = list(itertools.chain.from_iterable(map(_factors, p.boxes)))
     # every factor ending at n grows by m - n cells
     _check_cells(
-        [sum(len(f) + (f[-1] == n) * (m - n) for b in p.boxes for f in b.factors)],
+        [sum(len(f) + (f[-1] == n) * (m - n) for f in flat)],
         "the box factors of a lifted family",
     )
     tail = tuple(range(n + 1, m + 1))
     # one lifted tuple per distinct factor, interned once, so every box shares it
-    grown = {
-        f: _normalize_factor(f + tail) for b in p.boxes for f in b.factors if f[-1] == n
-    }
-    boxes = tuple(
-        # factors off existing boxes or from _normalize_factor
-        DiscreteBox._canonical(tuple(grown.get(f, f) for f in b.factors))
-        for b in p.boxes
-    )
-    return BoxFamily(Ambient.cube(m, p.ambient.dim), boxes)
+    grown = {f: _normalize_factor(f + tail) for f in dict.fromkeys(flat) if f[-1] == n}
+    # factors off existing boxes or from _normalize_factor
+    rows = zip(*[map(grown.get, flat, flat)] * p.ambient.dim)
+    return BoxFamily(Ambient.cube(m, p.ambient.dim), _unchecked_boxes(rows, len(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -57,17 +57,23 @@ nothing, takes them from ``_box_cells`` as plain ints; the search pools
 work from the boxes' per-axis factors, as masks or as cells summed from
 per-axis offsets.
 
-Trust rule: ``DiscreteBox._canonical`` builds a box with no check at all.
-Only code that holds canonical factors calls it -- each factor either came
-out of ``_normalize_factor`` or was taken off an existing box, and both are
-sorted, duplicate-free tuples of ints >= 1 -- so its boxes equal the ones
-the public constructor would build.  ``product``, ``lift``, candidate
-enumeration and both parsers build their boxes this way.  A family, a
-document and a cover instance check their boxes against the ambient by axis
-columns (``_validate_boxes``): one dimension test per box, then one maximum
-per axis (``_axis_maxima``, which also gives a listing's inferred sides,
-so a listing without a header is not checked again); on a failure the
-per-box ``validate_in`` runs and raises the same error it always did.
+Trust rule: ``_unchecked_boxes`` builds a whole family's boxes with no
+check at all, and with no Python call per box: it makes the bare objects
+with ``map(object.__new__, ...)`` and fills their one slot with the slot's
+own setter.  Only code that holds canonical factors calls it -- each factor
+either came out of ``_normalize_factor`` or was taken off an existing box,
+and both are sorted, duplicate-free tuples of ints >= 1 -- so its boxes
+equal the ones the public constructor would build.  ``product``, ``lift``,
+candidate enumeration and both parsers build their boxes this way.  A
+family, a document and a cover instance check their boxes against the
+ambient by axis columns (``_validate_boxes``): one dimension test over the
+boxes, then one maximum per axis (``_axis_maxima``, which also gives a
+listing's inferred sides, so a listing without a header is not checked
+again); on a failure the per-box ``validate_in`` runs and raises the same
+error it always did.  Every per-axis column (``_columns``: for the
+maxima, the quotient grid and the search pools) is a strided slice
+``flat[a::dim]`` of one flattened list of the boxes' factors, and the
+maxima read only each axis's distinct factors.
 """
 
 from __future__ import annotations
@@ -77,8 +83,9 @@ import gc
 import itertools
 import math
 import sys
-from operator import itemgetter
-from typing import Iterable, Literal, Sequence, get_args
+from collections import deque
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 __all__ = [
     "Ambient",
@@ -213,15 +220,6 @@ class DiscreteBox(_Record):
         self._set(tuple(map(_normalize_factor, factors)))
 
     @staticmethod
-    def _canonical(factors: tuple[tuple[int, ...], ...]) -> "DiscreteBox":
-        """The box over ``factors`` with no check: every factor must be a
-        canonical tuple, one returned by ``_normalize_factor`` or taken off
-        an existing box."""
-        box = object.__new__(DiscreteBox)
-        object.__setattr__(box, "factors", factors)
-        return box
-
-    @staticmethod
     def of(*factors: Iterable[int]) -> "DiscreteBox":
         return DiscreteBox(tuple(tuple(f) for f in factors))
 
@@ -248,19 +246,35 @@ class DiscreteBox(_Record):
                 raise GeometryError(f"factor {f} exceeds side {n}")
 
 
+_factors = attrgetter("factors")
 _last = itemgetter(-1)
+
+
+def _unchecked_boxes(rows: Iterable[tuple], n: int) -> tuple[DiscreteBox, ...]:
+    """The boxes over the first ``n`` of ``rows``, built with no check and no
+    Python call per box; ``rows`` must yield at least ``n`` rows, and every
+    factor in them must be a canonical tuple, one returned by
+    ``_normalize_factor`` or taken off an existing box."""
+    boxes = tuple(map(object.__new__, itertools.repeat(DiscreteBox, n)))
+    # the slot's own setter, which DiscreteBox.__setattr__ does not guard
+    deque(map(DiscreteBox.factors.__set__, boxes, rows), 0)
+    return boxes
+
+
+def _columns(boxes: Sequence[DiscreteBox], dim: int) -> Iterator[list]:
+    """Per axis, the factor of every box, in box order, each a strided slice
+    of one flattened factor list; every box must have ``dim`` axes."""
+    flat = list(itertools.chain.from_iterable(map(_factors, boxes)))
+    return (flat[a::dim] for a in range(dim))
 
 
 def _axis_maxima(boxes: Sequence[DiscreteBox], dim: int) -> tuple[int, ...] | None:
     """The largest coordinate on each axis (0 for no boxes), by axis columns,
-    or None when some box has not ``dim`` axes."""
-    rows = [b.factors for b in boxes]
-    # zip(*rows) stops at the shortest box, so the dimensions come first
-    if any(len(f) != dim for f in rows):
+    or None when some box has not ``dim`` axes.  Each axis reads the last
+    coordinate of its distinct factors only."""
+    if set(map(len, map(_factors, boxes))) - {dim}:
         return None
-    if not rows:
-        return (0,) * dim
-    return tuple(max(map(_last, column)) for column in zip(*rows))
+    return tuple(max(map(_last, set(column)), default=0) for column in _columns(boxes, dim))
 
 
 def _validate_boxes(boxes: Sequence[DiscreteBox], ambient: Ambient) -> None:
@@ -473,11 +487,6 @@ def _csr(axes):
         starts.append((n.cumsum() - n)[which])
         lens.append(n[which])
     return vals, np.stack(starts, axis=1), np.stack(lens, axis=1)
-
-
-def _columns(boxes: Sequence[DiscreteBox], dim: int) -> list:
-    """Per axis, the factor of every box, in box order."""
-    return list(zip(*(b.factors for b in boxes))) if boxes else [()] * dim
 
 
 def _axis_classes(factors: Sequence[tuple[int, ...]], n: int):

@@ -74,9 +74,11 @@ from .geometry import (
     _bitmasks,
     _check_cells,
     _check_demand,
+    _columns,
     _distinct,
     _is_interval,
     _normalize_factor,
+    _unchecked_boxes,
     _validate_boxes,
     verify_cover,
 )
@@ -164,7 +166,7 @@ def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[Discret
     _check_cells([*map(len, per_axis), ambient.dim], what)
     _check_cells([sum(map(len, fs)) for fs in per_axis], f"the incidence of {what}")
     # factors from _normalize_factor
-    return list(map(DiscreteBox._canonical, itertools.product(*per_axis)))
+    return list(_unchecked_boxes(itertools.product(*per_axis), math.prod(map(len, per_axis))))
 
 
 def _pool_axes(instance: CoverInstance, masks: bool = False, meets: bool = False):
@@ -182,8 +184,7 @@ def _pool_axes(instance: CoverInstance, masks: bool = False, meets: bool = False
     n_cand = len(instance.candidates)
     if masks:
         _check_cells([n_cand, -(-n_pts // 8)], f"the masks of {what}")
-    factors = [b.factors for b in instance.candidates]
-    axes = [_distinct(list(map(operator.itemgetter(a), factors))) for a in range(len(sides))]
+    axes = list(map(_distinct, _columns(instance.candidates, len(sides))))
     if meets:
         rows = sum(len(distinct) for distinct, _ in axes)
         _check_cells([rows, -(-n_cand // 8)], f"the masks of {what}")

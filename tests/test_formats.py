@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import pickle
 from typing import get_args
 from unittest import mock
 
@@ -326,10 +327,11 @@ def _rows(n, d):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_unchecked_boxes_equal_checked_ones(limit, data):
-    """Every box built without checks (product, lift, candidate enumeration,
-    both parsers) equals, hashes like and holds the same factors as the box
-    the public constructor builds from fresh lists of its coordinates; with
-    the intern table left whole, the very same factor objects."""
+    """Every box built without checks (the bulk builder itself, product,
+    lift, candidate enumeration, both parsers) equals, hashes like and holds
+    the same factors as the box the public constructor builds from fresh
+    lists of its coordinates, with the intern table left whole the very same
+    factor objects; it refuses assignment and deletion, and pickles."""
     n = data.draw(st.integers(2, 4), "n")
     d1, d2 = data.draw(st.integers(1, 2), "d1"), data.draw(st.integers(1, 2), "d2")
     rows1, rows2 = data.draw(_rows(n, d1), "rows1"), data.draw(_rows(n, d2), "rows2")
@@ -340,7 +342,9 @@ def test_unchecked_boxes_equal_checked_ones(limit, data):
         f1 = BoxFamily(Ambient.cube(n, d1), tuple(map(DiscreteBox, rows1)))
         f2 = BoxFamily(Ambient.cube(n, d2), tuple(map(DiscreteBox, rows2)))
         doc = PartitionDocument.from_family(f1)
+        rows = [tuple(map(geometry._normalize_factor, r)) for r in rows1]
         built = {
+            "_unchecked_boxes": geometry._unchecked_boxes(iter(rows), len(rows)),
             "product": product(f1, f2).boxes,
             "lift": lift(f1, m).boxes,
             "enumerate_candidates": enumerate_candidates(f1.ambient, predicate),
@@ -358,6 +362,12 @@ def test_unchecked_boxes_equal_checked_ones(limit, data):
                     assert type(f) is tuple and f == g, caller
                     assert all(type(c) is int for c in f), caller
                     assert f is g or limit == 4, caller
+                with pytest.raises(AttributeError):
+                    b.factors = ref.factors
+                with pytest.raises(AttributeError):
+                    del b.factors
+                copy = pickle.loads(pickle.dumps(b))
+                assert copy == b and hash(copy) == hash(b), caller
 
 
 # metadata text: any character, plus the ones json must escape or may not
@@ -442,3 +452,172 @@ def test_bulk_builders_restore_the_collector(enabled, monkeypatch):
     finally:
         (gc.enable if was else gc.disable)()
     assert seen and not any(seen)
+
+
+# ---------------------------------------------------------------------------
+# the column readers against the readers that go one line or one box at a time
+
+
+def _outcome(parse, text):
+    """The document ``parse`` reads from ``text``, or its error's type and message."""
+    try:
+        return parse(text)
+    except (ParseError, GeometryError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_columns_read_like_lines(parse, text):
+    """``parse`` gives the same document, or the same error, as with its
+    column reader switched off, so that every listing is walked line by
+    line and every JSON box list read box by box; and a text it reads
+    falls back to that walk only when the document has a fault."""
+    with mock.patch.object(formats, "_read_columns", return_value=None), mock.patch.object(
+        formats, "_json_columns", return_value=None
+    ):
+        want = _outcome(parse, text)
+    lines = mock.Mock(wraps=formats._read_lines)
+    boxes = mock.Mock(wraps=formats._json_rows)
+    with mock.patch.object(formats, "_read_lines", lines), mock.patch.object(
+        formats, "_json_rows", boxes
+    ):
+        assert _outcome(parse, text) == want
+    if isinstance(want, PartitionDocument) and want.boxes:
+        assert not lines.called and not boxes.called
+
+
+# every line break str.splitlines splits at
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def listings(draw):
+    """The listing of a document, its ids shuffled, repeated, past the last
+    one, padded with zeros or past int()'s digit limit, with up to two
+    headers (its own sides, others or malformed ones) and blank lines on any
+    line, indented lines, and any line break ``str.splitlines`` splits at."""
+    doc = draw(documents())
+    listing = write_partition_text(PartitionDocument(doc.ambient, doc.boxes))
+    specs = [line.split(" = ", 1)[1] for line in listing.splitlines() if line.startswith("Box(")]
+    ids = [str(k) for k in range(1, len(specs) + 1)]
+    i = draw(st.integers(0, len(ids) - 1))
+    edit = draw(st.sampled_from(["none", "shuffle", "repeat", "past", "zeros", "long"]))
+    if edit == "shuffle":
+        ids = draw(st.permutations(ids))
+    elif edit == "repeat":
+        ids[i] = draw(st.sampled_from(ids))
+    elif edit == "past":
+        ids[i] = str(len(ids) + draw(st.integers(1, 3)))
+    elif edit == "zeros":
+        ids[i] = "0" * draw(st.integers(1, 2)) + ids[i]
+    elif edit == "long":
+        ids[i] = "9" * 5000
+    lines = [f"Box({k}) = {spec}" for k, spec in zip(ids, specs)]
+    sides = st.lists(st.integers(1, 7), min_size=1, max_size=4)
+    header = st.one_of(
+        st.just(" x ".join(map(str, doc.ambient.sides))),
+        sides.map(lambda s: " x ".join(map(str, s))),
+        st.sampled_from(["", "3 x", "x 4", "2 x y"]),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), "Ambient = " + draw(header))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    indent = st.sampled_from(["", "", " ", "\t "])
+    return "".join(draw(indent) + line + draw(st.sampled_from(_BREAKS)) for line in lines)
+
+
+@given(listings())
+@settings(max_examples=300, deadline=None)
+def test_text_columns_read_like_the_line_walk(text):
+    _assert_columns_read_like_lines(parse_partition_text, text)
+
+
+# JSON values to put where a box, a factor or the box list belongs
+_JSON_VALUES = st.one_of(
+    st.integers(-1, 3),
+    st.booleans(),
+    st.none(),
+    st.text("ab1", max_size=2),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.lists(st.lists(st.integers(1, 3), max_size=2), max_size=2),
+    st.just({"a": [1]}),
+)
+
+
+@st.composite
+def json_documents(draw):
+    """The JSON of a document with a coordinate or label turned into a
+    boolean, a box given a factor more or one less, or a box, a factor or
+    the box list replaced by another JSON value."""
+    obj = json.loads(write_partition_structured(draw(documents())))
+    boxes = obj["boxes"]
+    i = draw(st.integers(0, len(boxes) - 1))
+    j = draw(st.integers(0, len(boxes[i]) - 1))
+    edit = draw(st.sampled_from(["none", "bool", "label", "more", "less", "box", "factor", "boxes"]))
+    if edit == "bool":
+        boxes[i][j][0] = draw(st.booleans())
+    elif edit == "label" and obj["labels"] is not None:
+        obj["labels"][i][0] = draw(st.booleans())
+    elif edit == "more":
+        boxes[i].append(draw(st.sampled_from(boxes[i])))
+    elif edit == "less":
+        del boxes[i][j]
+    elif edit == "box":
+        boxes[i] = draw(_JSON_VALUES)
+    elif edit == "factor":
+        boxes[i][j] = draw(_JSON_VALUES)
+    elif edit == "boxes":
+        obj["boxes"] = draw(_JSON_VALUES)
+    return json.dumps(obj)
+
+
+@given(json_documents())
+@settings(max_examples=300, deadline=None)
+def test_json_columns_read_like_the_box_walk(text):
+    _assert_columns_read_like_lines(parse_partition_structured, text)
+
+
+@pytest.mark.parametrize(
+    "parse, write",
+    [
+        (parse_partition_text, write_partition_text),
+        (parse_partition_structured, write_partition_structured),
+    ],
+    ids=["text", "json"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_documents_read_alike_by_columns_and_by_lines(parse, write, data):
+    """The mutations of ``test_mutated_documents_round_trip_or_raise``."""
+    text = write(data.draw(documents()))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + data.draw(st.text(_SYNTAX, max_size=3)) + text[j:]
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    _assert_columns_read_like_lines(parse, text)
+
+
+@st.composite
+def padded_documents(draw):
+    """Documents over sides of 2 to 6, 2 among them often, whose boxes may
+    leave the top of any axis empty: each axis's coordinates are drawn up
+    to a bound at or below its side.  Some have no boxes."""
+    sides = tuple(draw(st.lists(st.sampled_from([2, 2, 3, 4, 6]), min_size=1, max_size=4)))
+    tops = [draw(st.integers(1, n)) for n in sides]
+    factors = [st.sets(st.integers(1, top), min_size=1) for top in tops]
+    rows = draw(st.lists(st.tuples(*factors), max_size=5))
+    return PartitionDocument(Ambient(sides), tuple(DiscreteBox.of(*r) for r in rows))
+
+
+@given(padded_documents())
+@settings(max_examples=200, deadline=None)
+def test_header_written_exactly_when_inference_differs(doc):
+    """The writer's early-exit decision agrees with the inferred sides."""
+    want = formats._inferred_sides(doc.boxes, doc.ambient.dim) != doc.ambient.sides
+    assert formats._needs_header(doc) is want
+    text = write_partition_text(doc)
+    assert text.startswith("Ambient = ") is want
+    if doc.boxes:
+        assert parse_partition_text(text) == doc

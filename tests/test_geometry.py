@@ -357,6 +357,32 @@ def test_axis_maxima_match_a_per_box_scan(case):
     assert geometry._axis_maxima(boxes, dim) == want
 
 
+def _naive_maxima(boxes, dim):
+    """The largest coordinate on each axis, box by box and cell by cell."""
+    if any(b.dim != dim for b in boxes):
+        return None
+    return tuple(max((max(b.factors[i]) for b in boxes), default=0) for i in range(dim))
+
+
+@pytest.mark.parametrize(
+    "boxes, dim, want",
+    [
+        ((), 1, (0,)),  # empty family
+        ((), 9, (0,) * 9),
+        ((box([2, 4], [1], [3]),), 3, (4, 1, 3)),  # single box
+        ((box([1], [5]),), 2, (1, 5)),
+        ((box([1], [1]), box([2], [2], [2])), 2, None),  # mixed dimensions
+        ((box([1], [1], [1]), box([2], [2])), 3, None),
+        ((box([1], [1]), box([2], [2])), 3, None),  # one dimension, not dim
+        ((box([3]), box([1, 2]), box([5])), 1, (5,)),  # maximum in the last box
+        ((box([1, 3], [2]), box([1, 3], [4]), box([2], [2])), 2, (3, 4)),  # shared factors
+    ],
+)
+def test_axis_maxima_match_a_naive_maximum(boxes, dim, want):
+    assert _naive_maxima(boxes, dim) == want
+    assert geometry._axis_maxima(boxes, dim) == want
+
+
 def test_every_family_type_names_its_first_bad_box():
     amb = Ambient((3, 3))
     boxes = (box([1], [2]), box([1], [4]), box([1]))
