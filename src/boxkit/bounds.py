@@ -169,14 +169,16 @@ def growth_root(recurrence: Iterable[float]) -> float:
 
     `recurrence` lists (c_1, ..., c_m); the characteristic polynomial is
     p(x) = x^m - sum c_i x^{m-i}.  With nonnegative coefficients (not all
-    zero) p has a single sign change on [1, 1 + sum |c_i|], which brackets
-    the dominant root.  A non-finite p at a bracket end raises GeometryError.
+    zero, else GeometryError) p has a single sign change on [1, 1 + sum |c_i|],
+    which brackets the dominant root; a non-finite p at its ends raises too.
     From 2^23 on, bisection stops at adjacent floats, over 1e-9 apart.
     """
     coeffs = [float(c) for c in recurrence]
     m = len(coeffs)
     if m < 1:
         raise GeometryError("empty recurrence")
+    if not any(coeffs):  # p(x) = x^m: its one root is 0
+        raise GeometryError("no positive real root: every coefficient is 0")
 
     def p(x: float) -> float:
         return x**m - sum(c * x ** (m - 1 - i) for i, c in enumerate(coeffs))

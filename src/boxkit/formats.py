@@ -99,6 +99,8 @@ class PartitionDocument(_Record):
         _validate_boxes(boxes, ambient)
         if labels is not None and len(labels) != len(boxes):
             raise GeometryError("labels must match boxes one-to-one")
+        if labels is not None and any(len(v.labels) != ambient.dim for v in labels):
+            raise GeometryError("label/dimension mismatch")
         self._set(ambient, boxes, labels, meta)
 
     @staticmethod

@@ -42,20 +42,21 @@ tuple of exact ints equal to an interned one is replaced by it unchecked.
 ``_sums`` is the one place that picks how a tensor is summed, by the cell
 count of the quotient grid and whether numpy is loaded.  Up to
 ``_COUNT_CELLS`` (1,024) cells, or ``_COLD_COUNT_CELLS`` (4,096) while numpy
-is not loaded, each box is a list of flat cell indices, and its weight is
-added into a plain list of counts, one per cell, from which the least and
-greatest sum and the first bad cell follow (``_count_sums``); above it the
-numpy kernel (``_scatter_sum`` over the ``_incidence`` batches) fills an
-int64 tensor.  Both are exhaustive on the quotient grid and give the same
-answers.  The counts win on tiny grids and lose as the cells grow, but up
-to 4,096 cells they lose less than importing numpy costs.  Only the numpy
-kernel imports numpy, inside its functions: code that builds boxes,
-families and documents, or verifies a family with a small quotient grid
-(the 25-box partition, the quadrant partition of [16]^4, a search result),
-never loads it.  The ASCII picture, which needs a box's cells but sums
-nothing, takes them from ``_box_cells`` as plain ints; the search pools
-work from the boxes' per-axis factors, as masks or as cells summed from
-per-axis offsets.
+is not loaded, each box is a list of flat cell indices (``_flat_cells``),
+and its weight is added into a plain list of counts, one per cell, from
+which the least and greatest sum and the first bad cell follow
+(``_count_sums``); above it the numpy kernel (``_scatter_sum`` over the
+``_incidence`` batches) fills an int64 tensor.  Both are exhaustive on
+the quotient grid and give the same answers.  The counts win on tiny
+grids and lose as the cells grow, but up to 4,096 cells they lose less
+than importing numpy costs.  Only the numpy kernel imports numpy, inside
+its functions: code that builds boxes, families and documents, or
+verifies a family with a small quotient grid (the 25-box partition, the
+quadrant partition of [16]^4, a search result), never loads it.
+``_flat_cells`` is the one routine that turns boxes into cell lists, from
+each axis's distinct factors: the count kernel calls it on the quotient
+grid, the ASCII picture and the export of a sparse search pool on the
+ambient.  The searches work from per-axis masks.
 
 Trust rule: ``_unchecked_boxes`` builds a whole family's boxes with no
 check at all, and with no Python call per box: it makes the bare objects
@@ -634,25 +635,34 @@ def _scatter_sum(csr, sides: Sequence[int], skip: int | None = None, weights=Non
     return out.reshape(shape)
 
 
-def _count_sums(q: _Quotient, skip: int | None, weights) -> list[int]:
-    """The tensor of ``_sums`` as a list of counts, one per cell in row-major
-    order.  Each box's cells are built from the last axis to the first by
-    offsetting copies of the cells of its factors on the axes after; boxes
-    with equal factors on those axes share that list, and boxes with one
-    list add their weights before the list is added once."""
-    keys, cells, stride = [0] * len(q.which[0]), [[0]], 1
-    for a in reversed(range(len(q.sides))):
+def _flat_cells(runs, which, sides: Sequence[int], skip: int | None = None):
+    """Every box's cells over every axis but ``skip``, as row-major flat
+    indices in increasing order: ``runs[a]`` holds the distinct factors of
+    axis a (coordinates or classes, 1-based) and ``which[a]`` each box's
+    number among them.  Returns (keys, cells), box b's list being
+    ``cells[keys[b]]``.  The lists are built from the last axis to the
+    first by offsetting copies of the lists of the axes after, so boxes
+    with equal factors on those axes share one list."""
+    keys, cells, stride = [0] * len(which[0]), [[0]], 1
+    for a in reversed(range(len(sides))):
         if a == skip:
             continue
         number: dict[tuple[int, int], int] = {}
-        keys = [number.setdefault(k, len(number)) for k in zip(q.which[a], keys)]
-        runs = q.runs[a]
-        cells = [[i + (c - 1) * stride for c in runs[f] for i in cells[key]] for f, key in number]
-        stride *= q.sides[a]
+        keys = [number.setdefault(k, len(number)) for k in zip(which[a], keys)]
+        cells = [[i + (c - 1) * stride for c in runs[a][f] for i in cells[k]] for f, k in number]
+        stride *= sides[a]
+    return keys, cells
+
+
+def _count_sums(q: _Quotient, skip: int | None, weights) -> list[int]:
+    """The tensor of ``_sums`` as a list of counts, one per cell in row-major
+    order, from each box's cells (``_flat_cells``); boxes with one list add
+    their weights before the list is added once."""
+    keys, cells = _flat_cells(q.runs, q.which, q.sides, skip)
     totals = [0] * len(cells)
     for key, w in zip(keys, itertools.repeat(1) if weights is None else weights):
         totals[key] += w
-    counts = [0] * stride
+    counts = [0] * math.prod(n for j, n in enumerate(q.sides) if j != skip)
     for flat, w in zip(cells, totals):
         for i in flat:
             counts[i] += w
@@ -668,16 +678,6 @@ def _first_point(flat: int, q: _Quotient) -> tuple[int, ...]:
         flat, i = divmod(flat, n)
         cell.append(i)
     return tuple(m[i] for m, i in zip(q.least, reversed(cell)))
-
-
-def _box_cells(factors: Sequence[tuple[int, ...]], sides: Sequence[int]) -> list[int]:
-    """The row-major flat indices (0-based) of a box's cells in an ambient
-    with ``sides``, in ``itertools.product`` order of its factors."""
-    flat, stride = [0], math.prod(sides)
-    for f, n in zip(factors, sides):
-        stride //= n
-        flat = [i + (c - 1) * stride for i in flat for c in f]
-    return flat
 
 
 def _bitmasks(rows, width: int) -> list[int]:

@@ -12,7 +12,7 @@ limit raises GeometryError before anything is allocated.
 from __future__ import annotations
 
 from .formats import PartitionDocument
-from .geometry import GeometryError, _box_cells, _check_cells, classify_box
+from .geometry import GeometryError, _check_cells, _columns, _distinct, _flat_cells, classify_box
 
 __all__ = ["render"]
 
@@ -23,10 +23,12 @@ _RECT_BYTES = 160  # svg text per drawn rectangle and its label, at least
 def _id_grid(doc: PartitionDocument) -> list[int]:
     """Id of the first box covering each cell (0 for uncovered cells), per
     ambient cell in row-major order."""
+    sides = doc.ambient.sides
+    keys, cells = _flat_cells(*zip(*map(_distinct, _columns(doc.boxes, len(sides)))), sides)
     grid = [0] * doc.ambient.volume
     # the last box first, so that the first box over a cell writes it last
-    for i in range(len(doc.boxes), 0, -1):
-        for p in _box_cells(doc.boxes[i - 1].factors, doc.ambient.sides):
+    for i in range(len(keys), 0, -1):
+        for p in cells[keys[i - 1]]:
             grid[p] = i
     return grid
 

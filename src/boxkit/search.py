@@ -33,8 +33,8 @@ and the masks of the points below, at and above t, with no walk over
 cells.  Both searches refuse point masks over the cell limit in bytes.
 The export reads each point's candidates off its candidate mask when the
 masks take no more bytes than the incidence has cells, and otherwise
-scatters the candidates' cells, summed from per-axis offsets
-(``_cand_cells``), into a list per point (``_point_pool``), so its work
+scatters the candidates' cells, from geometry's one box-to-cells builder
+(``_flat_cells``), into a list per point (``_point_pool``), so its work
 and memory stay within the incidence; it is spelled line by line
 (``_model_lines``), so the CLI writes it without holding it as one string.
 
@@ -76,6 +76,7 @@ from .geometry import (
     _check_demand,
     _columns,
     _distinct,
+    _flat_cells,
     _is_interval,
     _normalize_factor,
     _unchecked_boxes,
@@ -254,33 +255,6 @@ def _pt_masks(instance: CoverInstance, axes):
     return functools.reduce(functools.partial(map, operator.mul), columns)
 
 
-def _cand_cells(instance: CoverInstance, axes):
-    """Per candidate, in pool order and as the iterator is read, its points
-    as row-major flat indices in increasing order, from ``_pool_axes``: the
-    sums of one offset ``(v - 1) * stride`` per axis, v in its factor.  The
-    cells of each distinct run of leading factors (all axes but the last)
-    are built once, axis by axis, and shared by the candidates on it.  Only
-    the export of a sparse pool reads them (``_point_pool``)."""
-    sides = instance.ambient.sides
-    offsets = [
-        [[(v - 1) * math.prod(sides[a + 1:]) for v in f] for f in distinct]
-        for a, (distinct, _) in enumerate(axes)
-    ]
-    # runs[k]: the cells of distinct run k; ids[ci]: candidate ci's run
-    ids, runs = [0] * len(instance.candidates), [[0]]
-    for offs, (_, which) in zip(offsets[:-1], axes[:-1]):
-        number: dict[tuple[int, int], int] = {}
-        longer = []
-        keys = list(zip(ids, which))
-        for key in keys:
-            if key not in number:
-                number[key] = len(longer)
-                longer.append([c + o for c in runs[key[0]] for o in offs[key[1]]])
-        ids, runs = list(map(number.__getitem__, keys)), longer
-    last = map(offsets[-1].__getitem__, axes[-1][1])
-    return ([c + o for c in runs[k] for o in offs] for k, offs in zip(ids, last))
-
-
 _ONES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -298,15 +272,16 @@ def _point_pool(instance: CoverInstance, axes, incidence: int):
     masks (a bit per point and candidate) take no more bytes than its
     incidence has cells, gives each point's candidate mask, read with
     ``itertools.compress``; a sparser one scatters each candidate's cells
-    (``_cand_cells``) into a list per point.  Either way the entries and
-    the work stay within the incidence."""
+    (geometry's ``_flat_cells``) into a list per point.  Either way the
+    entries and the work stay within the incidence."""
     n_cand, n_pts = len(instance.candidates), instance.ambient.volume
     if n_pts * -(-n_cand // 8) <= incidence:
         entries = _cand_masks(_axis_masks(instance, axes))
         return entries, int.bit_count, lambda seq, m: itertools.compress(seq, _ones(m, n_cand))
     entries = [[] for _ in range(n_pts)]
-    for ci, cells in enumerate(_cand_cells(instance, axes)):
-        for p in cells:
+    keys, cells = _flat_cells(*zip(*axes), instance.ambient.sides)
+    for ci, key in enumerate(keys):
+        for p in cells[key]:
             entries[p].append(ci)
     return entries, len, lambda seq, cs: map(seq.__getitem__, cs)
 

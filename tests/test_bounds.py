@@ -128,6 +128,12 @@ class TestGrowthRoot:
         with pytest.raises(GeometryError):
             growth_root([])
 
+    @pytest.mark.parametrize("coeffs", [[0], [0, 0, 0], [0.0, -0.0]])
+    def test_all_zero_rejected(self, coeffs):
+        """x^m = 0 has no positive root; bisection would close in on 0."""
+        with pytest.raises(GeometryError, match="no positive real root"):
+            growth_root(coeffs)
+
     @pytest.mark.parametrize("coeffs", [[math.nan], [1e200, 0], [1, -1e300, 1e300]])
     def test_unbracketable_rejected(self, coeffs):
         """A NaN, or p overflowing at the top of the bracket.  The cases a

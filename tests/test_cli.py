@@ -89,6 +89,12 @@ class TestVerify:
         path.write_text(doc)
         assert main(["verify", str(path)]) == 2
 
+    def test_labels_of_the_wrong_length_are_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.json"
+        path.write_text('{"ambient":[2,2],"boxes":[[[1,2],[1,2]]],"labels":[[1]]}')
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: label/dimension mismatch\n"
+
     def test_many_axes_error_is_short(self, tmp_path, capsys):
         # the cell-limit message names the axis count, not the shape
         path = tmp_path / "wide.txt"
@@ -245,11 +251,13 @@ class TestBounds:
         assert main(["bounds", "--root", "0,13,9"]) == 0
         assert capsys.readouterr().out.startswith("3.911627")
 
-    @pytest.mark.parametrize("root", ["1e200,0", "1e308,1e308", "inf", "-inf", "nan", ""])
+    @pytest.mark.parametrize(
+        "root", ["1e200,0", "1e308,1e308", "inf", "-inf", "nan", "", "0", "0,0,0"]
+    )
     def test_root_it_cannot_bracket_is_usage_error(self, root):
-        """Overflow, a non-finite bracket, a NaN or no coefficient at all: exit
-        2 and one error line, in a subprocess, so a bisection that never ends
-        fails the test."""
+        """Overflow, a non-finite bracket, a NaN, no coefficient at all or only
+        zeros (no positive root): exit 2 and one error line, in a subprocess,
+        so a bisection that never ends fails the test."""
         done = _boxkit(["bounds", f"--root={root}"])
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -209,6 +209,16 @@ def test_labels_must_match_boxes():
         )
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_labels_must_match_the_dimension(dim):
+    """Each label vector has one entry per axis, as in an intermediate
+    partition."""
+    with pytest.raises(GeometryError, match="label/dimension mismatch"):
+        PartitionDocument(
+            Ambient((2, 2)), (DiscreteBox.of([1, 2], [1, 2]),), (PiercingVector((1,) * dim),)
+        )
+
+
 @pytest.mark.parametrize("kind", [int, np.int8, np.int64, np.uint16])
 def test_numpy_sides_and_labels_round_trip(kind):
     """Sides and labels given as numpy integers are stored and written as

@@ -496,6 +496,26 @@ def random_families(draw):
     return BoxFamily(Ambient(tuple(sides)), tuple(DiscreteBox(b) for b in boxes))
 
 
+@given(random_families(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_flat_cells_match_contains(fam, data):
+    """``_flat_cells`` against ``DiscreteBox.contains``: over every axis but
+    ``skip``, each box's list is the sorted row-major indices of the cells
+    of its projection, for repeated boxes and the empty family too."""
+    sides, boxes = fam.ambient.sides, fam.boxes
+    if boxes:
+        boxes += tuple(data.draw(st.lists(st.sampled_from(boxes), max_size=4)))
+    skip = data.draw(st.sampled_from([None, *range(len(sides))]))
+    keep = [a for a in range(len(sides)) if a != skip]
+    axes = map(geometry._distinct, geometry._columns(boxes, len(sides)))
+    keys, cells = geometry._flat_cells(*zip(*axes), sides, skip)
+    points = list(itertools.product(*(range(1, sides[a] + 1) for a in keep)))
+    assert len(keys) == len(boxes)
+    for b, key in zip(boxes, keys):
+        shadow = DiscreteBox(b.factors[a] for a in keep)
+        assert cells[key] == [p for p, pt in enumerate(points) if shadow.contains(pt)]
+
+
 @st.composite
 def random_partitions(draw):
     """Partitions into general boxes: repeatedly cut one part in two along an

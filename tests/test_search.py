@@ -15,7 +15,6 @@ from boxkit.search import (
     CoverInstance,
     SearchBudget,
     _axis_masks,
-    _cand_cells,
     _cand_masks,
     _cards,
     _point_pool,
@@ -340,15 +339,14 @@ def _check_point_pool(inst, cand_mask):
 @settings(max_examples=150, deadline=None)
 def test_pool_incidence_matches_contains(inst):
     """The per-axis algebra against ``DiscreteBox.contains``: each
-    candidate's points (the product of its spreads, and the sums of its
-    offsets), each point's candidates (the AND of the axes' masks, and
-    ``_point_pool`` on either side of its density rule) and each
-    candidate's cardinality (the product of its factors' lengths)."""
+    candidate's points (the product of its spreads), each point's
+    candidates (the AND of the axes' masks, and ``_point_pool`` on either
+    side of its density rule) and each candidate's cardinality (the
+    product of its factors' lengths)."""
     pt_mask, cand_mask, card = _pool_oracle(inst)
     axes, incidence = _pool_axes(inst, masks=True)
     assert list(_pt_masks(inst, axes)) == pt_mask
     assert list(_cards(axes)) == card and incidence == sum(card)
-    assert list(_cand_cells(inst, axes)) == list(map(_members, pt_mask))
     assert _cand_masks(_axis_masks(inst, axes)) == cand_mask
     _check_point_pool(inst, cand_mask)
 
@@ -503,7 +501,7 @@ def test_pool_over_a_huge_ambient_refused_at_once(monkeypatch):
     inst = CoverInstance(Ambient((10**5, 10**5)), (DiscreteBox.of([1], [1]),))
     monkeypatch.setattr(search, "_axis_masks", None)
     monkeypatch.setattr(search, "_pt_masks", None)
-    monkeypatch.setattr(search, "_cand_cells", None)
+    monkeypatch.setattr(search, "_flat_cells", None)
     message = "the ambient of a 2-axis candidate pool exceeds the"
     with pytest.raises(GeometryError, match=message):
         _pool_axes(inst)
@@ -526,7 +524,7 @@ def test_pool_incidence_cell_limit(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(search, "_axis_masks", None)
         m.setattr(search, "_pt_masks", None)
-        m.setattr(search, "_cand_cells", None)
+        m.setattr(search, "_flat_cells", None)
         for refused in (
             lambda: _pool_axes(inst),
             lambda: solve_cover(inst, SearchBudget()),
@@ -741,7 +739,7 @@ def test_anneal_pinned_runs(sides, predicate, t, mode, seed, max_nodes, size, no
 def test_anneal_reads_no_cells(pin, monkeypatch):
     """The annealer prices its moves from point masks: with no cell list to
     build, it walks its pinned runs."""
-    monkeypatch.setattr(search, "_cand_cells", None)
+    monkeypatch.setattr(search, "_flat_cells", None)
     test_anneal_pinned_runs(*pin)
 
 
