@@ -163,6 +163,12 @@ def kp_box_exponential_lower(d: int, k: int) -> tuple[BoundValue, BoundValue]:
     return product_form, closed_form
 
 
+def _charpoly(coeffs: list[float], x: float) -> float:
+    """x^m - sum c_i x^{m-i}, for ``coeffs`` = (c_1, ..., c_m)."""
+    m = len(coeffs)
+    return x**m - sum(c * x ** (m - 1 - i) for i, c in enumerate(coeffs))
+
+
 def growth_root(recurrence: Iterable[float]) -> float:
     """Largest positive root of x^m = c_1 x^{m-1} + ... + c_m, found by
     bisection to 1e-9.
@@ -171,37 +177,40 @@ def growth_root(recurrence: Iterable[float]) -> float:
     p(x) = x^m - sum c_i x^{m-i}.  With nonnegative coefficients (not all
     zero, else GeometryError) p has a single sign change on [1, 1 + sum |c_i|],
     which brackets the dominant root; a non-finite p at its ends raises too.
+    The bisection reads p with its trailing zero coefficients dropped: they
+    factor x^k out of p, which moves no positive root, and the root 0 they
+    add is not reported.
     From 2^23 on, bisection stops at adjacent floats, over 1e-9 apart.
     """
     coeffs = [float(c) for c in recurrence]
-    m = len(coeffs)
-    if m < 1:
+    if not coeffs:
         raise GeometryError("empty recurrence")
     if not any(coeffs):  # p(x) = x^m: its one root is 0
         raise GeometryError("no positive real root: every coefficient is 0")
-
-    def p(x: float) -> float:
-        return x**m - sum(c * x ** (m - 1 - i) for i, c in enumerate(coeffs))
-
     lo, hi = 1.0, 1.0 + sum(abs(c) for c in coeffs)
     try:
-        top = p(hi)
+        top = _charpoly(coeffs, hi)
     except OverflowError:
         top = math.inf
     if not math.isfinite(top):
         raise GeometryError(f"cannot bracket a root of {coeffs}: p({hi:g}) is not finite")
     if top < 0:
         raise GeometryError("no root in bracket")
-    if p(lo) > 0:
+    # p(x) = x^k q(x) for k trailing zeros: q has p's positive roots, and
+    # q(0) is not 0, so the bracket widened to 0 cannot close on that root
+    q = coeffs.copy()
+    while not q[-1]:
+        q.pop()
+    if _charpoly(q, lo) > 0:
         # dominant root below 1; widen the bracket downward
         lo = 0.0
-        if p(lo) > 0:
+        if _charpoly(q, lo) > 0:
             raise GeometryError("no positive real root in bracket")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent floats
             break
-        if p(mid) <= 0:
+        if _charpoly(q, mid) <= 0:
             lo = mid
         else:
             hi = mid

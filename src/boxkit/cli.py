@@ -23,7 +23,7 @@ import argparse
 import sys
 from typing import get_args
 
-from .geometry import Ambient, GeometryError, Mode, Predicate, verify_cover
+from .geometry import Ambient, GeometryError, Mode, Predicate, _check_demand, verify_cover
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -118,7 +118,9 @@ def _make_instance(args):
 
     ambient = _parse_ambient(args.ambient)
     cands = tuple(enumerate_candidates(ambient, args.candidates.replace("-", "_")))
-    return CoverInstance(ambient, cands, args.t, args.mode)
+    _check_demand(args.t, args.mode)
+    # the pool was enumerated inside the ambient, so every candidate fits it
+    return CoverInstance._trusted(ambient, cands, args.t, args.mode)
 
 
 def _cmd_search(args) -> int:

@@ -171,7 +171,8 @@ def product(p1: BoxFamily, p2: BoxFamily) -> BoxFamily:
     pairs = itertools.product(map(_factors, p1.boxes), map(_factors, p2.boxes))
     # factors off existing boxes
     boxes = _unchecked_boxes(itertools.starmap(tuple.__add__, pairs), len(p1) * len(p2))
-    return BoxFamily(ambient, boxes)
+    # each box joins a box that fits p1's ambient to one that fits p2's
+    return BoxFamily._trusted(ambient, boxes)
 
 
 def lift(p: BoxFamily, m: int) -> BoxFamily:
@@ -197,7 +198,8 @@ def lift(p: BoxFamily, m: int) -> BoxFamily:
     grown = {f: _normalize_factor(f + tail) for f in dict.fromkeys(flat) if f[-1] == n}
     # factors off existing boxes or from _normalize_factor
     rows = zip(*[map(grown.get, flat, flat)] * p.ambient.dim)
-    return BoxFamily(Ambient.cube(m, p.ambient.dim), _unchecked_boxes(rows, len(p)))
+    # every factor fits [n], and a factor grows only from n up to m
+    return BoxFamily._trusted(Ambient.cube(m, p.ambient.dim), _unchecked_boxes(rows, len(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,17 @@ box by box (``_json_rows``), which raises the error of the first bad box.
 So every message is the one the walks give, and they stay the references
 the tests compare the column readers against.
 
+A document read by columns is bounded by its distinct factors, which the
+per-spelling memo holds, not by its boxes: ``top`` is the largest
+coordinate of any of them.  With a header, or in JSON, a document whose
+boxes have the ambient's dimension and whose ``top`` passes no side fits
+its ambient; any other gets the public constructor's column check, which
+raises the error of its first bad box (``_parsed_document``).  Without a
+header, when every axis has a factor ending at ``top`` (``_ends_at``, the
+scan the writer's header test makes), every side is ``max(2, top)``;
+otherwise the sides are the per-axis maxima (``_inferred_sides``).  Either
+way the sides hold every box.  What the walks read gets every check.
+
 Both parsers run with Python's cyclic garbage collector paused
 (``geometry._gc_paused``): a big document makes a container per box and
 factor, none of them in a cycle, and the collector would pass over them
@@ -97,26 +108,41 @@ class PartitionDocument(_Record):
         meta: tuple[tuple[str, str], ...] = (),
     ) -> None:
         _validate_boxes(boxes, ambient)
-        if labels is not None and len(labels) != len(boxes):
-            raise GeometryError("labels must match boxes one-to-one")
-        if labels is not None and any(len(v.labels) != ambient.dim for v in labels):
-            raise GeometryError("label/dimension mismatch")
+        _check_labels(labels, len(boxes), ambient.dim)
         self._set(ambient, boxes, labels, meta)
 
-    @staticmethod
-    def _unchecked(ambient: Ambient, boxes: tuple[DiscreteBox, ...]) -> "PartitionDocument":
-        """The document with no labels and no metadata, built with no check:
-        every box must already fit ``ambient``."""
-        doc = object.__new__(PartitionDocument)
-        doc._set(ambient, boxes, None, ())
-        return doc
-
     def family(self) -> BoxFamily:
-        return BoxFamily(self.ambient, self.boxes)
+        # the boxes were checked against the ambient when this was built
+        return BoxFamily._trusted(self.ambient, self.boxes)
 
     @staticmethod
     def from_family(family: BoxFamily, labels=None, meta=()) -> "PartitionDocument":
-        return PartitionDocument(family.ambient, family.boxes, labels, tuple(meta))
+        _check_labels(labels, len(family), family.ambient.dim)
+        # a family's boxes were checked against its ambient when it was built
+        return PartitionDocument._trusted(family.ambient, family.boxes, labels, tuple(meta))
+
+
+def _check_labels(labels, n: int, dim: int) -> None:
+    """Refuse labels (None: no labels) that are not one vector of ``dim``
+    labels for each of ``n`` boxes."""
+    if labels is not None and len(labels) != n:
+        raise GeometryError("labels must match boxes one-to-one")
+    if labels is not None and any(len(v.labels) != dim for v in labels):
+        raise GeometryError("label/dimension mismatch")
+
+
+def _parsed_document(
+    ambient: Ambient, boxes: tuple[DiscreteBox, ...], top: int | None, labels=None, meta=()
+) -> PartitionDocument:
+    """The document of parsed ``boxes``, no coordinate of which passes
+    ``top`` (None: not known).  When the boxes have the ambient's dimension
+    and ``top`` passes no side, every box fits, and only the labels are
+    checked; otherwise the public constructor checks every box and raises
+    the error of the first bad one."""
+    if top is None or top > min(ambient.sides) or boxes[0].dim != ambient.dim:
+        return PartitionDocument(ambient, boxes, labels, meta)
+    _check_labels(labels, len(boxes), ambient.dim)
+    return PartitionDocument._trusted(ambient, boxes, labels, meta)
 
 
 _BOX_RE = re.compile(r"^Box\(\s*(\d+)\s*\)\s*=\s*(.*)$")
@@ -217,12 +243,13 @@ def _read_lines(lines: list[str]) -> tuple[tuple[int, ...] | None, tuple[Discret
 
 def _read_columns(
     lines: list[str],
-) -> tuple[tuple[int, ...] | None, tuple[DiscreteBox, ...]] | None:
+) -> tuple[tuple[int, ...] | None, tuple[DiscreteBox, ...], int] | None:
     """What ``_read_lines`` returns for the same ``lines``, read a column at
-    a time with no Python call per line, or None when some line is at fault
-    (a malformed line, header or factor, an id that is too long, repeated
-    or missing, or two dimensions): ``_read_lines`` then raises the error
-    of the first fault in line order."""
+    a time with no Python call per line, followed by the largest coordinate
+    of any factor, read off the distinct factors; or None when some line is
+    at fault (a malformed line, header or factor, an id that is too long,
+    repeated or missing, or two dimensions): ``_read_lines`` then raises
+    the error of the first fault in line order."""
     lines = list(filter(None, map(str.strip, lines)))
     matches = list(map(_BOX_RE.match, lines))
     sides = None
@@ -249,9 +276,10 @@ def _read_columns(
         return None
     dim = dims.pop() + 1
     parts = itertools.chain.from_iterable(map(str.split, specs, itertools.repeat(" x ")))
+    factor = _Memo(lambda part: _parse_factor(part, 0))
     try:
         # the walk names the line of a bad spelling
-        factors = list(map(_Memo(lambda part: _parse_factor(part, 0)).__getitem__, parts))
+        factors = list(map(factor.__getitem__, parts))
     except ParseError:
         return None
     rows = zip(*[iter(factors)] * dim)
@@ -260,32 +288,40 @@ def _read_columns(
             return None
         rows = map(dict(zip(ids, rows)).__getitem__, range(1, n + 1))
     # factors from _normalize_factor
-    return sides, _unchecked_boxes(rows, n)
+    return sides, _unchecked_boxes(rows, n), max(map(_last, factor.values()))
 
 
 @_gc_paused
 def parse_partition_text(text: str) -> PartitionDocument:
     """Parse the listing format; boxes are returned in id order.  A listing
     is read a column at a time; only one with a fault is walked line by
-    line, to name the fault's line."""
+    line, to name the fault's line, and what the walk reads gets every
+    check."""
     read = _read_columns(text.splitlines())
-    sides, boxes = _read_lines(text.splitlines()) if read is None else read
-    if sides is None:
-        # the sides are the boxes' own maxima, so every box fits them
-        ambient = Ambient(_inferred_sides(boxes, boxes[0].dim))
-        return PartitionDocument._unchecked(ambient, boxes)
-    return PartitionDocument(Ambient(sides), boxes)
+    sides, boxes, top = read or (*_read_lines(text.splitlines()), None)
+    dim = boxes[0].dim
+    if sides is not None:
+        return _parsed_document(Ambient(sides), boxes, top)
+    if top is not None and all(_ends_at(boxes, a, top) for a in range(dim)):
+        # every axis reaches the largest coordinate, so it is every axis's maximum
+        sides = (max(2, top),) * dim
+    else:
+        sides = _inferred_sides(boxes, dim)
+    # the sides are the boxes' own maxima, so every box fits them
+    return PartitionDocument._trusted(Ambient(sides), boxes, None, ())
+
+
+def _ends_at(boxes, a: int, n: int) -> bool:
+    """Whether some box's axis-``a`` factor ends at ``n``, by a scan that
+    stops at the first one that does."""
+    return n in map(_last, map(itemgetter(a), map(_factors, boxes)))
 
 
 def _needs_header(doc: PartitionDocument) -> bool:
     """Whether the inferred sides (``_inferred_sides``) differ from the
     ambient's.  Every box fits the ambient, so they differ exactly when some
-    axis with a side above 2 has no factor ending at that side; each axis's
-    scan stops at the first factor that does."""
-    return not all(
-        n == 2 or n in map(_last, map(itemgetter(a), map(_factors, doc.boxes)))
-        for a, n in enumerate(doc.ambient.sides)
-    )
+    axis with a side above 2 has no factor ending at that side."""
+    return not all(n == 2 or _ends_at(doc.boxes, a, n) for a, n in enumerate(doc.ambient.sides))
 
 
 def _spelled(doc: PartitionDocument, open_: str, close: str):
@@ -329,20 +365,22 @@ def _reject(token: str):
     raise ValueError(f"non-integer number {token}")
 
 
-def _json_columns(rows, dim: int) -> tuple[DiscreteBox, ...] | None:
+def _json_columns(rows, dim: int) -> tuple[tuple[DiscreteBox, ...], int] | None:
     """The boxes of the JSON ``boxes`` field, read as one flattened column
-    of factors, each distinct one checked once; or None when the field is
+    of factors, each distinct one checked once, and the largest coordinate
+    of any factor, read off the distinct factors; or None when the field is
     not a list of ``dim`` factors a box, or any factor fails: ``_json_rows``
     then raises the error of the first bad box."""
-    factor = _Memo(_normalize_factor).__getitem__
+    factor = _Memo(_normalize_factor)
     try:
         if set(map(len, rows)) != {dim}:
             return None
-        flat = map(factor, map(tuple, itertools.chain.from_iterable(rows)))
+        flat = map(factor.__getitem__, map(tuple, itertools.chain.from_iterable(rows)))
         # factors from _normalize_factor
-        return _unchecked_boxes(zip(*[flat] * dim), len(rows))
+        boxes = _unchecked_boxes(zip(*[flat] * dim), len(rows))
     except (TypeError, ValueError):
         return None
+    return boxes, max(map(_last, factor.values()))
 
 
 def _json_rows(rows) -> tuple[DiscreteBox, ...]:
@@ -377,13 +415,12 @@ def parse_partition_structured(text: str) -> PartitionDocument:
             if any(isinstance(c, bool) for c in numbers):
                 raise ParseError("boolean where an integer is expected")
         ambient = Ambient(tuple(obj["ambient"]))
-        boxes = _json_columns(obj["boxes"], ambient.dim)
-        if boxes is None:
-            boxes = _json_rows(obj["boxes"])
+        read = _json_columns(obj["boxes"], ambient.dim)
+        boxes, top = read or (_json_rows(obj["boxes"]), None)
         labels = None
         if obj.get("labels") is not None:
             labels = tuple(PiercingVector(tuple(v)) for v in obj["labels"])
         meta = tuple(sorted(obj.get("meta", {}).items()))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed partition document ({type(exc).__name__}: {exc})")
-    return PartitionDocument(ambient, boxes, labels, meta)
+    return _parsed_document(ambient, boxes, top, labels, meta)

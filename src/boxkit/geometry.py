@@ -29,9 +29,10 @@ public types are immutable ``_Record`` classes with ``__slots__``, compared
 and hashed by value, safe to share across threads; they are plain classes,
 not dataclasses, because importing ``dataclasses`` (and with it ``inspect``)
 and generating each class's methods cost every command's start.  The calls
-that build a whole family (``product`` and both parsers) pause Python's
-cyclic garbage collector through ``_gc_paused``; the pause holds for the
-whole process, other threads included, until the call returns or raises.
+that build a whole family (``product``, candidate enumeration and both
+parsers) pause Python's cyclic garbage collector through ``_gc_paused``;
+the pause holds for the whole process, other threads included, until the
+call returns or raises.
 
 Coordinates, ambient sides and piercing labels are Python ints: numpy
 integers are stored as ``int``, and a bool, float or string raises
@@ -58,23 +59,30 @@ each axis's distinct factors: the count kernel calls it on the quotient
 grid, the ASCII picture and the export of a sparse search pool on the
 ambient.  The searches work from per-axis masks.
 
-Trust rule: ``_unchecked_boxes`` builds a whole family's boxes with no
-check at all, and with no Python call per box: it makes the bare objects
-with ``map(object.__new__, ...)`` and fills their one slot with the slot's
-own setter.  Only code that holds canonical factors calls it -- each factor
+Trust rule: a record is checked once, where its values come in.
+``_unchecked_boxes`` builds a whole family's boxes with no check at all,
+and with no Python call per box: it makes the bare objects with
+``map(object.__new__, ...)`` and fills their one slot with the slot's own
+setter.  Only code that holds canonical factors calls it -- each factor
 either came out of ``_normalize_factor`` or was taken off an existing box,
 and both are sorted, duplicate-free tuples of ints >= 1 -- so its boxes
 equal the ones the public constructor would build.  ``product``, ``lift``,
-candidate enumeration and both parsers build their boxes this way.  A
-family, a document and a cover instance check their boxes against the
-ambient by axis columns (``_validate_boxes``): one dimension test over the
-boxes, then one maximum per axis (``_axis_maxima``, which also gives a
-listing's inferred sides, so a listing without a header is not checked
-again); on a failure the per-box ``validate_in`` runs and raises the same
-error it always did.  Every per-axis column (``_columns``: for the
-maxima, the quotient grid and the search pools) is a strided slice
-``flat[a::dim]`` of one flattened list of the boxes' factors, and the
-maxima read only each axis's distinct factors.
+candidate enumeration and both parsers build their boxes this way.  The
+public constructors of a family, a document and a cover instance check
+their boxes against the ambient by axis columns (``_validate_boxes``): one
+dimension test over the boxes, then one maximum per axis
+(``_axis_maxima``); on a failure the per-box ``validate_in`` runs and
+raises the same error it always did.  ``_Record._trusted`` builds a record
+with no check, from fields that were checked already: the family that
+``product`` joins, or ``lift`` grows, out of boxes that fit their
+ambients, the family of a document or of an intermediate partition, a
+document made from a family, a search result drawn from a checked
+instance, the CLI's cover instance over an enumerated pool.  The parsers
+bound a document by its distinct factors instead of its boxes (see
+``formats``).  Every per-axis column (``_columns``: for the maxima, the
+quotient grid and the search pools) is a strided slice ``flat[a::dim]`` of
+one flattened list of the boxes' factors, and the maxima read only each
+axis's distinct factors.
 """
 
 from __future__ import annotations
@@ -113,14 +121,22 @@ class GeometryError(ValueError):
 class _Record:
     """Base of the immutable records: equality and hash over the fields
     named in ``__slots__``, in that order, a repr naming them, and no
-    assignment or deletion: ``__init__`` sets the fields once, through
-    ``_set``."""
+    assignment or deletion: ``__init__``, or ``_trusted``, sets the fields
+    once, through ``_set``."""
 
     __slots__ = ()
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The record of ``values``, one per field, built with no check: each
+        must be a value the public constructor has already accepted."""
+        record = object.__new__(cls)
+        record._set(*values)
+        return record
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -403,7 +419,8 @@ class IntermediatePartition(_Record):
         self._set(ambient, parts)
 
     def family(self) -> BoxFamily:
-        return BoxFamily(self.ambient, tuple(box for box, _ in self.parts))
+        # every part was checked against the ambient when this was built
+        return BoxFamily._trusted(self.ambient, tuple(box for box, _ in self.parts))
 
     def __len__(self) -> int:
         return len(self.parts)

@@ -77,6 +77,7 @@ from .geometry import (
     _columns,
     _distinct,
     _flat_cells,
+    _gc_paused,
     _is_interval,
     _normalize_factor,
     _unchecked_boxes,
@@ -142,11 +143,13 @@ class SearchResult(_Record):
         self._set(best, best_size, proven_optimal, nodes, elapsed, stop_reason)
 
 
+@_gc_paused
 def enumerate_candidates(ambient: Ambient, predicate: Predicate) -> list[DiscreteBox]:
     """All boxes in the ambient whose every factor satisfies the predicate,
-    in lexicographic order (per-axis factor tuples, leftmost axis slowest).
-    A pool whose boxes times axes, or whose total cells, would pass
-    geometry's cell limit raises GeometryError before any box is built."""
+    in lexicographic order (per-axis factor tuples, leftmost axis slowest),
+    built with the cyclic garbage collector paused.  A pool whose boxes
+    times axes, or whose total cells, would pass geometry's cell limit
+    raises GeometryError before any box is built."""
     if any(n > CANDIDATE_SIDE_CAP for n in ambient.sides):
         raise GeometryError(
             f"side exceeds enumeration cap {CANDIDATE_SIDE_CAP}"
@@ -300,7 +303,8 @@ def _verified_result(
     elapsed = time.monotonic() - start
     if selection is None:
         return SearchResult(None, math.inf, proven, nodes, elapsed, stop)
-    family = BoxFamily(
+    # every candidate of a checked instance fits its ambient
+    family = BoxFamily._trusted(
         instance.ambient, tuple(instance.candidates[ci] for ci in selection)
     )
     report = verify_cover(family, instance.multiplicity, instance.mode)

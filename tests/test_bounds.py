@@ -134,6 +134,16 @@ class TestGrowthRoot:
         with pytest.raises(GeometryError, match="no positive real root"):
             growth_root(coeffs)
 
+    def test_no_positive_root_with_a_zero_last_coefficient_rejected(self):
+        """x^3 = x^2 - x: p(x) = x(x^2 - x + 1) has only the root 0, on which
+        a bracket widened to 0 would close."""
+        with pytest.raises(GeometryError, match="no positive real root"):
+            growth_root([1, -1, 0])
+
+    @pytest.mark.parametrize("zeros", [1, 2])
+    def test_trailing_zeros_move_no_root(self, zeros):
+        assert growth_root([0, 13, 9] + [0] * zeros) == growth_root([0, 13, 9])
+
     @pytest.mark.parametrize("coeffs", [[math.nan], [1e200, 0], [1, -1e300, 1e300]])
     def test_unbracketable_rejected(self, coeffs):
         """A NaN, or p overflowing at the top of the bracket.  The cases a

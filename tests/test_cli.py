@@ -252,12 +252,13 @@ class TestBounds:
         assert capsys.readouterr().out.startswith("3.911627")
 
     @pytest.mark.parametrize(
-        "root", ["1e200,0", "1e308,1e308", "inf", "-inf", "nan", "", "0", "0,0,0"]
+        "root", ["1e200,0", "1e308,1e308", "inf", "-inf", "nan", "", "0", "0,0,0", "1,-1,0"]
     )
     def test_root_it_cannot_bracket_is_usage_error(self, root):
-        """Overflow, a non-finite bracket, a NaN, no coefficient at all or only
-        zeros (no positive root): exit 2 and one error line, in a subprocess,
-        so a bisection that never ends fails the test."""
+        """Overflow, a non-finite bracket, a NaN, no coefficient at all, only
+        zeros or a zero last coefficient with no positive root: exit 2 and
+        one error line, in a subprocess, so a bisection that never ends
+        fails the test."""
         done = _boxkit(["bounds", f"--root={root}"])
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkit import constructions, formats, geometry
+from boxkit import cli, formats, geometry, search
 from boxkit.cli import main
 from boxkit.constructions import (
     intermediate_library,
@@ -36,7 +36,13 @@ from boxkit.geometry import (
     PiercingVector,
     verify_cover,
 )
-from boxkit.search import Predicate, enumerate_candidates
+from boxkit.search import (
+    CoverInstance,
+    Predicate,
+    SearchBudget,
+    enumerate_candidates,
+    solve_cover,
+)
 
 
 class TestParseText:
@@ -380,6 +386,106 @@ def test_unchecked_boxes_equal_checked_ones(limit, data):
                 assert copy == b and hash(copy) == hash(b), caller
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_parsed_documents_equal_checked_ones(data):
+    """Both parsers, with and without a header, give the document the public
+    constructor builds, or raise its error, over ambients that need not be
+    cubes, boxes whose factors may pass a side, headers of the wrong
+    dimension and labels of the wrong count or length: a document bounded
+    by its largest coordinate is checked once, and one that is not gets
+    every check."""
+    d = data.draw(st.integers(1, 3), "d")
+    sides = tuple(data.draw(st.lists(st.integers(2, 5), min_size=d, max_size=d + 1), "sides"))
+    factor = st.lists(st.integers(1, max(sides) + 1), min_size=1, max_size=3, unique=True)
+    rows = data.draw(st.lists(st.tuples(*[factor] * d), min_size=1, max_size=5), "rows")
+    vector = st.integers(d, d + 1).flatmap(lambda w: st.tuples(*[st.integers(1, 3)] * w))
+    count = st.sampled_from([len(rows), len(rows) + 1])
+    label_lists = count.flatmap(lambda c: st.lists(vector, min_size=c, max_size=c))
+    labels = data.draw(st.none() | label_lists, "labels")
+    boxes = tuple(map(DiscreteBox, rows))
+    listing = "".join(
+        f"Box({i}) = " + " x ".join("{" + ",".join(map(str, f)) + "}" for f in row) + "\n"
+        for i, row in enumerate(rows, 1)
+    )
+    header = "Ambient = " + " x ".join(map(str, sides)) + "\n"
+    checked = _outcome(lambda b: PartitionDocument(Ambient(sides), b), boxes)
+    assert _outcome(parse_partition_text, header + listing) == checked
+    inferred = tuple(max(2, *(max(r[a]) for r in rows)) for a in range(d))
+    assert parse_partition_text(listing) == PartitionDocument(Ambient(inferred), boxes)
+    vectors = None if labels is None else tuple(map(PiercingVector, labels))
+    js = json.dumps({"ambient": sides, "boxes": rows, "labels": labels, "meta": {}})
+    checked = _outcome(lambda b: PartitionDocument(Ambient(sides), b, vectors), boxes)
+    assert _outcome(parse_partition_structured, js) == checked
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_trusted_families_equal_checked_ones(data):
+    """``product``, ``lift``, a document's family and a document made from a
+    family equal the records the public constructors build from the same
+    boxes; labels given with a family are still checked."""
+    n = data.draw(st.integers(2, 4), "n")
+    d1, d2 = data.draw(st.integers(1, 2), "d1"), data.draw(st.integers(1, 2), "d2")
+    rows1, rows2 = data.draw(_rows(n, d1), "rows1"), data.draw(_rows(n, d2), "rows2")
+    m = data.draw(st.integers(n, n + 2), "m")
+    f1 = BoxFamily(Ambient.cube(n, d1), tuple(map(DiscreteBox, rows1)))
+    f2 = BoxFamily(Ambient.cube(n, d2), tuple(map(DiscreteBox, rows2)))
+    joined = tuple(DiscreteBox(b.factors + c.factors) for b in f1.boxes for c in f2.boxes)
+    assert product(f1, f2) == BoxFamily(Ambient.cube(n, d1 + d2), joined)
+    tail = tuple(range(n + 1, m + 1))
+    grown = tuple(DiscreteBox(f + tail if f[-1] == n else f for f in b.factors) for b in f1.boxes)
+    assert lift(f1, m) == BoxFamily(Ambient.cube(m, d1), grown)
+    doc = PartitionDocument(f1.ambient, f1.boxes)
+    assert doc.family() == f1 and PartitionDocument.from_family(f1) == doc
+    count = data.draw(st.sampled_from([len(f1), len(f1) + 1]), "count")
+    width = data.draw(st.sampled_from([d1, d1 + 1]), "width")
+    labels = (PiercingVector((1,) * width),) * count
+    meta = (("k", "v"),)
+    checked = _outcome(lambda f: PartitionDocument(f.ambient, f.boxes, labels, meta), f1)
+    assert _outcome(lambda f: PartitionDocument.from_family(f, labels, list(meta)), f1) == checked
+
+
+def test_trusted_records_of_checked_parts():
+    """The family of an intermediate partition, a search result and the
+    CLI's cover instance over an enumerated pool equal the checked records;
+    the CLI still refuses a multiplicity below 1."""
+    for name in ("fig3", "fig4", "fig5", "fig6", "fig8"):
+        ip = intermediate_library(name, 3)
+        assert ip.family() == BoxFamily(ip.ambient, tuple(box for box, _ in ip.parts))
+    ambient = Ambient((3, 4))
+    pool = tuple(enumerate_candidates(ambient, "proper_box"))
+    parser = cli._build_parser()
+    argv = ["search", "--ambient", "3,4", "--candidates", "proper-box", "--t"]
+    instance = cli._make_instance(parser.parse_args(argv + ["2"]))
+    assert instance == CoverInstance(ambient, pool, 2, "exact")
+    best = solve_cover(instance, SearchBudget(max_nodes=100_000)).best
+    assert best == BoxFamily(ambient, best.boxes)
+    with pytest.raises(GeometryError, match="^multiplicity must be >= 1$"):
+        cli._make_instance(parser.parse_args(argv + ["0"]))
+
+
+def test_built_and_parsed_families_take_no_whole_family_pass():
+    """``product(p25^2, p25)``, the document made from it and its parses as
+    a listing (no header: every axis reaches 5) and as JSON take no per-axis
+    maximum pass over their 15,625 boxes; each is bounded by its parts or
+    its distinct factors."""
+    p25 = partition_25()
+    p25x2 = product(p25, p25)
+    maxima = mock.Mock(wraps=geometry._axis_maxima)
+    with mock.patch.object(geometry, "_axis_maxima", maxima), mock.patch(
+        "boxkit.formats._axis_maxima", maxima
+    ):
+        p25x3 = product(p25x2, p25)
+        doc = PartitionDocument.from_family(p25x3)
+        text, js = write_partition_text(doc), write_partition_structured(doc)
+        loaded = parse_partition_text(text), parse_partition_structured(js)
+        family = loaded[0].family()
+    assert maxima.call_count == 0
+    assert not text.startswith("Ambient") and loaded == (doc, doc) and family == p25x3
+    assert p25x3.ambient.sides == (5,) * 9 and len(p25x3) == 15_625
+
+
 # metadata text: any character, plus the ones json must escape or may not
 # write as they are
 _META_TEXT = st.text(
@@ -431,8 +537,9 @@ def _recording(seen, fn):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_bulk_builders_restore_the_collector(enabled, monkeypatch):
-    """Both parsers and ``product`` build their family with the collector
-    paused, and leave it as they found it, whether they return or raise."""
+    """Both parsers, ``product`` and candidate enumeration build their
+    family with the collector paused, and leave it as they found it, whether
+    they return or raise."""
     p25 = partition_25()
     doc = PartitionDocument.from_family(p25)
     text, js = write_partition_text(doc), write_partition_structured(doc)
@@ -440,7 +547,9 @@ def test_bulk_builders_restore_the_collector(enabled, monkeypatch):
     seen = []
     monkeypatch.setattr(formats, "_parse_factor", _recording(seen, formats._parse_factor))
     monkeypatch.setattr(formats, "_normalize_factor", _recording(seen, formats._normalize_factor))
-    monkeypatch.setattr(constructions, "BoxFamily", _recording(seen, BoxFamily))
+    monkeypatch.setattr(search, "_normalize_factor", _recording(seen, search._normalize_factor))
+    trusted = _recording(seen, geometry._Record._trusted.__func__)
+    monkeypatch.setattr(geometry._Record, "_trusted", classmethod(trusted))
     calls = [
         (parse_partition_text, (text,), None),
         (parse_partition_text, ("Box(1) = {1}\nBox 2 = {2}\n",), ParseError),
@@ -448,13 +557,17 @@ def test_bulk_builders_restore_the_collector(enabled, monkeypatch):
         (parse_partition_structured, (js[:-9],), ParseError),
         (product, (p25, p25), None),
         (product, (p25, p25_on_7), GeometryError),
+        (enumerate_candidates, (Ambient((4, 4)), "proper_box"), None),
+        (enumerate_candidates, (Ambient((4, 4)), "no_such_box"), GeometryError),
     ]
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
         for fn, args, error in calls:
             if error is None:
+                built = len(seen)
                 fn(*args)
+                assert len(seen) > built, fn.__name__
             else:
                 with pytest.raises(error):
                     fn(*args)
