@@ -176,10 +176,10 @@ def growth_root(recurrence: Iterable[float]) -> float:
     `recurrence` lists (c_1, ..., c_m); the characteristic polynomial is
     p(x) = x^m - sum c_i x^{m-i}.  With nonnegative coefficients (not all
     zero, else GeometryError) p has a single sign change on [1, 1 + sum |c_i|],
-    which brackets the dominant root; a non-finite p at its ends raises too.
-    The bisection reads p with its trailing zero coefficients dropped: they
-    factor x^k out of p, which moves no positive root, and the root 0 they
-    add is not reported.
+    which brackets the dominant root.  Every test reads p with its trailing
+    zero coefficients dropped: they factor x^k out of p, which moves no
+    positive root, and the root 0 they add is not reported.  A non-finite
+    value at the top of the bracket raises GeometryError.
     From 2^23 on, bisection stops at adjacent floats, over 1e-9 apart.
     """
     coeffs = [float(c) for c in recurrence]
@@ -187,20 +187,20 @@ def growth_root(recurrence: Iterable[float]) -> float:
         raise GeometryError("empty recurrence")
     if not any(coeffs):  # p(x) = x^m: its one root is 0
         raise GeometryError("no positive real root: every coefficient is 0")
-    lo, hi = 1.0, 1.0 + sum(abs(c) for c in coeffs)
+    # p(x) = x^k q(x) for k trailing zeros: q has p's positive roots, and
+    # q(0) is not 0, so the bracket widened to 0 cannot close on that root
+    q = coeffs.copy()
+    while not q[-1]:
+        q.pop()
+    lo, hi = 1.0, 1.0 + sum(abs(c) for c in q)
     try:
-        top = _charpoly(coeffs, hi)
+        top = _charpoly(q, hi)
     except OverflowError:
         top = math.inf
     if not math.isfinite(top):
         raise GeometryError(f"cannot bracket a root of {coeffs}: p({hi:g}) is not finite")
     if top < 0:
         raise GeometryError("no root in bracket")
-    # p(x) = x^k q(x) for k trailing zeros: q has p's positive roots, and
-    # q(0) is not 0, so the bracket widened to 0 cannot close on that root
-    q = coeffs.copy()
-    while not q[-1]:
-        q.pop()
     if _charpoly(q, lo) > 0:
         # dominant root below 1; widen the bracket downward
         lo = 0.0

@@ -28,27 +28,27 @@ pipelines (``map``, ``itertools.chain.from_iterable``, and
 ``zip(*[iter(flat)] * dim)`` to cut a flat factor list into boxes) in place
 of a Python loop per box.  The writers spell the flattened factors and
 join them; the listing writer decides on the header by a scan that stops,
-on each axis, at the first factor ending at its side.  The listing parser
-reads the stripped lines, the ``Box`` matches, the ids, the split factor
-spellings and the factors each as one column (``_read_columns``); only a
-listing with a fault is walked line by line (``_read_lines``), which raises
-the error of the first fault in line order, naming its line.  The JSON
-parser flattens the box list into one column of factors
-(``_json_columns``); a list it cannot read so, or any error, is read again
-box by box (``_json_rows``), which raises the error of the first bad box.
-So every message is the one the walks give, and they stay the references
-the tests compare the column readers against.
+on each axis, at the first factor ending at its side.  Each format has one
+reader.  The listing parser reads the stripped lines, the ``Box`` matches,
+the ids, the split factor spellings and the factors each as one column
+(``_read_columns``).  A fault is located from its own column: the first
+line that is no box, the first id too long for ``int()``, the first
+repeated id, the first spelling the per-spelling memo lacks, the first box
+of another dimension; the earliest line wins, and its number counts the
+blank lines.  The JSON parser reads the box list as one flattened column of
+factors in box order (``_json_boxes``), so its first bad box or factor
+raises what a box-by-box read would; a box of the wrong length goes to the
+public constructor, which names the first bad box.
 
-A document read by columns is bounded by its distinct factors, which the
-per-spelling memo holds, not by its boxes: ``top`` is the largest
-coordinate of any of them.  With a header, or in JSON, a document whose
-boxes have the ambient's dimension and whose ``top`` passes no side fits
-its ambient; any other gets the public constructor's column check, which
-raises the error of its first bad box (``_parsed_document``).  Without a
-header, when every axis has a factor ending at ``top`` (``_ends_at``, the
-scan the writer's header test makes), every side is ``max(2, top)``;
-otherwise the sides are the per-axis maxima (``_inferred_sides``).  Either
-way the sides hold every box.  What the walks read gets every check.
+A document is bounded by its distinct factors, which the per-spelling memo
+holds, not by its boxes: ``top`` is the largest coordinate of any of them.
+With a header, or in JSON, a document whose boxes have the ambient's
+dimension and whose ``top`` passes no side fits its ambient; any other gets
+the public constructor's column check, which raises the error of its first
+bad box (``_parsed_document``).  Without a header, when every axis has a
+factor ending at ``top`` (``_ends_at``, the scan the writer's header test
+makes), every side is ``max(2, top)``; otherwise the sides are the per-axis
+maxima (``_inferred_sides``).  Either way the sides hold every box.
 
 Both parsers run with Python's cyclic garbage collector paused
 (``geometry._gc_paused``): a big document makes a container per box and
@@ -162,21 +162,23 @@ class _Memo(dict):
         return value
 
 
-def _parse_factor(text: str, lineno: int) -> tuple[int, ...]:
+def _parse_factor(text: str) -> tuple[int, ...]:
+    """The factor a ``{...}`` spelling names; ParseError, with no line
+    number, when it names none."""
     m = _FACTOR_RE.match(text.strip())
     if not m:
-        raise ParseError(f"line {lineno}: malformed factor {text.strip()!r}")
+        raise ParseError(f"malformed factor {text.strip()!r}")
     items = [s.strip() for s in m.group(1).split(",")]
     if items == [""]:
-        raise ParseError(f"line {lineno}: empty factor")
+        raise ParseError("empty factor")
     try:
         cells = [int(s) for s in items]
     except ValueError:
-        raise ParseError(f"line {lineno}: non-integer coordinate in {text.strip()!r}")
+        raise ParseError(f"non-integer coordinate in {text.strip()!r}")
     if any(c < 1 for c in cells):
-        raise ParseError(f"line {lineno}: coordinates must be positive")
+        raise ParseError("coordinates must be positive")
     if len(set(cells)) != len(cells):
-        raise ParseError(f"line {lineno}: duplicate element in factor {text.strip()!r}")
+        raise ParseError(f"duplicate element in factor {text.strip()!r}")
     return _normalize_factor(cells)
 
 
@@ -192,101 +194,78 @@ def _header_sides(m: re.Match) -> tuple[int, ...]:
     return tuple(int(s.strip()) for s in m.group(1).split("x"))
 
 
-def _read_lines(lines: list[str]) -> tuple[tuple[int, ...] | None, tuple[DiscreteBox, ...]]:
-    """The header's sides (None without one) and the boxes in id order of a
-    listing's ``lines``, read one line at a time; the first fault in line
-    order raises ParseError naming its line."""
-    ambient_sides: tuple[int, ...] | None = None
-    entries: dict[int, tuple[tuple[int, ...], ...]] = {}
-    dim: int | None = None
-    # one parse per distinct factor spelling; a miss happens on the line being
-    # read, so the late-bound lineno names it
-    factor = _Memo(lambda part: _parse_factor(part, lineno))
+def _read_columns(text: str) -> tuple[tuple[int, ...] | None, tuple[DiscreteBox, ...], int]:
+    """The header's sides (None without one), the boxes in id order and the
+    largest coordinate of any factor, read off the distinct factors, of the
+    listing ``text``, read a column at a time with no Python call per line.
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _AMBIENT_RE.match(line)
-        if m:
-            if ambient_sides is not None:
-                raise ParseError(f"line {lineno}: duplicate Ambient header")
-            try:
-                ambient_sides = _header_sides(m)
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed Ambient header")
-            continue
-        m = _BOX_RE.match(line)
-        if not m:
-            raise ParseError(f"line {lineno}: malformed line {line!r}")
-        try:
-            box_id = int(m.group(1))
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"line {lineno}: box id too long")
-        if box_id in entries:
-            raise ParseError(f"line {lineno}: duplicate id {box_id}")
-        factors = tuple(map(factor.__getitem__, m.group(2).split(" x ")))
-        if dim is None:
-            dim = len(factors)
-        elif len(factors) != dim:
-            raise ParseError(f"line {lineno}: inconsistent dimension")
-        entries[box_id] = factors
-
-    if not entries:
-        raise ParseError("no boxes found")
-    ids = sorted(entries)
-    if ids != list(range(1, len(ids) + 1)):
-        raise ParseError(f"ids must be contiguous from 1, got {ids}")
-    # factors from _normalize_factor
-    return ambient_sides, _unchecked_boxes(map(entries.__getitem__, ids), len(ids))
-
-
-def _read_columns(
-    lines: list[str],
-) -> tuple[tuple[int, ...] | None, tuple[DiscreteBox, ...], int] | None:
-    """What ``_read_lines`` returns for the same ``lines``, read a column at
-    a time with no Python call per line, followed by the largest coordinate
-    of any factor, read off the distinct factors; or None when some line is
-    at fault (a malformed line, header or factor, an id that is too long,
-    repeated or missing, or two dimensions): ``_read_lines`` then raises
-    the error of the first fault in line order."""
-    lines = list(filter(None, map(str.strip, lines)))
+    A listing with a fault raises the ParseError of its first fault in line
+    order.  Each column names its own first fault: a line that is no box (a
+    malformed line, a second header, a malformed header), an id too long
+    for ``int()``, a repeated id, a bad factor spelling, a box of another
+    dimension.  The earliest line wins; on one line the faults rank in that
+    order.  Only then are no boxes at all, or ids that are not 1..n, faults."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     matches = list(map(_BOX_RE.match, lines))
-    sides = None
+    faults = []  # (index among the non-blank lines, rank on the line, message)
+    sides, at = None, range(len(lines))  # at[j]: the index of box j's line
     if None in matches:  # a header, at most one, on any line
         i = matches.index(None)
         header = _AMBIENT_RE.match(lines[i])
-        del matches[i]
-        if header is None or None in matches:
-            return None
-        try:
-            sides = _header_sides(header)
-        except ValueError:
-            return None
+        if header is None:
+            faults.append((i, 0, f"malformed line {lines[i]!r}"))
+        else:
+            try:
+                sides = _header_sides(header)
+            except ValueError:
+                faults.append((i, 0, "malformed Ambient header"))
+        if None in matches[i + 1 :]:
+            k = matches.index(None, i + 1)
+            again = "duplicate Ambient header" if _AMBIENT_RE.match(lines[k]) else None
+            faults.append((k, 0, again or f"malformed line {lines[k]!r}"))
+        at = list(itertools.compress(itertools.count(), matches))
+        matches = list(filter(None, matches))
     n = len(matches)
+    order = list(range(1, n + 1))
+    ids = []
     try:
-        ids = list(map(int, map(re.Match.group, matches, itertools.repeat(1))))
+        # extend keeps the ids read before the one int() refuses
+        ids.extend(map(int, map(re.Match.group, matches, itertools.repeat(1))))
     except ValueError:  # more digits than int() converts
-        return None
+        faults.append((at[len(ids)], 1, "box id too long"))
+    if ids != order and len(set(ids)) < len(ids):
+        first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # each id's first box
+        j = next(j for j, b in enumerate(ids) if first[b] != j)
+        faults.append((at[j], 2, f"duplicate id {ids[j]}"))
     specs = list(map(re.Match.group, matches, itertools.repeat(2)))
     del matches  # each holds its whole line: free them before the factors are built
     # a spec splits into one more factor than it has separators
-    dims = set(map(str.count, specs, itertools.repeat(" x ")))
-    if n == 0 or len(dims) != 1:
-        return None
-    dim = dims.pop() + 1
+    dims = list(map(str.count, specs, itertools.repeat(" x ")))
     parts = itertools.chain.from_iterable(map(str.split, specs, itertools.repeat(" x ")))
-    factor = _Memo(lambda part: _parse_factor(part, 0))
+    factor = _Memo(_parse_factor)
     try:
-        # the walk names the line of a bad spelling
         factors = list(map(factor.__getitem__, parts))
-    except ParseError:
-        return None
-    rows = zip(*[iter(factors)] * dim)
-    if ids != list(range(1, n + 1)):
-        if sorted(ids) != list(range(1, n + 1)):
-            return None
-        rows = map(dict(zip(ids, rows)).__getitem__, range(1, n + 1))
+    except ParseError as exc:
+        # the bad spelling is the first one the memo lacks
+        split = map(str.split, specs, itertools.repeat(" x "))
+        j = next(j for j, row in enumerate(split) if not all(map(factor.__contains__, row)))
+        faults.append((at[j], 3, str(exc)))
+    if len(set(dims)) > 1:
+        j = next(j for j, d in enumerate(dims) if d != dims[0])
+        faults.append((at[j], 4, "inconsistent dimension"))
+    if faults:
+        index, _, message = min(faults)
+        # a line's number counts the blank lines before it
+        numbers = itertools.compress(itertools.count(1), map(str.strip, text.splitlines()))
+        raise ParseError(f"line {next(itertools.islice(numbers, index, None))}: {message}")
+    if n == 0:
+        raise ParseError("no boxes found")
+    rows = zip(*[iter(factors)] * (dims[0] + 1))
+    if ids != order:
+        missing = set(order).difference(ids)
+        if missing:
+            raise ParseError(f"ids must be contiguous from 1: id {min(missing)} is missing")
+        rows = map(dict(zip(ids, rows)).__getitem__, order)
     # factors from _normalize_factor
     return sides, _unchecked_boxes(rows, n), max(map(_last, factor.values()))
 
@@ -294,15 +273,13 @@ def _read_columns(
 @_gc_paused
 def parse_partition_text(text: str) -> PartitionDocument:
     """Parse the listing format; boxes are returned in id order.  A listing
-    is read a column at a time; only one with a fault is walked line by
-    line, to name the fault's line, and what the walk reads gets every
-    check."""
-    read = _read_columns(text.splitlines())
-    sides, boxes, top = read or (*_read_lines(text.splitlines()), None)
+    is read a column at a time, and one with a fault raises the error of
+    its first fault in line order, naming its line."""
+    sides, boxes, top = _read_columns(text)
     dim = boxes[0].dim
     if sides is not None:
         return _parsed_document(Ambient(sides), boxes, top)
-    if top is not None and all(_ends_at(boxes, a, top) for a in range(dim)):
+    if all(_ends_at(boxes, a, top) for a in range(dim)):
         # every axis reaches the largest coordinate, so it is every axis's maximum
         sides = (max(2, top),) * dim
     else:
@@ -365,31 +342,23 @@ def _reject(token: str):
     raise ValueError(f"non-integer number {token}")
 
 
-def _json_columns(rows, dim: int) -> tuple[tuple[DiscreteBox, ...], int] | None:
-    """The boxes of the JSON ``boxes`` field, read as one flattened column
-    of factors, each distinct one checked once, and the largest coordinate
-    of any factor, read off the distinct factors; or None when the field is
-    not a list of ``dim`` factors a box, or any factor fails: ``_json_rows``
-    then raises the error of the first bad box."""
+def _json_boxes(rows, dim: int) -> tuple[tuple[DiscreteBox, ...], int | None]:
+    """The boxes of the JSON ``boxes`` field and the largest coordinate of
+    any factor, read off the distinct factors, or None for it when some box
+    has not ``dim`` factors.  The factors are read as one flattened column,
+    in box order, each distinct one checked once, so the first bad box or
+    factor raises the error a box-by-box read gives.  Boxes of ``dim``
+    factors are cut from the column in C; any others are cut by their own
+    lengths, and the public constructor names the first bad box."""
     factor = _Memo(_normalize_factor)
-    try:
-        if set(map(len, rows)) != {dim}:
-            return None
-        flat = map(factor.__getitem__, map(tuple, itertools.chain.from_iterable(rows)))
-        # factors from _normalize_factor
-        boxes = _unchecked_boxes(zip(*[flat] * dim), len(rows))
-    except (TypeError, ValueError):
-        return None
-    return boxes, max(map(_last, factor.values()))
-
-
-def _json_rows(rows) -> tuple[DiscreteBox, ...]:
-    """The boxes of the JSON ``boxes`` field, read box by box, each distinct
-    factor checked once."""
-    factor = _Memo(_normalize_factor).__getitem__
-    factor_rows = [tuple(map(factor, map(tuple, b))) for b in rows]
+    flat = list(map(factor.__getitem__, map(tuple, itertools.chain.from_iterable(rows))))
+    lengths = list(map(len, rows))
+    if set(lengths) != {dim}:
+        cut = map(itertools.islice, itertools.repeat(iter(flat)), lengths)
+        return _unchecked_boxes(map(tuple, cut), len(lengths)), None
     # factors from _normalize_factor
-    return _unchecked_boxes(factor_rows, len(factor_rows))
+    boxes = _unchecked_boxes(zip(*[iter(flat)] * dim), len(lengths))
+    return boxes, max(map(_last, factor.values()))
 
 
 @_gc_paused
@@ -415,8 +384,7 @@ def parse_partition_structured(text: str) -> PartitionDocument:
             if any(isinstance(c, bool) for c in numbers):
                 raise ParseError("boolean where an integer is expected")
         ambient = Ambient(tuple(obj["ambient"]))
-        read = _json_columns(obj["boxes"], ambient.dim)
-        boxes, top = read or (_json_rows(obj["boxes"]), None)
+        boxes, top = _json_boxes(obj["boxes"], ambient.dim)
         labels = None
         if obj.get("labels") is not None:
             labels = tuple(PiercingVector(tuple(v)) for v in obj["labels"])

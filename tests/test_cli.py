@@ -11,6 +11,7 @@ import pytest
 
 import boxkit
 from boxkit import cli, geometry
+from boxkit.bounds import growth_root
 from boxkit.cli import main
 from boxkit.constructions import _LIBRARY, APPENDIX_25_LISTING
 from boxkit.search import CoverInstance, Predicate, enumerate_candidates, export_model
@@ -258,8 +259,12 @@ class TestBounds:
         """Overflow, a non-finite bracket, a NaN, no coefficient at all, only
         zeros or a zero last coefficient with no positive root: exit 2 and
         one error line, in a subprocess, so a bisection that never ends
-        fails the test."""
+        fails the test.  A trailing zero moves no root: 1e200,0 has the root
+        of 1e200."""
         done = _boxkit(["bounds", f"--root={root}"])
+        if root == "1e200,0":
+            assert (done.returncode, done.stdout) == (0, f"{growth_root([1e200]):.9f}\n")
+            return
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert done.stdout == ""

@@ -1,13 +1,15 @@
 import gc
 import hashlib
+import itertools
 import json
 import pickle
+import re
 from typing import get_args
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxkit import cli, formats, geometry, search
@@ -105,6 +107,15 @@ class TestParseText:
     def test_repeated_bad_factor_names_its_first_line(self):
         with pytest.raises(ParseError, match="line 2: duplicate element"):
             parse_partition_text("Box(1) = {1}\nBox(2) = {1,1}\nBox(3) = {1,1}\n")
+
+    @pytest.mark.parametrize("first, n", [(2, 2000), (10**3999, 100)], ids=["2", "4000-digit"])
+    def test_contiguity_error_is_short(self, first, n):
+        """Ids that are not 1..n name the smallest missing one, not every
+        id: 2,000 boxes numbered from 2, or 100 from a 4,000-digit id."""
+        text = "".join(f"Box({k}) = {{1}}\n" for k in range(first, first + n))
+        with pytest.raises(ParseError) as info:
+            parse_partition_text(text)
+        assert str(info.value) == "ids must be contiguous from 1: id 1 is missing"
 
     def test_overlong_box_id(self):
         """An id past int()'s digit limit is a ParseError naming its line."""
@@ -253,6 +264,18 @@ def test_truncated_json_is_parse_error(cut):
 _SYNTAX = '{}[](),:=x \n0123456789-+."Boxambientlsrufe_#'
 
 
+def _mutated(data, text, edits=st.integers(1, 4)):
+    """``text`` with ``edits`` spans of up to three characters replaced by
+    up to three of ``_SYNTAX``, then, half the time, cut short."""
+    for _ in range(data.draw(edits)):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + data.draw(st.text(_SYNTAX, max_size=3)) + text[j:]
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    return text
+
+
 @pytest.mark.parametrize(
     "parse, write",
     [
@@ -267,13 +290,7 @@ def test_mutated_documents_round_trip_or_raise(parse, write, data, tmp_path_fact
     """A valid document with a few spans replaced, or cut short, either
     parses to a document that round-trips or is refused with ParseError or
     GeometryError; ``boxkit verify`` exits 2 on the refused ones."""
-    text = write(data.draw(documents()))
-    for _ in range(data.draw(st.integers(1, 4))):
-        i = data.draw(st.integers(0, len(text)))
-        j = data.draw(st.integers(i, min(len(text), i + 3)))
-        text = text[:i] + data.draw(st.text(_SYNTAX, max_size=3)) + text[j:]
-    if data.draw(st.booleans()):
-        text = text[:data.draw(st.integers(0, len(text)))]
+    text = _mutated(data, write(data.draw(documents())))
     try:
         doc = parse(text)
     except (ParseError, GeometryError):
@@ -284,6 +301,32 @@ def test_mutated_documents_round_trip_or_raise(parse, write, data, tmp_path_fact
             assert main(["verify", str(path)]) == 2
         return
     assert parse(write(doc)) == doc
+
+
+# every command that reads a document, with its options; the file goes last
+_READERS = [
+    ["verify"],
+    ["verify", "--piercing", "2"],
+    ["render", "--format", "ascii"],
+    ["render", "--format", "svg"],
+    ["graph", "--k", "2", "--from-partition"],
+]
+
+
+@pytest.mark.parametrize(
+    "write", [write_partition_text, write_partition_structured], ids=["text", "json"]
+)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_mutated_documents_exit_with_a_code(write, data, tmp_path_factory):
+    """A document with none to three spans replaced, or cut short, read by
+    every command that reads one, in process: each exits 0-3 and raises
+    nothing."""
+    text = _mutated(data, write(data.draw(documents())), st.integers(0, 3))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+    path.write_text(text, encoding="utf-8")
+    for argv in _READERS:
+        assert main([*argv, str(path)]) in (0, 1, 2, 3), argv
 
 
 # sha256 of the listing and JSON bytes of the 25-box partition cubed
@@ -578,7 +621,111 @@ def test_bulk_builders_restore_the_collector(enabled, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the column readers against the readers that go one line or one box at a time
+# the column readers against a reference that reads one line or one box at a
+# time, with the messages, line numbers and checks of the first parsers
+
+_REF_BOX = re.compile(r"^Box\(\s*(\d+)\s*\)\s*=\s*(.*)$")
+_REF_FACTOR = re.compile(r"^\{([0-9,\s]*)\}$")
+_REF_AMBIENT = re.compile(r"^Ambient\s*=\s*(.*)$")
+
+
+def _walk_factor(text, lineno):
+    m = _REF_FACTOR.match(text.strip())
+    if not m:
+        raise ParseError(f"line {lineno}: malformed factor {text.strip()!r}")
+    items = [s.strip() for s in m.group(1).split(",")]
+    if items == [""]:
+        raise ParseError(f"line {lineno}: empty factor")
+    try:
+        cells = [int(s) for s in items]
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer coordinate in {text.strip()!r}")
+    if any(c < 1 for c in cells):
+        raise ParseError(f"line {lineno}: coordinates must be positive")
+    if len(set(cells)) != len(cells):
+        raise ParseError(f"line {lineno}: duplicate element in factor {text.strip()!r}")
+    return cells
+
+
+def _walk_text(text):
+    """The listing read line by line: the first fault in line order raises,
+    naming its line (blank lines count); the document gets every check."""
+    sides, entries, dim = None, {}, None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        m = _REF_AMBIENT.match(line)
+        if m:
+            if sides is not None:
+                raise ParseError(f"line {lineno}: duplicate Ambient header")
+            try:
+                sides = tuple(int(s.strip()) for s in m.group(1).split("x"))
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed Ambient header")
+            continue
+        m = _REF_BOX.match(line)
+        if not m:
+            raise ParseError(f"line {lineno}: malformed line {line!r}")
+        try:
+            box_id = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"line {lineno}: box id too long")
+        if box_id in entries:
+            raise ParseError(f"line {lineno}: duplicate id {box_id}")
+        row = [_walk_factor(part, lineno) for part in m.group(2).split(" x ")]
+        if dim is None:
+            dim = len(row)
+        elif len(row) != dim:
+            raise ParseError(f"line {lineno}: inconsistent dimension")
+        entries[box_id] = DiscreteBox(row)
+    if not entries:
+        raise ParseError("no boxes found")
+    missing = [k for k in range(1, len(entries) + 1) if k not in entries]
+    if missing:
+        raise ParseError(f"ids must be contiguous from 1: id {missing[0]} is missing")
+    boxes = tuple(entries[k] for k in range(1, len(entries) + 1))
+    if sides is None:
+        sides = tuple(max(2, *(b.factors[a][-1] for b in boxes)) for a in range(dim))
+    return PartitionDocument(Ambient(sides), boxes)
+
+
+def _walk_json(text):
+    """The JSON document with its boxes read one at a time, each distinct
+    factor checked once: the first bad box or factor raises; the document
+    gets every check."""
+    try:
+        obj = json.loads(text, parse_float=formats._reject, parse_constant=formats._reject)
+    except RecursionError:
+        raise ParseError("JSON document nested too deeply")
+    except ValueError as exc:
+        raise ParseError(f"malformed JSON ({exc})")
+    try:
+        if "true" in text or "false" in text:
+            numbers = itertools.chain(
+                obj["ambient"],
+                *(itertools.chain(*b) for b in obj["boxes"]),
+                *(obj.get("labels") or ()),
+            )
+            if any(isinstance(c, bool) for c in numbers):
+                raise ParseError("boolean where an integer is expected")
+        ambient = Ambient(tuple(obj["ambient"]))
+        seen, boxes = {}, []
+        for b in obj["boxes"]:
+            row = []
+            for f in b:
+                key = tuple(f)
+                if key not in seen:
+                    seen[key] = geometry._normalize_factor(key)
+                row.append(seen[key])
+            boxes.append(DiscreteBox(row))
+        labels = None
+        if obj.get("labels") is not None:
+            labels = tuple(PiercingVector(tuple(v)) for v in obj["labels"])
+        meta = tuple(sorted(obj.get("meta", {}).items()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed partition document ({type(exc).__name__}: {exc})")
+    return PartitionDocument(ambient, tuple(boxes), labels, meta)
 
 
 def _outcome(parse, text):
@@ -589,23 +736,13 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+_WALKS = {parse_partition_text: _walk_text, parse_partition_structured: _walk_json}
+
+
 def _assert_columns_read_like_lines(parse, text):
-    """``parse`` gives the same document, or the same error, as with its
-    column reader switched off, so that every listing is walked line by
-    line and every JSON box list read box by box; and a text it reads
-    falls back to that walk only when the document has a fault."""
-    with mock.patch.object(formats, "_read_columns", return_value=None), mock.patch.object(
-        formats, "_json_columns", return_value=None
-    ):
-        want = _outcome(parse, text)
-    lines = mock.Mock(wraps=formats._read_lines)
-    boxes = mock.Mock(wraps=formats._json_rows)
-    with mock.patch.object(formats, "_read_lines", lines), mock.patch.object(
-        formats, "_json_rows", boxes
-    ):
-        assert _outcome(parse, text) == want
-    if isinstance(want, PartitionDocument) and want.boxes:
-        assert not lines.called and not boxes.called
+    """``parse`` gives the same document, or the same error, as the walk
+    over the same format."""
+    assert _outcome(parse, text) == _outcome(_WALKS[parse], text)
 
 
 # every line break str.splitlines splits at
@@ -651,6 +788,11 @@ def listings(draw):
 
 @given(listings())
 @settings(max_examples=300, deadline=None)
+# a repeated id on the third line, after a blank one, before a bad factor
+# and a box of another dimension
+@example("Box(1) = {1} x {2}\n\nBox(1) = {2} x {1}\nBox(3) = {1,1} x {2}\nBox(4) = {1}\n")
+# a bad factor on a line that also has another dimension
+@example("Box(1) = {1} x {2}\nBox(2) = {0}\n")
 def test_text_columns_read_like_the_line_walk(text):
     _assert_columns_read_like_lines(parse_partition_text, text)
 
@@ -696,6 +838,8 @@ def json_documents(draw):
 
 @given(json_documents())
 @settings(max_examples=300, deadline=None)
+# a short box before a bad factor
+@example('{"ambient":[3,3],"boxes":[[[1],[2]],[[1]],[[0],[1]]],"labels":null,"meta":{}}')
 def test_json_columns_read_like_the_box_walk(text):
     _assert_columns_read_like_lines(parse_partition_structured, text)
 
@@ -712,13 +856,7 @@ def test_json_columns_read_like_the_box_walk(text):
 @settings(max_examples=150, deadline=None)
 def test_mutated_documents_read_alike_by_columns_and_by_lines(parse, write, data):
     """The mutations of ``test_mutated_documents_round_trip_or_raise``."""
-    text = write(data.draw(documents()))
-    for _ in range(data.draw(st.integers(1, 4))):
-        i = data.draw(st.integers(0, len(text)))
-        j = data.draw(st.integers(i, min(len(text), i + 3)))
-        text = text[:i] + data.draw(st.text(_SYNTAX, max_size=3)) + text[j:]
-    if data.draw(st.booleans()):
-        text = text[:data.draw(st.integers(0, len(text)))]
+    text = _mutated(data, write(data.draw(documents())))
     _assert_columns_read_like_lines(parse, text)
 
 
