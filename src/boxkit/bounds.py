@@ -8,7 +8,8 @@ Restricting to *proper* odd subsets (n odd, so the full set is one of the
 odd subsets being removed) shifts the count for such B to 2^{n-2}-1 of
 2^{n-1}-1 whenever |B| is odd, which pushes the lower bound for odd proper
 partitions up to ((2^{n-1}-1)/(2^{n-2}-1))^d, strictly above 2^d and equal
-to 3^d at n=3.
+to 3^d at n=3.  ``parity_count`` checks both counts exhaustively, with a
+bit of a Python int per selector and no numpy.
 
 Also here: the trivial piercing bounds (slab upper bound k^d; corner/edge
 counting lower bounds), the exponential piercing lower bound for general
@@ -73,9 +74,10 @@ def parity_count(
     changes).  For a nonempty proper subset B of [n] the all_odd count is
     always 2^{n-2}; the proper_odd count is 2^{n-2}-1 when |B| is odd and
     2^{n-2} when even.  For B = [n] every odd selector hits: 2^{n-1} of
-    2^{n-1}, and 2^{n-1}-1 of 2^{n-1}-1 with proper_odd.  The 2^n selector
-    masks count as cells against geometry's 2^27-cell limit, so n > 27
-    raises GeometryError before anything is allocated.
+    2^{n-1}, and 2^{n-1}-1 of 2^{n-1}-1 with proper_odd.  The selectors
+    are the bits of Python ints of 2^n bits, with no numpy; those bits count
+    as cells against geometry's 2^27-cell limit, so n > 27 raises
+    GeometryError before anything is allocated.
     """
     target = tuple(sorted(set(B)))
     if not target:
@@ -88,23 +90,16 @@ def parity_count(
         raise GeometryError("proper_odd mode requires odd n")
     # one factor 2 per bit, so a huge n is refused without building 1 << n
     _check_cells(itertools.repeat(2, n), f"the selector masks of [{n}]")
-    import numpy as np
-
-    masks = np.arange(1 << n, dtype=np.uint32)
-    size_parity = np.zeros(1 << n, dtype=np.uint32)
-    inter_parity = np.zeros(1 << n, dtype=np.uint32)
+    # bit R stands for the selector R; the selectors of [c] are those of
+    # [c - 1] and, 2^(c-1) bits up, each of them with c added
+    odd = hits = 0
     for c in range(1, n + 1):
-        bit = (masks >> (c - 1)) & 1
-        size_parity ^= bit
-        if c in target:
-            inter_parity ^= bit
-
-    keep = size_parity.astype(bool)
+        low = (1 << (1 << c - 1)) - 1
+        odd |= (odd ^ low) << (1 << c - 1)
+        hits |= (hits ^ low if c in target else hits) << (1 << c - 1)
     if mode == "proper_odd":
-        keep[(1 << n) - 1] = False
-    total = int(keep.sum())
-    hits = int((keep & inter_parity.astype(bool)).sum())
-    return ParityTally(total, hits)
+        odd &= ~(1 << (1 << n) - 1)
+    return ParityTally(odd.bit_count(), (odd & hits).bit_count())
 
 
 def lower_odd_basic(d: int) -> BoundValue:

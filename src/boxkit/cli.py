@@ -23,7 +23,8 @@ import argparse
 import sys
 from typing import get_args
 
-from .geometry import Ambient, GeometryError, Mode, Predicate, _check_demand, verify_cover
+from .geometry import Ambient, GeometryError, Mode, Predicate, verify_cover
+from .geometry import _check_cells, _check_demand
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -172,23 +173,21 @@ def _cmd_bounds(args) -> int:
         ["d", "k", "n", "odd_basic", "odd_proper",
          "brick_lo", "brick_hi", "box_lo", "box_hi"]
     )
+    spans = [(args.d_min, args.d_max, 1), (args.k_min, args.k_max, 1), (args.n_min, args.n_max, 2)]
+    d, k, n = (max(hi, 3) for _, hi, _ in spans)
+    # its text, bounded from the arguments alone before any row: the rows
+    # times ten numbers (odd_proper's two too), each below 2^(d (n + bits of k))
+    counts = [max(0, (hi - lo) // step + 1) for lo, hi, step in spans]
+    _check_cells([*counts, 10 * (d * (n + k.bit_length()) // 3 + 3)], "the bounds table's text")
     rows = [header]
     for d in range(args.d_min, args.d_max + 1):
         for k in range(args.k_min, args.k_max + 1):
             for n in range(args.n_min, args.n_max + 1, 2):
                 brick = bounds_mod.kp_trivial_bounds(d, k, "brick")
                 box = bounds_mod.kp_trivial_bounds(d, k, "box")
-                rows.append(
-                    sep.join(
-                        [
-                            str(d), str(k), str(n),
-                            _fmt(bounds_mod.lower_odd_basic(d).value),
-                            _fmt(bounds_mod.lower_odd_proper(n, d).value),
-                            _fmt(brick[0].value), _fmt(brick[1].value),
-                            _fmt(box[0].value), _fmt(box[1].value),
-                        ]
-                    )
-                )
+                odd = [bounds_mod.lower_odd_basic(d), bounds_mod.lower_odd_proper(n, d)]
+                values = (b.value for b in [*odd, *brick, *box])
+                rows.append(sep.join([str(d), str(k), str(n), *map(_fmt, values)]))
     sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -161,13 +161,15 @@ def partition_25() -> BoxFamily:
 @_gc_paused
 def product(p1: BoxFamily, p2: BoxFamily) -> BoxFamily:
     """Concatenate axes: a partition of [n]^{d1+d2} of size |p1|*|p2|,
-    built with the cyclic garbage collector paused."""
+    built with the cyclic garbage collector paused; boxes times axes past
+    geometry's cell limit raise GeometryError before any box is built."""
     sides = set(p1.ambient.sides) | set(p2.ambient.sides)
     if len(sides) != 1:
         raise GeometryError(
             f"product requires a common side length, got {sorted(sides)}"
         )
     ambient = Ambient(p1.ambient.sides + p2.ambient.sides)
+    _check_cells([len(p1), len(p2), ambient.dim], "the boxes of a product")
     pairs = itertools.product(map(_factors, p1.boxes), map(_factors, p2.boxes))
     # factors off existing boxes
     boxes = _unchecked_boxes(itertools.starmap(tuple.__add__, pairs), len(p1) * len(p2))

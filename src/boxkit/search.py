@@ -19,13 +19,15 @@ t=1 exact.  Three engines are provided:
 
 No engine reads the pool through a cell list built per box.  Each builds
 what it needs from the per-axis factors (``_pool_axes``): ``E[a][v - 1]``,
-the mask of the candidates whose axis-a factor holds v (``_axis_masks``);
-per point, the candidates through it as the AND of ``E[a][p_a - 1]`` over
-the axes (``_cand_masks``); per candidate, its points as the product over
-the axes of its factors' spreads, whose row-major digits do not overlap,
-so the product has no carries (``_pt_masks``), and its cardinality as the
+the mask of the candidates whose axis-a factor holds v, from their factor
+numbers read in blocks of 255 (``_axis_masks``, ``_number_masks``); per
+point, the candidates through it as the AND of ``E[a][p_a - 1]`` over the
+axes (``_cand_masks``); per candidate, its points as the product over the
+axes of its factors' spreads, whose row-major digits do not overlap, so
+the product has no carries (``_pt_masks``), and its cardinality as the
 product of its factors' lengths (``_cards``).  ``solve_cover`` keeps both
-masks; at t=1 exact the candidates meeting a chosen one are the AND over
+masks, and from ``_number_masks`` those of the candidates with at least k
+points; at t=1 exact the candidates meeting a chosen one are the AND over
 the axes of the ORs of ``E[a][v - 1]`` over its factors.  ``anneal_cover``
 keeps the point masks and cardinalities, and each point's coverage count
 as bit planes over the points; it prices a move from the candidate's mask
@@ -71,7 +73,6 @@ from .geometry import (
     Mode,
     Predicate,
     _Record,
-    _bitmasks,
     _check_cells,
     _check_demand,
     _columns,
@@ -203,34 +204,35 @@ def _cards(axes):
     return functools.reduce(functools.partial(map, operator.mul), lengths)
 
 
+def _number_masks(numbers: list[int], count: int, groups: list) -> list[int]:
+    """Per group (a set or range of numbers below ``count``), the mask of the
+    items whose number is in it.  The numbers are read 255 at a time, a byte
+    per item: its number less the block's first, or 255 for another block's.
+    Each block and group is then one ``bytes.translate`` to the binary digits
+    of the group's mask there, so no item costs a Python step."""
+    masks, digits = [0] * len(groups), bytes.maketrans(b"\0\1", b"01")
+    for base in range(0, count, 255):
+        spell = [255] * base + [*range(255)] + [255] * count
+        block = bytes(map(spell.__getitem__, reversed(numbers)))  # the last item first
+        for j, group in enumerate(groups):
+            # a digit per number of the block, and "0" for 255
+            table = bytes(map(group.__contains__, range(base, min(base + 255, count))))
+            table = table.translate(digits).ljust(256, b"0")
+            masks[j] |= int(block.translate(table) or b"0", 2)
+    return masks
+
+
 def _axis_masks(instance: CoverInstance, axes) -> list[list[int]]:
     """``E[a][v - 1]``: the mask of the candidates whose axis-a factor holds
-    v, from ``_pool_axes``.  Up to 256 distinct factors on an axis, each
-    candidate's factor number is a byte, and ``E[a][v - 1]``'s digits are
-    one ``bytes.translate`` of them; past that, each candidate's factor is
-    read, so the cost is the pool's total factor length, not its volume.
-    ``bytes.translate`` maps single bytes, so only the second path can
-    number more factors; either alone gives the same masks, but the first
-    is much the faster: on the 15,876 proper boxes of [7]^2 (126 factors an
-    axis) it takes 1.8 ms, reading the factors 16.6 ms, and one
-    ``_bitmasks`` row per distinct factor, ORed into its values, 23.4 ms
-    (best of 15, 2-core Xeon)."""
-    n_cand = len(instance.candidates)
+    v, from ``_pool_axes``: ``_number_masks`` of their factor numbers, with a
+    group per v, the factors that hold it."""
     masks = []
     for (distinct, which), n in zip(axes, instance.ambient.sides):
-        if len(distinct) <= 256:
-            numbers, row = bytes(which), []
-            for v in range(1, n + 1):
-                # digit "1" for each factor number whose factor holds v
-                table = bytes(49 if v in f else 48 for f in distinct).ljust(256, b"0")
-                row.append(int(numbers.translate(table)[::-1] or b"0", 2))
-            masks.append(row)
-            continue
-        holders: list[list[int]] = [[] for _ in range(n)]
-        for ci, i in enumerate(which):
-            for v in distinct[i]:
-                holders[v - 1].append(ci)
-        masks.append(_bitmasks(holders, n_cand))
+        holders: list[set[int]] = [set() for _ in range(n)]
+        for i, f in enumerate(distinct):
+            for v in f:
+                holders[v - 1].add(i)
+        masks.append(_number_masks(which, len(distinct), holders))
     return masks
 
 
@@ -366,10 +368,8 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     everyone = (1 << n_cand) - 1
     max_card = max(card, default=1)
     # card_ge[k]: the candidates with k points or more
-    by_card = [[] for _ in range(max_card + 1)]
-    for ci, k in enumerate(card):
-        by_card[k].append(ci)
-    card_ge = [*itertools.accumulate(_bitmasks(by_card[::-1], n_cand), int.__or__)][::-1]
+    at_least = [range(k, max_card + 1) for k in range(max_card + 1)]
+    card_ge = _number_masks(card, max_card + 1, at_least)
     # a bitmask's digits, point 0 first, read as 1 for each point it lacks
     width, unset = f"0{n_pts}b", bytes.maketrans(b"01", b"\1\0")
 

@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxkit import geometry
@@ -60,6 +61,26 @@ class TestParityCount:
         assert parity_count(3, [1]).total_selectors == 4
         with pytest.raises(GeometryError, match="cell limit"):
             parity_count(4, [1])
+
+
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), min_size=1))),
+    st.sampled_from(["all_odd", "proper_odd"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_parity_count_matches_a_naive_loop(case, mode):
+    """Every odd subset R of [n] (bar [n] itself with proper_odd), counted
+    one by one, and those meeting B oddly."""
+    n, B = case
+    assume(mode == "all_odd" or n % 2)
+    total = hits = 0
+    for k in range(1, n + 1, 2):
+        for R in itertools.combinations(range(1, n + 1), k):
+            if mode == "all_odd" or k < n:
+                total += 1
+                hits += len(B.intersection(R)) % 2
+    t = parity_count(n, B, mode)
+    assert (t.total_selectors, t.odd_hits) == (total, hits)
 
 
 class TestClosedForms:

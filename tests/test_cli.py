@@ -1,16 +1,22 @@
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import get_args
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import boxkit
-from boxkit import cli, geometry
+from boxkit import bounds, cli, geometry
 from boxkit.bounds import growth_root
 from boxkit.cli import main
 from boxkit.constructions import _LIBRARY, APPENDIX_25_LISTING
@@ -274,6 +280,25 @@ class TestBounds:
         done = _boxkit(["bounds", "--root", "1e8"])
         assert (done.returncode, done.stdout) == (0, "100000000.000000000\n")
 
+    @pytest.mark.parametrize(
+        "argv", [["--k-max", "100000000"], ["--d-max", "20000"], ["--n-max", "1000000001"]]
+    )
+    def test_table_past_the_cell_limit_refused_before_any_row(self, argv, monkeypatch, capsys):
+        """Its text is bounded from the arguments alone, so a table of
+        billions of rows, or of rows of tens of thousands of digits, exits 2
+        at once: no bound is computed."""
+
+        def unreachable(d):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(bounds, "lower_odd_basic", unreachable)
+        start = time.perf_counter()
+        assert main(["bounds", *argv]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error: the bounds table's text exceeds the 134217728-cell limit\n"
+        )
+
 
 class TestGraph:
     def test_fig9_check(self, capsys):
@@ -438,3 +463,58 @@ class TestExportRender:
         main(["construct", "grid", "--d", "2", "--k", "3", "--out", str(path)])
         assert main(["render", str(path), "--format", "svg"]) == 0
         assert capsys.readouterr().out.count("<rect") == 9
+
+
+# the integer options of the commands that read no document; the edge values
+# and malformed numbers they are drawn from
+_INT_OPTIONS = {
+    "bounds": ["--d-min", "--d-max", "--k-min", "--k-max", "--n-min", "--n-max"],
+    "construct": ["--n", "--d", "--k", "--tail"],
+    "graph": ["--colors", "--k"],
+}
+_NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", str(10**9), "", "x", "1.5", "0x3"])
+
+
+@st.composite
+def _argument_lists(draw):
+    command = draw(st.sampled_from(sorted(_INT_OPTIONS)))
+    argv = [command]
+    if command == "bounds":
+        argv += draw(st.sampled_from([[], ["--csv"]]))
+        if draw(st.booleans()):
+            argv += ["--root", ",".join(draw(st.lists(_NUMBERS, min_size=1, max_size=3)))]
+    elif command == "construct":
+        argv.append(draw(st.sampled_from(list(cli._CONSTRUCTIONS))))
+        argv += draw(st.sampled_from([[], *(["--fig", f] for f in cli._FIGS)]))
+    else:
+        argv += ["--fig9", draw(_NUMBERS), *draw(st.sampled_from([[], ["--check"]]))]
+    for option in draw(st.lists(st.sampled_from(_INT_OPTIONS[command]), unique=True)):
+        argv += [option, draw(_NUMBERS)]
+    return argv
+
+
+@given(_argument_lists())
+@example(["bounds", "--k-max", str(10**9)])
+@example(["bounds", "--d-max", str(10**9), "--csv"])
+@example(["bounds", "--n-max", str(10**9)])
+@settings(max_examples=300, deadline=None)
+def test_argument_lists_exit_with_a_code(argv):
+    """``bounds``, ``construct`` and ``graph --fig9`` with their integer
+    options at edge values or malformed, in process: each exits 0-3 and
+    raises nothing.  Drawn from these values, a bounds table of more than a
+    thousand rows spans 10^9 and is refused before it is built (the table's
+    bounds are counted)."""
+    calls = itertools.count()
+
+    def counted(*args):
+        assert next(calls) < 2_000, f"a bounds table of over 1,000 rows is built: {argv}"
+        return real(*args)
+
+    real = bounds.kp_trivial_bounds
+    with mock.patch.object(bounds, "kp_trivial_bounds", counted), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed option
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv

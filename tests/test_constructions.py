@@ -304,6 +304,32 @@ class TestCellLimit:
         with pytest.raises(GeometryError, match="^the box factors of a lifted family"):
             lift(fam, 5)
 
+    def test_product_refused_before_building(self, monkeypatch):
+        # 25 x 25 boxes of 3 + 3 axes: 3,750 cells of boxes times axes
+        p25 = partition_25()
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 3750)
+        assert len(product(p25, p25)) == 625
+        monkeypatch.setattr(geometry, "_CELL_LIMIT", 3749)
+        monkeypatch.setattr(constructions, "_unchecked_boxes", None)
+        with pytest.raises(GeometryError, match="^the boxes of a product exceeds the 3749-cell"):
+            product(p25, p25)
+
+    def test_product_bound_admits_p25_fourth_power_only(self, monkeypatch):
+        """p25^3 squared, 15,625^2 boxes of 18 axes, is refused; p25^4,
+        390,625 boxes of 12, passes the check and reaches the builder."""
+        p25 = partition_25()
+        square = product(p25, p25)
+        cube = product(square, p25)
+        with pytest.raises(GeometryError, match="^the boxes of a product exceeds"):
+            product(cube, cube)
+
+        def builder(boxes, count):
+            raise LookupError(count)
+
+        monkeypatch.setattr(constructions, "_unchecked_boxes", builder)
+        with pytest.raises(LookupError, match="^390625$"):
+            product(square, square)
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -17,6 +17,7 @@ from boxkit.search import (
     _axis_masks,
     _cand_masks,
     _cards,
+    _number_masks,
     _point_pool,
     _pool_axes,
     _pt_masks,
@@ -367,13 +368,42 @@ def test_point_pool_on_either_side_of_its_density_rule(sides, predicate, dense):
 @pytest.mark.parametrize("sides", [(9,), (3, 9)])
 def test_pool_incidence_past_256_factors_matches_contains(sides):
     """An axis with 510 distinct factors (the proper boxes of [9]) builds its
-    masks factor by factor rather than from one byte per candidate."""
+    masks from two blocks of factor numbers, 255 to a block."""
     inst = instance(sides, "proper_box")
     axes, _ = _pool_axes(inst)
     assert max(len(distinct) for distinct, _ in axes) == 510
     pt_mask, cand_mask, _ = _pool_oracle(inst)
     assert list(_pt_masks(inst, axes)) == pt_mask
     assert _cand_masks(_axis_masks(inst, axes)) == cand_mask
+
+
+@st.composite
+def numbered_items(draw):
+    """Numbers below a count of 0-700 (block edges likely), one per item,
+    and groups of them: arbitrary subsets and ranges."""
+    count = draw(st.one_of(st.sampled_from([0, 1, 254, 255, 256, 510, 511]), st.integers(0, 700)))
+    if not count:
+        return [], 0, draw(st.lists(st.just(set()), max_size=2))
+    number = st.one_of(
+        st.integers(0, count - 1),
+        st.sampled_from([v for v in (0, 254, 255, 256, 509, 510) if v < count]),
+    )
+    group = st.one_of(
+        st.sets(number),
+        st.builds(range, st.integers(0, count), st.integers(0, count)),
+        st.builds(range, st.integers(0, count)),
+    )
+    return draw(st.lists(number, max_size=40)), count, draw(st.lists(group, max_size=5))
+
+
+@given(numbered_items())
+@example(([], 510, [range(510), {0, 509}]))
+@example(([254, 255, 256, 509, 0, 255], 510, [{255}, range(254, 256), range(256, 510), set()]))
+@settings(max_examples=300, deadline=None)
+def test_number_masks_match_a_naive_loop(case):
+    numbers, count, groups = case
+    want = [sum(1 << i for i, x in enumerate(numbers) if x in group) for group in groups]
+    assert _number_masks(numbers, count, groups) == want
 
 
 def _reference_model(inst, format):

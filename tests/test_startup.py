@@ -104,6 +104,17 @@ def test_numpy_loads_only_with_the_incidence_kernel(tmp_path):
     assert steps == dict.fromkeys(steps, False)
 
 
+def test_parity_count_loads_no_numpy():
+    """``parity_count`` counts on Python-int masks: numpy stays unloaded."""
+    code = (
+        "import json, sys\n"
+        "from boxkit.bounds import parity_count\n"
+        "t = parity_count(20, [1, 2])\n"
+        "print(json.dumps([t.total_selectors, t.odd_hits, 'numpy' in sys.modules]))"
+    )
+    assert _fresh(code) == [2**19, 2**18, False]
+
+
 LOADED = """
 import io, json, sys
 from contextlib import redirect_stdout
