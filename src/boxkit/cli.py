@@ -187,7 +187,11 @@ def _cmd_bounds(args) -> int:
                 box = bounds_mod.kp_trivial_bounds(d, k, "box")
                 odd = [bounds_mod.lower_odd_basic(d), bounds_mod.lower_odd_proper(n, d)]
                 values = (b.value for b in [*odd, *brick, *box])
-                rows.append(sep.join([str(d), str(k), str(n), *map(_fmt, values)]))
+                try:  # only a number past the interpreter's digit limit raises
+                    rows.append(sep.join([str(d), str(k), str(n), *map(_fmt, values)]))
+                except ValueError:
+                    limit = f"the {sys.get_int_max_str_digits()}-digit limit for printing an integer"
+                    raise GeometryError(f"the bounds table's row for d={d} passes {limit}") from None
     sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -22,7 +22,10 @@ so the final size is the sum of per-part subproblem sizes.
 Every construction that takes sizes from its caller counts, from those
 arguments alone, the cells its boxes' factors would hold (exactly, or bounded
 from above), and raises GeometryError past geometry's cell limit before it
-builds any factor.
+builds any factor.  Every family is then built in bulk and trusted: a grid is
+a product of one-axis families, and the quadrant recursion and ``realize``
+hand their rows to ``_interned_family``, which normalizes each distinct
+factor once a call.  Each public call plans in a ``_Plan`` memo of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .formats import parse_partition_text
+from .formats import _Memo, parse_partition_text
 from .geometry import (
     Ambient,
     BoxFamily,
@@ -85,10 +88,11 @@ def _check_slab_grid(k: int, n: int, d: int, what: str) -> None:
 
 
 def _slab_grid(pieces, n: int, d: int) -> BoxFamily:
-    """Every product of d of the `pieces` (consecutive runs splitting
-    [n]), as a family on [n]^d."""
-    boxes = itertools.product(pieces, repeat=d)
-    return BoxFamily(Ambient.cube(n, d), tuple(DiscreteBox(b) for b in boxes))
+    """The product of d copies of the family of `pieces` (consecutive runs
+    splitting [n]) on [n]: every product of d pieces, on [n]^d."""
+    # every piece is a run inside 1..n
+    line = _interned_family(Ambient((n,)), zip(pieces), len(pieces))
+    return functools.reduce(product, itertools.repeat(line, d - 1), line)
 
 
 def _r(a: int, b: int) -> tuple[int, ...]:
@@ -204,6 +208,15 @@ def lift(p: BoxFamily, m: int) -> BoxFamily:
     return BoxFamily._trusted(Ambient.cube(m, p.ambient.dim), _unchecked_boxes(rows, len(p)))
 
 
+def _interned_family(ambient: Ambient, rows, n: int) -> BoxFamily:
+    """The family on `ambient` of the first `n` of `rows` (factor tuples),
+    each distinct factor normalized once per call; every factor must fit its
+    axis of `ambient`, which is not checked."""
+    factors = map(_Memo(_normalize_factor).__getitem__, itertools.chain.from_iterable(rows))
+    # factors from _normalize_factor
+    return BoxFamily._trusted(ambient, _unchecked_boxes(zip(*[factors] * ambient.dim), n))
+
+
 # ---------------------------------------------------------------------------
 # generalized piercing targets: size, room needed, recursive building
 #
@@ -229,45 +242,33 @@ def _quadrant_branches(labels, i, j):
     return tuple(b1), tuple(b2)
 
 
-@functools.lru_cache(maxsize=None)
-def _plan(labels: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(size, need): how many pieces the recursive construction makes, and
-    the minimal per-axis cell counts it needs to fit.  The memo shares the
-    branches within one call wrapped by ``_plan_per_call`` and is emptied when
-    that call ends."""
-    d = len(labels)
-    active = _pick_axes(labels)
-    if not active:
-        return 1, (1,) * d
-    i = active[0]
-    if len(active) == 1:
-        return labels[i], tuple(labels[i] if a == i else 1 for a in range(d))
-    j = active[1]
-    (s1, n1), (s2, n2) = map(_plan, _quadrant_branches(labels, i, j))
-    need = [max(x, y) for x, y in zip(n1, n2)]
-    need[i] *= 2
-    need[j] *= 2
-    return 2 * s1 + 2 * s2, tuple(need)
+class _Plan(dict):
+    """``plan[labels]`` is (size, need): how many pieces the recursive
+    construction makes, and the minimal per-axis cell counts it needs to
+    fit.  Each public call makes its own, so the branches it shares live
+    only as long as that call."""
 
-
-def _plan_per_call(fn):
-    """``fn`` with ``_plan``'s memo emptied on every exit, so that it holds
-    the states of one public call, never of all a process has planned."""
-
-    @functools.wraps(fn)
-    def scoped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _plan.cache_clear()
-
-    return scoped
+    def __missing__(self, labels: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        d = len(labels)
+        active = _pick_axes(labels)
+        if not active:
+            return self.setdefault(labels, (1, (1,) * d))
+        i = active[0]
+        if len(active) == 1:
+            need = tuple(labels[i] if a == i else 1 for a in range(d))
+            return self.setdefault(labels, (labels[i], need))
+        j = active[1]
+        (s1, n1), (s2, n2) = map(self.__getitem__, _quadrant_branches(labels, i, j))
+        need = [max(x, y) for x, y in zip(n1, n2)]
+        need[i] *= 2
+        need[j] *= 2
+        return self.setdefault(labels, (2 * s1 + 2 * s2, tuple(need)))
 
 
 def _build(factors, labels):
     """Fill the box given by `factors` with an (a_1,...,a_d)-piercing
     partition; yields factor tuples.  Requires len(factors[a]) >= need[a],
-    with need from ``_plan(labels)``."""
+    with need from ``_Plan()[labels]``."""
     active = _pick_axes(labels)
     if not active:
         yield tuple(factors)
@@ -297,7 +298,6 @@ def _build(factors, labels):
         yield from _build(tuple(quad), sub)
 
 
-@_plan_per_call
 def quadrant_construction(d: int, k: int) -> BoxFamily:
     """k-piercing brick partition from the quadrant recursion: k slabs in
     1D, 4(k-1) bricks in 2D, and at most 4^{d-1} k bricks in general."""
@@ -306,15 +306,15 @@ def quadrant_construction(d: int, k: int) -> BoxFamily:
     if k < 2:
         raise GeometryError("k must be >= 2")
     what = "the box factors of a quadrant construction"
-    # at least 2^d boxes of d factors each: refused before _plan's table grows
+    # at least 2^d boxes of d factors each: refused before the plan grows
     _check_cells(itertools.chain((d,), itertools.repeat(2, d)), what)
     labels = (k,) * d
-    size, need = _plan(labels)
+    size, need = _Plan()[labels]
     sides = tuple(max(n, 2) for n in need)
     _check_cells([size, sum(sides)], what)
     factors = tuple(tuple(range(1, n + 1)) for n in sides)
-    boxes = tuple(DiscreteBox(f) for f in _build(factors, labels))
-    return BoxFamily(Ambient(sides), boxes)
+    # each factor is a run of 1..n on its axis, and _build only cuts it
+    return _interned_family(Ambient(sides), _build(factors, labels), size)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,7 @@ def _part_labels(ip: IntermediatePartition, k: int, tail_dims: int):
     if tail_dims < 0:
         raise GeometryError("tail_dims must be >= 0")
     # every part becomes boxes of d + tail_dims factors, at least 2^tail_dims
-    # of them when k > 1: refused before the labels and _plan's table grow
+    # of them when k > 1: refused before the labels and the plan grow
     least = (len(ip.parts), ip.ambient.dim + tail_dims)
     doubling = itertools.repeat(2, tail_dims if k > 1 else 0)
     _check_cells(itertools.chain(least, doubling), "the box factors of a realized partition")
@@ -602,19 +602,19 @@ def _part_labels(ip: IntermediatePartition, k: int, tail_dims: int):
     return [vec.labels + (k,) * tail_dims for _, vec in ip.parts]
 
 
-@_plan_per_call
 def predicted_size(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> int:
     """Exact size `realize` will produce: the sum over parts of the
     recursive subproblem sizes."""
-    return sum(_plan(lab)[0] for lab in _part_labels(ip, k, tail_dims))
+    plan = _Plan()
+    return sum(plan[lab][0] for lab in _part_labels(ip, k, tail_dims))
 
 
-@_plan_per_call
 def realize(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> BoxFamily:
     """Turn a labeled partition into a concrete partition with piercing
     number at least k, refining the grid so every part has room for its
     subproblem.  The output size equals ``predicted_size``."""
     labels = _part_labels(ip, k, tail_dims)
+    plan = _Plan()
     sides = ip.ambient.sides
     # the output is a cube [N]^(d + tail_dims): N is the least multiple of
     # every side that gives each part the room its subproblem needs (a tail
@@ -622,27 +622,21 @@ def realize(ip: IntermediatePartition, k: int, tail_dims: int = 0) -> BoxFamily:
     target = max(
         -(-m // len(f)) * n if f else m
         for (box, _), lab in zip(ip.parts, labels)
-        for f, n, m in itertools.zip_longest(box.factors, sides, _plan(lab)[1])
+        for f, n, m in itertools.zip_longest(box.factors, sides, plan[lab][1])
     )
     step = math.lcm(*sides)
     side = -(-target // step) * step
     scale = [side // n for n in sides]
     tail_sides = (side,) * tail_dims
     new_sides = (side,) * len(sides) + tail_sides
-    _check_cells(
-        [sum(_plan(lab)[0] for lab in labels), len(new_sides), side],
-        "the box factors of a realized partition",
+    size = sum(plan[lab][0] for lab in labels)
+    _check_cells([size, len(new_sides), side], "the box factors of a realized partition")
+    tails = tuple(tuple(range(1, n + 1)) for n in tail_sides)
+    rooms = (
+        tuple(tuple(cc for c in f for cc in range((c - 1) * L + 1, c * L + 1))
+              for f, L in zip(box.factors, scale)) + tails
+        for box, _ in ip.parts
     )
-
-    boxes = []
-    for (box, _), lab in zip(ip.parts, labels):
-        factors = tuple(
-            tuple(
-                cc
-                for c in f
-                for cc in range((c - 1) * L + 1, c * L + 1)
-            )
-            for f, L in zip(box.factors, scale)
-        ) + tuple(tuple(range(1, n + 1)) for n in tail_sides)
-        boxes.extend(DiscreteBox(f) for f in _build(factors, lab))
-    return BoxFamily(Ambient(new_sides), tuple(boxes))
+    rows = itertools.chain.from_iterable(map(_build, rooms, labels))
+    # each factor is a part's factor scaled into [side], or a whole tail side
+    return _interned_family(Ambient(new_sides), rows, size)

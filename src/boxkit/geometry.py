@@ -67,22 +67,23 @@ setter.  Only code that holds canonical factors calls it -- each factor
 either came out of ``_normalize_factor`` or was taken off an existing box,
 and both are sorted, duplicate-free tuples of ints >= 1 -- so its boxes
 equal the ones the public constructor would build.  ``product``, ``lift``,
-candidate enumeration and both parsers build their boxes this way.  The
-public constructors of a family, a document and a cover instance check
-their boxes against the ambient by axis columns (``_validate_boxes``): one
-dimension test over the boxes, then one maximum per axis
-(``_axis_maxima``); on a failure the per-box ``validate_in`` runs and
-raises the same error it always did.  ``_Record._trusted`` builds a record
-with no check, from fields that were checked already: the family that
-``product`` joins, or ``lift`` grows, out of boxes that fit their
-ambients, the family of a document or of an intermediate partition, a
-document made from a family, a search result drawn from a checked
-instance, the CLI's cover instance over an enumerated pool.  The parsers
-bound a document by its distinct factors instead of its boxes (see
-``formats``).  Every per-axis column (``_columns``: for the maxima, the
-quotient grid and the search pools) is a strided slice ``flat[a::dim]`` of
-one flattened list of the boxes' factors, and the maxima read only each
-axis's distinct factors.
+the grids (products of one-axis families), the quadrant recursion,
+``realize``, candidate enumeration and both parsers build their boxes this
+way.  The public constructors of a family, a document and a cover instance
+check their boxes against the ambient by axis columns
+(``_validate_boxes``): one dimension test over the boxes, then one maximum
+per axis (``_axis_maxima``); on a failure the per-box ``validate_in`` runs
+and raises the same error it always did.  ``_Record._trusted`` builds a
+record with no check, from fields that were checked already: the families
+of ``product``, ``lift``, the grids, the quadrant recursion and
+``realize``, whose boxes fit their ambients by construction, the family of
+a document or of an intermediate partition, a document made from a family,
+a search result drawn from a checked instance, the CLI's cover instance
+over an enumerated pool.  The parsers bound a document by its distinct
+factors instead of its boxes (see ``formats``).  Every per-axis column
+(``_columns``: for the maxima, the quotient grid and the search pools) is
+a strided slice ``flat[a::dim]`` of one flattened list of the boxes'
+factors, and the maxima read only each axis's distinct factors.
 """
 
 from __future__ import annotations

@@ -299,6 +299,45 @@ class TestBounds:
             "error: the bounds table's text exceeds the 134217728-cell limit\n"
         )
 
+    @pytest.mark.parametrize("d", [9100, 15000])
+    def test_row_past_the_digit_limit_is_usage_error(self, d, capsys):
+        """3^9100 has 4,342 digits, past the interpreter's default limit for
+        printing an int: exit 2 naming the table, the d and the limit."""
+        argv = ["bounds", "--d-min", str(d), "--d-max", str(d), "--k-max", "2", "--n-max", "3"]
+        assert main(argv) == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr() == (
+            "",
+            f"error: the bounds table's row for d={d} passes the {limit}-digit limit"
+            " for printing an integer\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "e511a3037cdfae4054ade9936affcf3756a1096aa62a733fd93da5e890068b5a"),
+            (
+                ["--d-max", "3", "--k-max", "4", "--csv"],
+                "5df0e9ff3b3441572693d34290b0bfd0ab54b0b05eb6e2c6e7ab302ad3d3fd57",
+            ),
+            # a row whose largest number, 3^9000, has 4,295 digits, and one
+            # whose text bound estimates 5,003 digits a number but prints
+            (
+                ["--d-min", "9000", "--d-max", "9000", "--k-max", "2", "--n-max", "3"],
+                "01c1c6c33433bf20fd6e1ad5a74108e6802bd75fbe95915b09dce31545ac88ea",
+            ),
+            (
+                ["--d-min", "3000", "--d-max", "3000", "--k-max", "2", "--n-max", "3"],
+                "e07cdc1535dc46e3e99cce21a03de0b45b11bc50b6a2dcf062aa3bf849a259e3",
+            ),
+        ],
+        ids=["defaults", "csv", "d9000", "d3000"],
+    )
+    def test_table_bytes(self, argv, digest, capsys):
+        assert main(["bounds", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestGraph:
     def test_fig9_check(self, capsys):

@@ -8,7 +8,7 @@ from boxkit import constructions, geometry
 from boxkit.constructions import (
     APPENDIX_25_LISTING,
     _build,
-    _plan,
+    _Plan,
     _r,
     grid_partition,
     intermediate_library,
@@ -274,13 +274,22 @@ class TestCellLimit:
         "build, bound, builders",
         [
             # 3^2 boxes whose pieces split each side: d * 3^(d-1) * n, exact
-            (lambda: trivial_odd_partition(5, 2), 30, ["_r", "_slab_grid"]),
-            (lambda: grid_partition(2, 3, 10), 60, ["_r", "_slab_grid"]),
+            (lambda: trivial_odd_partition(5, 2), 30, ["_r", "_slab_grid", "product"]),
+            (lambda: grid_partition(2, 3, 10), 60, ["_r", "_slab_grid", "product"]),
             # 8 boxes on [4]^2: at most 8 * (4 + 4)
-            (lambda: quadrant_construction(2, 3), 64, ["_build", "DiscreteBox"]),
+            (
+                lambda: quadrant_construction(2, 3), 64,
+                ["_build", "DiscreteBox", "_interned_family"],
+            ),
             # 8 boxes of 2 factors on [6]^2, and 24 boxes of 3 on [6]^3
-            (lambda: realize(intermediate_library("fig3", 3), 3), 96, ["_build"]),
-            (lambda: realize(intermediate_library("fig3", 3), 3, 1), 432, ["_build"]),
+            (
+                lambda: realize(intermediate_library("fig3", 3), 3), 96,
+                ["_build", "_interned_family"],
+            ),
+            (
+                lambda: realize(intermediate_library("fig3", 3), 3, 1), 432,
+                ["_build", "_interned_family"],
+            ),
         ],
         ids=["trivial", "grid", "quadrant", "realize", "realize-tail"],
     )
@@ -368,7 +377,7 @@ def test_build_fills_exactly_its_planned_room(labels):
     """_build into a box of exactly the planned cells makes the planned number
     of pieces, which tile the box and meet every label along their axis."""
     labels = tuple(labels)
-    size, need = _plan(labels)
+    size, need = _Plan()[labels]
     pieces = list(_build(tuple(_r(1, n) for n in need), labels))
     assert len(pieces) == size
     # an axis labeled 1 needs one cell and is never split; the rest is the
@@ -388,26 +397,29 @@ def test_build_fills_exactly_its_planned_room(labels):
 
 
 @pytest.mark.parametrize(
-    "call, raises",
+    "call",
     [
-        (lambda ip: quadrant_construction(3, 3), False),
-        (lambda ip: quadrant_construction(1, 1), True),
-        (lambda ip: predicted_size(ip, 4), False),
-        (lambda ip: predicted_size(ip, 4, -1), True),
-        (lambda ip: realize(ip, 4), False),
-        (lambda ip: realize(ip, 4, -1), True),
+        lambda ip: quadrant_construction(3, 3),
+        lambda ip: predicted_size(ip, 4),
+        lambda ip: realize(ip, 4),
     ],
-    ids=["quadrant", "quadrant-raises", "predicted", "predicted-raises", "realize", "realize-raises"],
+    ids=["quadrant", "predicted", "realize"],
 )
-def test_plan_memo_lasts_one_call(call, raises):
-    """``_plan`` keeps no state once a public call returns or raises: a
-    long-lived process would otherwise hold every state it ever planned."""
+def test_each_call_plans_from_an_empty_memo(call, monkeypatch):
+    """Every public call plans from an empty memo: its first miss finds no
+    state, and a second call misses as the first did, so no plan outlives
+    its call."""
     ip = intermediate_library("fig6", 4)
-    _plan((3, 3, 3))
-    assert _plan.cache_info().currsize > 0
-    if raises:
-        with pytest.raises(GeometryError):
-            call(ip)
-    else:
-        call(ip)
-    assert _plan.cache_info().currsize == 0
+    missing = _Plan.__missing__
+    sizes = []  # the memo's size at each miss
+
+    def counted(plan, labels):
+        sizes.append(len(plan))
+        return missing(plan, labels)
+
+    monkeypatch.setattr(_Plan, "__missing__", counted)
+    call(ip)
+    first = sizes[:]
+    sizes.clear()
+    call(ip)
+    assert first[:1] == [0] and sizes == first

@@ -15,11 +15,15 @@ from hypothesis import strategies as st
 from boxkit import cli, formats, geometry, search
 from boxkit.cli import main
 from boxkit.constructions import (
+    grid_partition,
     intermediate_library,
     lift,
     partition_25,
+    predicted_size,
     product,
+    quadrant_construction,
     realize,
+    trivial_odd_partition,
 )
 
 from boxkit.formats import (
@@ -487,6 +491,33 @@ def test_trusted_families_equal_checked_ones(data):
     meta = (("k", "v"),)
     checked = _outcome(lambda f: PartitionDocument(f.ambient, f.boxes, labels, meta), f1)
     assert _outcome(lambda f: PartitionDocument.from_family(f, labels, list(meta)), f1) == checked
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_constructed_families_equal_checked_ones(data):
+    """The grids, the quadrant recursion and ``realize`` build trusted
+    families equal to the checked ones, with equal factors one object
+    across the family, and ``realize`` makes ``predicted_size`` boxes."""
+    kind = data.draw(st.sampled_from(["trivial", "grid", "quadrant", "realize"]), "kind")
+    if kind == "trivial":
+        n, d = data.draw(st.sampled_from([3, 5, 7, 9]), "n"), data.draw(st.integers(1, 4), "d")
+        fam = trivial_odd_partition(n, d)
+    elif kind == "grid":
+        d, k = data.draw(st.integers(1, 4), "d"), data.draw(st.integers(2, 4), "k")
+        fam = grid_partition(d, k, data.draw(st.integers(k, 9), "n"))
+    elif kind == "quadrant":
+        d, k = data.draw(st.integers(1, 4), "d"), data.draw(st.integers(2, 5), "k")
+        fam = quadrant_construction(d, k)
+    else:
+        name = data.draw(st.sampled_from(["fig3", "fig4", "fig5", "fig6", "fig8"]), "name")
+        k, tail = data.draw(st.integers(3, 5), "k"), data.draw(st.integers(0, 1), "tail")
+        ip = intermediate_library(name, k)
+        fam = realize(ip, k, tail)
+        assert len(fam) == predicted_size(ip, k, tail)
+    assert fam == BoxFamily(fam.ambient, tuple(DiscreteBox(b.factors) for b in fam.boxes))
+    factors = [f for b in fam.boxes for f in b.factors]
+    assert len(set(map(id, factors))) == len(set(factors))
 
 
 def test_trusted_records_of_checked_parts():
