@@ -9,7 +9,7 @@ odd subsets being removed) shifts the count for such B to 2^{n-2}-1 of
 2^{n-1}-1 whenever |B| is odd, which pushes the lower bound for odd proper
 partitions up to ((2^{n-1}-1)/(2^{n-2}-1))^d, strictly above 2^d and equal
 to 3^d at n=3.  ``parity_count`` checks both counts exhaustively, with a
-bit of a Python int per selector and no numpy.
+bit of a Python int per selector.
 
 Also here: the trivial piercing bounds (slab upper bound k^d; corner/edge
 counting lower bounds), the exponential piercing lower bound for general
@@ -75,7 +75,7 @@ def parity_count(
     always 2^{n-2}; the proper_odd count is 2^{n-2}-1 when |B| is odd and
     2^{n-2} when even.  For B = [n] every odd selector hits: 2^{n-1} of
     2^{n-1}, and 2^{n-1}-1 of 2^{n-1}-1 with proper_odd.  The selectors
-    are the bits of Python ints of 2^n bits, with no numpy; those bits count
+    are the bits of Python ints of 2^n bits; those bits count
     as cells against geometry's 2^27-cell limit, so n > 27 raises
     GeometryError before anything is allocated.
     """

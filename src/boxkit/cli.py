@@ -5,16 +5,11 @@ Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
 3 search budget exhausted without a result.
 
 Each command imports the modules it uses when it runs, so a process loads
-only those: ``bounds`` reads ``bounds`` and ``geometry``, ``export`` reads
-``search`` and ``geometry``, and numpy loads only where a command sums a
-coverage or line-sum tensor on a quotient grid above
-``geometry._COLD_COUNT_CELLS`` (4,096) cells, such as ``construct realize
---fig fig6 --k 4`` (20,160): ``construct p25``, ``construct quadrant --d 4
---k 4`` (4,096 quotient cells), ``construct realize --fig fig4 --k 3``,
-``verify`` of p25 and the re-verification of a small search result add up
-their tensors on a plain list of counts.  No command imports
-``dataclasses`` or ``inspect``, and only a JSON document (``construct
---format json``, or a JSON file read) loads ``json``.
+only those: ``bounds`` reads ``bounds`` and ``geometry``, and ``export``
+reads ``search`` and ``geometry``.  Tensors are summed on Python ints, so no
+command loads an array library, ``dataclasses`` or ``inspect``, and only a
+JSON document (``construct --format json``, or a JSON file read) loads
+``json``.
 """
 
 from __future__ import annotations

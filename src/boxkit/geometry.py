@@ -14,76 +14,43 @@ the package relies on:
 
 Verification stays exhaustive, on the quotient grid.  On each axis two
 coordinates are interchangeable when every box factor holds both or neither:
-interchangeable points lie in the same boxes, and the lines through them
-meet the same boxes.  ``_quotient`` finds these classes exactly, by
-partition refinement over each axis's distinct factors, and ``_sums`` adds
-every box's classes into a tensor with one cell per class (or per class of
-the lines of one axis) and checks every entry.  A bad point is reported at
-the smallest coordinate of its classes, the first bad point in row-major
-order.  So the cost grows with the total cardinality of the boxes on the
-quotient plus the quotient volume, and the class step with the total size
-of the distinct factors, never with a side.  The properness, oddness and
-brick flags come from the original factors.  Quotient tensors above
-``_CELL_LIMIT`` cells raise GeometryError instead of being allocated.  All
-public types are immutable ``_Record`` classes with ``__slots__``, compared
-and hashed by value, safe to share across threads; they are plain classes,
-not dataclasses, because importing ``dataclasses`` (and with it ``inspect``)
-and generating each class's methods cost every command's start.  The calls
-that build a whole family (``product``, candidate enumeration and both
-parsers) pause Python's cyclic garbage collector through ``_gc_paused``;
-the pause holds for the whole process, other threads included, until the
-call returns or raises.
+interchangeable points lie in the same boxes and lines.  ``_quotient``
+finds these classes by partition refinement, and ``_sums``, the one
+kernel, adds every box's classes into a tensor with one cell per class (or
+per line of one axis) and checks every entry; a bad point is reported at
+the smallest coordinate of its classes.  A tensor is one Python int of
+whole-byte fields, wide enough for every sum, so labels of any size sum
+exactly: some axes are walked cell by cell and a box's cells on the rest
+are a carry-free product of per-axis spreads.  The boxes' numbering over a
+tuple of axes (``_numbered``) is kept per quotient and shared by its
+tensors; ``_flat_cells`` gives the cell lists of the ASCII picture and of
+a sparse search pool.  Tensors above ``_CELL_LIMIT`` cells raise
+GeometryError instead of being allocated.
 
-Coordinates, ambient sides and piercing labels are Python ints: numpy
-integers are stored as ``int``, and a bool, float or string raises
-GeometryError.  Each distinct factor is sorted and checked once and then
-interned, so boxes built from equal factors share one canonical tuple; a
-tuple of exact ints equal to an interned one is replaced by it unchecked.
-
-``_sums`` is the one place that picks how a tensor is summed, by the cell
-count of the quotient grid and whether numpy is loaded.  Up to
-``_COUNT_CELLS`` (1,024) cells, or ``_COLD_COUNT_CELLS`` (4,096) while numpy
-is not loaded, each box is a list of flat cell indices (``_flat_cells``),
-and its weight is added into a plain list of counts, one per cell, from
-which the least and greatest sum and the first bad cell follow
-(``_count_sums``); above it the numpy kernel (``_scatter_sum`` over the
-``_incidence`` batches) fills an int64 tensor.  Both are exhaustive on
-the quotient grid and give the same answers.  The counts win on tiny
-grids and lose as the cells grow, but up to 4,096 cells they lose less
-than importing numpy costs.  Only the numpy kernel imports numpy, inside
-its functions: code that builds boxes, families and documents, or
-verifies a family with a small quotient grid (the 25-box partition, the
-quadrant partition of [16]^4, a search result), never loads it.
-``_flat_cells`` is the one routine that turns boxes into cell lists, from
-each axis's distinct factors: the count kernel calls it on the quotient
-grid, the ASCII picture and the export of a sparse search pool on the
-ambient.  The searches work from per-axis masks.
+All public types are immutable ``_Record`` classes with ``__slots__``,
+compared and hashed by value, safe to share across threads; they are plain
+classes, not dataclasses, whose import (with ``inspect``) would cost every
+command's start.  ``_sums`` and the calls that build a whole family
+(``product``, candidate enumeration, both parsers) pause the cyclic garbage
+collector through ``_gc_paused``, for the whole process until they return.
+Coordinates, ambient sides and piercing labels are Python ints: the integer
+scalars of an array library that ``_integer`` accepts are stored as
+``int``, and a bool, float or string raises GeometryError.  Each distinct
+factor is sorted, checked and interned once, so equal factors share one
+canonical tuple.
 
 Trust rule: a record is checked once, where its values come in.
-``_unchecked_boxes`` builds a whole family's boxes with no check at all,
-and with no Python call per box: it makes the bare objects with
-``map(object.__new__, ...)`` and fills their one slot with the slot's own
-setter.  Only code that holds canonical factors calls it -- each factor
-either came out of ``_normalize_factor`` or was taken off an existing box,
-and both are sorted, duplicate-free tuples of ints >= 1 -- so its boxes
-equal the ones the public constructor would build.  ``product``, ``lift``,
-the grids (products of one-axis families), the quadrant recursion,
-``realize``, candidate enumeration and both parsers build their boxes this
-way.  The public constructors of a family, a document and a cover instance
-check their boxes against the ambient by axis columns
-(``_validate_boxes``): one dimension test over the boxes, then one maximum
-per axis (``_axis_maxima``); on a failure the per-box ``validate_in`` runs
-and raises the same error it always did.  ``_Record._trusted`` builds a
-record with no check, from fields that were checked already: the families
-of ``product``, ``lift``, the grids, the quadrant recursion and
-``realize``, whose boxes fit their ambients by construction, the family of
-a document or of an intermediate partition, a document made from a family,
-a search result drawn from a checked instance, the CLI's cover instance
-over an enumerated pool.  The parsers bound a document by its distinct
-factors instead of its boxes (see ``formats``).  Every per-axis column
-(``_columns``: for the maxima, the quotient grid and the search pools) is
-a strided slice ``flat[a::dim]`` of one flattened list of the boxes'
-factors, and the maxima read only each axis's distinct factors.
+``_unchecked_boxes`` builds a family's boxes with no check and no Python
+call per box, for code that holds canonical factors only (from
+``_normalize_factor`` or off an existing box): ``product``, ``lift``, the
+grids, the quadrant recursion, ``realize``, candidate enumeration and both
+parsers.  The public constructors of a family, a document and a cover
+instance check their boxes by one maximum per axis (``_validate_boxes``),
+re-running the per-box ``validate_in`` on a failure for its error.
+``_Record._trusted`` builds a record from fields already checked (the
+families of the constructions, of a document or of an intermediate
+partition, a document of a family, a search result, the CLI's instance).
+Every per-axis column (``_columns``) is a strided slice of one flat list.
 """
 
 from __future__ import annotations
@@ -457,21 +424,8 @@ def boxes_disjoint(b1: DiscreteBox, b2: DiscreteBox) -> bool:
 # Largest dense tensor (in cells) the checks below allocate; a bigger
 # ambient or line tensor raises GeometryError instead.
 _CELL_LIMIT = 1 << 27
-# Most cells in one incidence batch, a run of whole boxes; a bigger box goes alone.
-_BATCH_CELLS = 1 << 13
-# Most cells in a quotient grid whose tensors ``_sums`` adds up on a plain
-# list of counts once numpy is loaded; a bigger grid goes to numpy.  The
-# counts win on tiny grids and lose as the cells grow (one ``verify_cover``,
-# counts against numpy, 2-core Xeon: 0.21 against 0.25 ms at 125 cells, 1.9
-# against 0.63 ms at 4,096, 15 against 4.5 ms at 15,625).  The grid, not each
-# tensor, decides: once a family's cover tensor needs numpy, its four line
-# tensors of 512 cells take 0.46 ms together there against 1.05 ms on counts.
-_COUNT_CELLS = 1 << 10
-# The same bound while numpy is not loaded: importing it costs 0.1-0.15 s, so
-# up to 4,096 cells the counts, at most 1-2 ms slower per check, still win.
-# Past it the gap grows (15,625 cells: 15 against 4.5 ms), so bigger grids
-# load numpy.
-_COLD_COUNT_CELLS = 1 << 12
+# In ``_split``'s cost model, a Python step costs as much as adding this many bytes.
+_STEP_BYTES = 128
 
 
 def _check_cells(shape: Iterable[int], what: str) -> int:
@@ -492,32 +446,13 @@ def _distinct(column: Sequence[tuple[int, ...]]):
     return list(number), list(map(number.__getitem__, column))
 
 
-def _csr(axes):
-    """Per-axis CSR arrays from (runs, run of each box) per axis: ``vals[j]``
-    holds axis j's runs 0-based back to back, and box b's run starts at
-    ``starts[b, j]`` and has length ``lens[b, j]``; boxes share runs."""
-    import numpy as np
-
-    vals, starts, lens = [], [], []
-    for runs, which in axes:
-        n = np.fromiter(map(len, runs), np.int64, len(runs))
-        which = np.fromiter(which, np.int64, len(which))
-        vals.append(np.fromiter(itertools.chain.from_iterable(runs), np.int64) - 1)
-        starts.append((n.cumsum() - n)[which])
-        lens.append(n[which])
-    return vals, np.stack(starts, axis=1), np.stack(lens, axis=1)
-
-
 def _axis_classes(factors: Sequence[tuple[int, ...]], n: int):
-    """The classes of the coordinates 1..n of one axis, where two coordinates
-    are in one class when every factor holds both or neither.
-
-    Returns each factor's classes (1-based ids, numbered by the smallest
-    coordinate of the class) and each class's smallest coordinate.  This is
-    partition refinement (Paige & Tarjan, SIAM J. Comput. 1987): each factor
-    moves its cells of every class into a new class of their own, and the
-    coordinates in no factor stay in class 0, so the cost is the total size
-    of the factors, never n."""
+    """The classes of the coordinates 1..n of one axis (two coordinates share
+    one when every factor holds both or neither): each factor's classes,
+    1-based and numbered by smallest coordinate, and each class's smallest
+    coordinate.  Partition refinement (Paige & Tarjan, SIAM J. Comput. 1987):
+    each factor moves its cells of every class into a new class, and the
+    cost is the total size of the factors, never n."""
     cls: dict[int, int] = {}  # coordinate -> class, for the coordinates held
     fresh = itertools.count(1)
     for f in factors:
@@ -545,171 +480,192 @@ class _Quotient:
         self.sides = sides  # the number of classes per axis
         self.least = least  # per axis, the smallest coordinate of each class
         self.factors = factors  # per axis, the distinct factors
-
-    @functools.cached_property
-    def csr(self):
-        """``_csr`` of the boxes' classes, built on the array kernel's first use."""
-        return _csr(zip(self.runs, self.which))
+        self.numbered, self.packed = {}, {}  # ``_numbered``'s and ``_packed``'s memos
+        self.order = _order(which, runs)  # the axes in the order ``_sums`` lays them out
 
 
 def _quotient(boxes: Sequence[DiscreteBox], sides: Sequence[int]):
-    """The boxes on the quotient grid of ``_axis_classes``.  Equivalent points
-    lie in the same boxes, and the lines through them meet the same boxes,
-    so coverage, multiplicity and line sums on one cell per class are exact
-    for the whole ambient.  The classes of every axis are found in one pass,
-    whose cost is the total size of the distinct factors; no tensor is
-    allocated here, and ``_sums`` bounds each one before it is."""
+    """The boxes on the quotient grid of ``_axis_classes``: equivalent points
+    lie in the same boxes and lines, so sums on one cell per class are exact."""
     factors, which = zip(*map(_distinct, _columns(boxes, len(sides))))
     runs, least = zip(*map(_axis_classes, factors, sides))
     return _Quotient(runs, which, tuple(map(len, least)), least, factors)
 
 
+def _order(which, runs) -> tuple[int, ...]:
+    """The axes as a chain from the one with the fewest distinct factors, each
+    next one pairing with the last in the fewest distinct ways over at most
+    64 evenly spaced boxes: axes that vary together (those of one factor of
+    a product) sit side by side and share their factor tuples."""
+    step = len(which[0]) // 64 + 1
+    left = sorted(range(len(runs)), key=lambda a: len(runs[a]))
+    chain = [left.pop(0)]
+    while left:
+        last = which[chain[-1]][::step]
+        chain.append(min(left, key=lambda a: len(set(zip(last, which[a][::step])))))
+        left.remove(chain[-1])
+    return tuple(chain)
+
+
+def _numbered(which, axes: tuple[int, ...], memo: dict):
+    """The boxes numbered by their factors over ``axes``, one axis at a time
+    (``which[a]``: each box's number among axis a's distinct factors).
+    Returns (keys, pairs): box b's number, and in number order the distinct
+    (number over ``axes[:-1]``, factor number on ``axes[-1]``).  Each prefix
+    is numbered once in ``memo``, and shared by every tensor starting with it."""
+    for t in range(1, len(axes) + 1):
+        if axes[:t] not in memo:
+            keys = memo[axes[: t - 1]][0] if t > 1 else [0] * len(which[0])
+            number: dict[tuple[int, int], int] = {}
+            grown = [number.setdefault(k, len(number)) for k in zip(keys, which[axes[t - 1]])]
+            memo[axes[:t]] = grown, list(number)
+    return memo[axes] if axes else ([0] * len(which[0]), [])
+
+
+def _cells(runs, sides: Sequence[int], axes: tuple[int, ...], memo: dict) -> list[list[int]]:
+    """Per number of ``_numbered`` over ``axes`` (in ``memo``), its cells as
+    row-major indices, increasing if the runs are (``runs[a]``: axis a's
+    distinct factors, 1-based); numbers sharing a prefix share its list."""
+    cells = [[0]]
+    for t, a in enumerate(axes, 1):
+        cells = [[i * sides[a] + c - 1 for i in cells[k] for c in runs[a][f]] for k, f in memo[axes[:t]][1]]
+    return cells
+
+
+def _flat_cells(runs, which, sides: Sequence[int], skip: int | None = None):
+    """(keys, cells): box b's cells over every axis but ``skip`` are
+    ``cells[keys[b]]``, from each axis's distinct factors ``runs[a]``."""
+    axes, memo = tuple(a for a in range(len(sides)) if a != skip), {}
+    return _numbered(which, axes, memo)[0], _cells(runs, sides, axes, memo)
+
+
+def _packed(q: _Quotient, axes: tuple[int, ...], width: int):
+    """Every box's cells over ``axes`` as one int of ``width``-bit fields,
+    row-major, 1 in each: the carry-free product over the axes of its
+    factors' spreads (``2^(width * stride * (c - 1))`` summed over classes
+    c).  Returns (keys, ints), box b's int being ``ints[keys[b]]``."""
+    keys, ints, stride, back = [0] * len(q.which[0]), [1], width, axes[::-1]
+    for t, a in enumerate(back, 1):
+        keys, pairs = _numbered(q.which, back[:t], q.numbered)
+        if (back[:t], width) not in q.packed:  # shared by tensors ending with these axes
+            power = [0] + [1 << c * stride for c in range(q.sides[a])]  # class c at c - 1
+            spreads = [sum(map(power.__getitem__, run)) for run in q.runs[a]]
+            q.packed[back[:t], width] = [spreads[f] * ints[k] for k, f in pairs]
+        ints = q.packed[back[:t], width]
+        stride *= q.sides[a]
+    return keys, ints
+
+
+def _scatter(cells: list[list[int]], values, size: int) -> list[int]:
+    """The ``size`` sums of ``values[n]`` over the lists ``cells[n]`` holding each cell."""
+    rows = [0] * size
+    for flat, v in zip(cells, values):
+        for i in flat:
+            rows[i] += v
+    return rows
+
+
+def _split(q: _Quotient, axes: tuple[int, ...]) -> int:
+    """How many leading ``axes`` ``_sums`` walks cell by cell, packing the
+    rest: one more while the estimated cost falls, where each box and each
+    cell of each distinct factor tuple walked costs a step plus the add of
+    a packed row (``_STEP_BYTES`` bytes a step), and each row a step."""
+    shape = [q.sides[a] for a in axes]
+    cells, boxes = math.prod(shape), len(q.which[0])
+    s, cost, incidence = 0, (1 + boxes) * (1 + cells / _STEP_BYTES), [1]
+    for a in axes:
+        pairs = _numbered(q.which, axes[: s + 1], q.numbered)[1]
+        lengths = [*map(len, q.runs[a])]
+        wider = [incidence[k] * lengths[f] for k, f in pairs]  # walked cells per number
+        rows = math.prod(shape[: s + 1])
+        estimate = (sum(wider) + boxes) * (1 + cells / rows / _STEP_BYTES) + rows
+        if estimate >= cost:
+            break
+        s, cost, incidence = s + 1, estimate, wider
+    return s
+
+
+@_gc_paused
 def _sums(
     q: _Quotient,
     skip: int | None = None,
     weights=None,
     target: int | None = None,
     mode: Mode = "exact",
+    natural: bool = False,
 ):
     """(least, greatest, first bad cell) of the tensor over every axis but
     ``skip`` whose cell c sums ``weights[b]`` (1 by default) over the boxes b
-    whose projection contains c, i.e. that the axis-``skip`` line through c
-    meets; with no axis skipped this is the coverage tensor.  A cell is bad
-    when its sum is not ``target`` (mode "exact") or is below it
-    ("at_least"); the first bad cell is its row-major flat index, or None
-    when no cell is bad or no target is given.
-
-    The one place that picks a kernel, by the quotient grid's cell count,
-    so that every tensor of one check goes to the same kernel: up to
-    ``_COUNT_CELLS`` cells, or ``_COLD_COUNT_CELLS`` while numpy is not
-    loaded, the sums are a list of Python ints (``_count_sums``), above it a
-    numpy tensor (``_scatter_sum``).  Both are exact and give the same
-    answers.  The tensor's shape is bounded by ``_check_cells`` before
-    either kernel allocates it."""
-    shape = [n for j, n in enumerate(q.sides) if j != skip]
-    _check_cells(shape, f"a tensor over {len(shape)} axes")
-    limit = _COUNT_CELLS if "numpy" in sys.modules else _COLD_COUNT_CELLS
-    if math.prod(q.sides) <= limit:
-        counts = _count_sums(q, skip, weights)
-        first = None
-        if target is not None:
-            bad = map(target.__ne__ if mode == "exact" else target.__gt__, counts)
-            first = next(itertools.compress(itertools.count(), bad), None)
-        return min(counts), max(counts), first
-    import numpy as np
-
-    if weights is not None:
-        weights = np.fromiter(weights, np.int64, len(q.which[0]))
-    out = _scatter_sum(q.csr, q.sides, skip, weights).ravel()
-    first = None
-    if target is not None:
-        bad = out != target if mode == "exact" else out < target
-        first = int(np.argmax(bad)) if bad.any() else None
-    return int(out.min()), int(out.max()), first
-
-
-def _incidence(csr, sides: Sequence[int], axes: Sequence[int]):
-    """Every cell of every box over ``axes``: yields batches of (row-major
-    flat index into the tensor of shape ``sides[axes]``, number of the box
-    owning the cell), in box order.  A batch is a run of whole boxes: the
-    most consecutive boxes with at most ``_BATCH_CELLS`` cells in all, or one
-    bigger box on its own."""
-    import numpy as np
-
-    vals, starts, lens = csr
-    # ahead[b]: the cells of the boxes before box b
-    ahead = np.concatenate(([0], lens[:, axes].prod(axis=1).cumsum()))
-    i = 0
-    while True:
-        # boxes i..j-1: the most that fit the budget, and one at least if any
-        j = int(np.searchsorted(ahead, ahead[i] + _BATCH_CELLS, "right")) - 1
-        j = min(max(j, i + 1), len(lens))
-        flat, owner = np.zeros(j - i, dtype=np.int64), np.arange(i, j)
-        for a in axes:
-            # each entry becomes one entry per coordinate of its box's axis-a factor
-            n = lens[owner, a]
-            run = starts[owner, a] - n.cumsum() + n
-            pos = np.arange(int(n.sum())) + run.repeat(n)
-            flat, owner = (flat * sides[a]).repeat(n) + vals[a][pos], owner.repeat(n)
-        yield flat, owner
-        if j == len(lens):
-            return
-        i = j
-
-
-def _scatter_sum(csr, sides: Sequence[int], skip: int | None = None, weights=None):
-    """Weighted line sums: the tensor over every axis but ``skip`` whose cell
-    c sums the weights (1 by default) of the boxes whose projection contains
-    c, i.e. that the axis-``skip`` line through c meets.  With no axis
-    skipped this is the coverage tensor."""
-    import numpy as np
-
-    axes = [j for j in range(len(sides)) if j != skip]
-    shape = tuple(sides[a] for a in axes)
-    size = _check_cells(shape, f"a tensor over {len(shape)} axes")
-    out = np.zeros(size, dtype=np.int64)
-    for flat, owner in _incidence(csr, sides, axes):
-        np.add.at(out, flat, 1 if weights is None else weights[owner])
-    return out.reshape(shape)
-
-
-def _flat_cells(runs, which, sides: Sequence[int], skip: int | None = None):
-    """Every box's cells over every axis but ``skip``, as row-major flat
-    indices in increasing order: ``runs[a]`` holds the distinct factors of
-    axis a (coordinates or classes, 1-based) and ``which[a]`` each box's
-    number among them.  Returns (keys, cells), box b's list being
-    ``cells[keys[b]]``.  The lists are built from the last axis to the
-    first by offsetting copies of the lists of the axes after, so boxes
-    with equal factors on those axes share one list."""
-    keys, cells, stride = [0] * len(which[0]), [[0]], 1
-    for a in reversed(range(len(sides))):
-        if a == skip:
-            continue
-        number: dict[tuple[int, int], int] = {}
-        keys = [number.setdefault(k, len(number)) for k in zip(which[a], keys)]
-        cells = [[i + (c - 1) * stride for c in runs[a][f] for i in cells[k]] for f, k in number]
-        stride *= sides[a]
-    return keys, cells
-
-
-def _count_sums(q: _Quotient, skip: int | None, weights) -> list[int]:
-    """The tensor of ``_sums`` as a list of counts, one per cell in row-major
-    order, from each box's cells (``_flat_cells``); boxes with one list add
-    their weights before the list is added once."""
-    keys, cells = _flat_cells(q.runs, q.which, q.sides, skip)
-    totals = [0] * len(cells)
-    for key, w in zip(keys, itertools.repeat(1) if weights is None else weights):
-        totals[key] += w
-    counts = [0] * math.prod(n for j, n in enumerate(q.sides) if j != skip)
-    for flat, w in zip(cells, totals):
-        for i in flat:
-            counts[i] += w
-    return counts
+    whose projection holds c, i.e. that the axis-``skip`` line through c
+    meets; with no axis skipped, the coverage tensor.  A cell is bad when
+    its sum is not ``target`` (mode "exact") or is below it ("at_least");
+    the first bad cell is its row-major index, None if none or no target.
+    The tensor is one int of fields, a field per cell, axes in ``q.order``.
+    Boxes with one factor tuple on the walked axes (``_split``) add their
+    weighted packed ints (``_packed``), and each sum goes onto the rows of
+    their cells.  The field width (whole bytes, a spare top bit) comes first
+    from the total weight over each walked cell.  The rows are joined by
+    ``int.to_bytes``; the least and greatest field are read off the bytes,
+    and the first bad cell is the lowest set bit of ``T ^ target * ONES``
+    (exact) or of the clear guard bits of ``T + (2^(width - 1) - target) *
+    ONES``, after a rerun in the ``natural`` order if the layout is not."""
+    axes = tuple(j for j in (range(len(q.sides)) if natural else q.order) if j != skip)
+    shape = [q.sides[j] for j in axes]
+    cells = _check_cells(shape, f"a tensor over {len(shape)} axes")
+    s = _split(q, axes)
+    keys, pairs = _numbered(q.which, axes[:s], q.numbered)
+    weight = [0] * max(len(pairs), 1)  # per number over the walked axes
+    for k, w in zip(keys, itertools.repeat(1) if weights is None else weights):
+        weight[k] += w
+    acells = _cells(q.runs, q.sides, axes[:s], q.numbered)
+    rows = _scatter(acells, weight, math.prod(shape[:s]))
+    top = max(max(rows), target or 0)
+    size = -(-(top.bit_length() + 1) // 8)  # bytes per field, with a spare top bit
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    width = 8 * size
+    if s < len(axes):
+        packed, ints = _packed(q, axes[s:], width)
+        sums = [0] * len(weight)
+        for k, i, w in zip(keys, packed, itertools.repeat(1) if weights is None else weights):
+            sums[k] += w * ints[i]
+        rows = _scatter(acells, sums, len(rows))
+    if size * cells == len(rows):  # a byte per row
+        raw = bytes(rows)
+    else:
+        length = itertools.repeat(size * cells // len(rows))
+        raw = b"".join(map(int.to_bytes, rows, length, itertools.repeat("little")))
+    if size == 1:  # one ``in`` per value tried, each a scan at C speed
+        least = next(v for v in range(top + 1) if v in raw)
+        greatest = next(v for v in range(top, -1, -1) if v in raw)
+    else:
+        if size <= 8 and sys.byteorder == "little":
+            fields = memoryview(raw).cast("HIQ"[size.bit_length() - 2])
+        else:
+            fields = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+        least, greatest = min(fields), max(fields)
+    if target is None or (least >= target if mode == "at_least" else least == greatest == target):
+        return least, greatest, None
+    if axes != tuple(sorted(axes)):
+        return _sums(q, skip, weights, target, mode, natural=True)
+    tensor = int.from_bytes(raw, "little")
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * cells, "little")
+    half = 1 << width - 1
+    if mode == "exact":
+        bad = tensor ^ target * ones
+    else:  # a field's guard bit stays clear where it is below target
+        bad = half * ones & ~(tensor + (half - target) * ones)
+    return least, greatest, ((bad & -bad).bit_length() - 1) // width
 
 
 def _first_point(flat: int, q: _Quotient) -> tuple[int, ...]:
     """The first bad ambient point in row-major order: the smallest
-    coordinates of the classes of the quotient cell with row-major index
-    ``flat``."""
+    coordinates of the classes of the quotient cell with index ``flat``."""
     cell = []
     for n in reversed(q.sides):
         flat, i = divmod(flat, n)
         cell.append(i)
     return tuple(m[i] for m, i in zip(q.least, reversed(cell)))
-
-
-def _bitmasks(rows, width: int) -> list[int]:
-    """One int per row with bit i set for each index i in the row (all
-    below ``width``), read from a bytearray of binary digits, so that the
-    cost is the rows' total length plus one width per row (summing
-    ``1 << i`` would be quadratic in the width)."""
-    masks = []
-    for row in rows:
-        digits = bytearray(b"0") * (width + 1)  # one more: never empty
-        for i in row:
-            digits[i] = 49  # "1"
-        masks.append(int(digits[::-1], 2))
-    return masks
 
 
 def _check_demand(multiplicity: int, mode: Mode) -> None:

@@ -25,7 +25,7 @@ import itertools
 import math
 
 from .bounds import BoundValue
-from .geometry import BoxFamily, GeometryError, _bitmasks, _check_cells, _Record, verify_cover
+from .geometry import BoxFamily, GeometryError, _check_cells, _Record, verify_cover
 
 __all__ = [
     "TwoColoredGraph",
@@ -139,6 +139,18 @@ def _find_clique_with(v: int, nbr: list[int], k: int, budget: list[int]) -> tupl
         u = low.bit_length() - 1
         clique.append(u)
         left.append(left[-1] & nbr[u])
+
+
+def _bitmasks(rows, width: int) -> list[int]:
+    """One int per row with bit i set for each index i (< ``width``) in it,
+    read from binary digits, in time linear in the rows and the width."""
+    masks = []
+    for row in rows:
+        digits = bytearray(b"0") * (width + 1)  # one more: never empty
+        for i in row:
+            digits[i] = 49  # "1"
+        masks.append(int(digits[::-1], 2))
+    return masks
 
 
 def clique_property_check(

@@ -40,9 +40,6 @@ scatters the candidates' cells, from geometry's one box-to-cells builder
 and memory stay within the incidence; it is spelled line by line
 (``_model_lines``), so the CLI writes it without holding it as one string.
 
-Only the re-verification of a search result can load numpy, and only when
-its quotient grid passes ``geometry._COLD_COUNT_CELLS`` cells
-(``geometry._COUNT_CELLS`` once numpy is loaded).
 Everything is single-threaded.  ``solve_cover`` walks the same tree and
 returns the same result (selection, size, proof flag and node count) for the
 same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.

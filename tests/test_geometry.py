@@ -537,27 +537,16 @@ def random_partitions(draw):
     return BoxFamily(Ambient(tuple(sides)), tuple(DiscreteBox(p) for p in parts))
 
 
-def _factor_csr(boxes, dim):
-    """The ``_csr`` of the boxes' factors, in the original coordinates."""
-    return geometry._csr(map(geometry._distinct, geometry._columns(boxes, dim)))
-
-
-# 1 and 3 put almost every box in a batch of its own, bigger than the budget;
-# the default budget keeps these families in a single batch.
-batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
-
-
-@given(random_families(), batch_budgets)
+@given(random_families())
 @settings(max_examples=150, deadline=None)
-def test_verify_cover_matches_oracle(fam, budget):
+def test_verify_cover_matches_oracle(fam):
     mult = _oracle_multiplicity(fam)
-    with mock.patch.object(geometry, "_BATCH_CELLS", budget):
-        reports = {
-            (t, mode): verify_cover(fam, t, mode)
-            for t in (1, 2, 3)
-            for mode in ("exact", "at_least")
-        }
-        overall, per_axis = piercing_number(fam)
+    reports = {
+        (t, mode): verify_cover(fam, t, mode)
+        for t in (1, 2, 3)
+        for mode in ("exact", "at_least")
+    }
+    overall, per_axis = piercing_number(fam)
     flags = [classify_box(b, fam.ambient) for b in fam.boxes]
     for (t, mode), rep in reports.items():
         bad = [p for p, m in mult.items() if (m != t if mode == "exact" else m < t)]
@@ -578,17 +567,14 @@ def test_verify_cover_matches_oracle(fam, budget):
     assert overall == min(expected)
 
 
-@given(random_partitions(), batch_budgets, st.data())
+@given(random_partitions(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_weighted_piercing_matches_oracle(fam, budget, data):
+def test_weighted_piercing_matches_oracle(fam, data):
     d = fam.ambient.dim
     labels = [data.draw(st.tuples(*[st.integers(1, 3)] * d)) for _ in fam.boxes]
     k = data.draw(st.integers(1, 8))
-    with mock.patch.object(geometry, "_BATCH_CELLS", budget):
-        ip = IntermediatePartition(
-            fam.ambient, tuple(zip(fam.boxes, map(PiercingVector, labels)))
-        )
-        got = weighted_piercing_ok(ip, k)
+    ip = IntermediatePartition(fam.ambient, tuple(zip(fam.boxes, map(PiercingVector, labels))))
+    got = weighted_piercing_ok(ip, k)
     expected = all(
         min(_oracle_line_sums(fam, i, [a[i] for a in labels]).values()) >= k
         for i in range(d)
@@ -609,15 +595,14 @@ def test_intermediate_partition_names_first_bad_point(fam):
 
 
 def test_boxes_spanning_several_batches():
-    """One box bigger than a batch plus many small ones, at the real budget."""
+    """One box over all of [24]^3 plus 24 slabs, each 552 cells: the slabs
+    share the full box's factors on two axes, so its packed rows and theirs
+    add up in the same rows."""
     n = 24
     amb = Ambient.cube(n, 3)
-    assert amb.volume > geometry._BATCH_CELLS
     full = DiscreteBox.of(range(1, n + 1), range(1, n + 1), range(1, n + 1))
     slabs = [DiscreteBox.of([x], range(1, n + 1), range(2, n + 1)) for x in range(1, n + 1)]
     fam = BoxFamily(amb, (full, *slabs))
-    csr = _factor_csr(fam.boxes, 3)
-    assert len(list(geometry._incidence(csr, amb.sides, [0, 1, 2]))) > 2
     rep = verify_cover(fam, 2, "exact")
     assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (1, 2)
     assert rep.first_violation == (1, 1, 1)
@@ -625,32 +610,10 @@ def test_boxes_spanning_several_batches():
     assert rep.per_axis_piercing == (1, 1, 2)
 
 
-@given(random_families(), st.sampled_from([1, 3, 5, 40, geometry._BATCH_CELLS]))
-@settings(max_examples=150, deadline=None)
-def test_batches_are_runs_of_whole_boxes(fam, budget):
-    """Each batch holds whole consecutive boxes, in order: the most that fit
-    the budget, or one bigger box alone.  No boxes give one empty batch."""
-    csr = _factor_csr(fam.boxes, fam.ambient.dim)
-    axes = list(range(fam.ambient.dim))
-    with mock.patch.object(geometry, "_BATCH_CELLS", budget):
-        batches = list(geometry._incidence(csr, fam.ambient.sides, axes))
-    cells = [b.cardinality for b in fam.boxes]
-    runs = [np.unique(owner).tolist() for _, owner in batches]
-    assert [b for run in runs for b in run] == list(range(len(fam)))
-    assert all(runs) if fam.boxes else len(batches) == 1
-    for (flat, owner), run in zip(batches, runs):
-        assert len(flat) == len(owner) == sum(cells[b] for b in run)
-        assert (np.diff(owner) >= 0).all()
-        assert len(run) == 1 or sum(cells[b] for b in run) <= budget
-        end = run[-1] + 1 if run else 0
-        if end < len(fam):  # the next box would not have fit
-            assert sum(cells[b] for b in run) + cells[end] > budget
-
-
 def test_quotient_box_spanning_several_batches():
     """The full box of [24]^3 and the 24 unit slabs on each axis: every
-    coordinate is a class of its own, so the quotient keeps all 24^3 cells
-    and the full box alone is bigger than a batch when it is verified."""
+    coordinate is a class of its own, so the quotient keeps all 24^3 cells,
+    and every cell is covered by the full box and one slab per axis."""
     n = 24
     amb = Ambient.cube(n, 3)
     side = range(1, n + 1)
@@ -661,7 +624,7 @@ def test_quotient_box_spanning_several_batches():
     ]
     fam = BoxFamily(amb, (box(side, side, side), *slabs))
     q = geometry._quotient(fam.boxes, amb.sides)
-    assert math.prod(q.sides) == n**3 > geometry._BATCH_CELLS
+    assert math.prod(q.sides) == n**3
     rep = verify_cover(fam, 4, "exact")
     assert rep.multiplicity_ok and rep.first_violation is None
     assert (rep.cover_multiplicity_min, rep.cover_multiplicity_max) == (4, 4)
@@ -681,7 +644,7 @@ def test_tensor_cell_limit():
     allocated: 601 classes per axis give 601^4 cells to cover and 601^3 per
     line tensor, both past 2^27."""
     fam = _diagonal(100_000, 4, 600)
-    with mock.patch.object(geometry, "_scatter_sum", side_effect=AssertionError):
+    with mock.patch.object(geometry, "_split", side_effect=AssertionError):
         with pytest.raises(GeometryError, match="cell limit"):
             verify_cover(fam)
         with pytest.raises(GeometryError, match="cell limit"):
@@ -725,13 +688,12 @@ def test_oversized_ambient_refused_before_the_factor_arrays(
     monkeypatch, check, sides, message
 ):
     """The first tensor's cell count, over the quotient, is checked before
-    the factor arrays and any tensor are built, with the message the tensor
-    itself would raise.  The boxes {1}^d and {2}^d leave three classes on
+    the boxes are numbered and any tensor is built, with the message the
+    tensor itself would raise.  The boxes {1}^d and {2}^d leave three classes on
     every axis of side 3, so that tensor has 9 cells."""
     monkeypatch.setattr(geometry, "_CELL_LIMIT", 8)
     fam = BoxFamily(Ambient(sides), (box(*[[1]] * len(sides)), box(*[[2]] * len(sides))))
-    with mock.patch.object(geometry, "_csr", side_effect=AssertionError):
-        with mock.patch.object(geometry, "_scatter_sum", side_effect=AssertionError):
-            with pytest.raises(GeometryError) as exc:
-                check(fam)
+    with mock.patch.object(geometry, "_numbered", side_effect=AssertionError):
+        with pytest.raises(GeometryError) as exc:
+            check(fam)
     assert str(exc.value) == message

@@ -1,16 +1,15 @@
-"""Verification on the quotient grid against the dense check it replaced.
+"""Verification on the quotient grid against a dense check.
 
 ``geometry`` checks a family on one cell per class of interchangeable
-coordinates.  The reference below is the dense check kept as a test-only
-copy: it scatters every ambient cell, in the original coordinates, through
-the same ``_factor_csr``/``_scatter_sum`` helpers.  Every report, piercing
-vector, weighted piercing answer and tiling error must match it, on both
-kernels: each test forces the count-list or the numpy side by patching
-``_COUNT_CELLS``, the bound while numpy is loaded, as it is here.
+coordinates, with every tensor packed into one Python int.  The reference
+below shares none of that code: it adds each box's weight into a dense
+object-dtype numpy array, in the original coordinates, through ``np.ix_``
+of its factors, so its sums are exact Python ints too.  Every report,
+piercing vector, weighted piercing answer and tiling error must match it,
+also with the split between walked and packed axes forced to each value.
 """
 
 import itertools
-import sys
 from unittest import mock
 
 import numpy as np
@@ -28,9 +27,6 @@ from boxkit.geometry import (
     IntermediatePartition,
     PiercingVector,
     VerificationReport,
-    _csr,
-    _distinct,
-    _scatter_sum,
     piercing_number,
     verify_cover,
     weighted_piercing_ok,
@@ -39,39 +35,40 @@ from boxkit.geometry import (
 # -- the dense reference -----------------------------------------------------
 
 
-def _factor_csr(boxes, dim):
-    """The ``_csr`` of the boxes' factors, in the original coordinates."""
-    return _csr(map(_distinct, geometry._columns(boxes, dim)))
+def _dense(sides, boxes, weights=None, skip=None):
+    """The tensor over every axis but ``skip`` whose cell sums the weights (1
+    by default) of the boxes whose projection holds it."""
+    keep = [a for a in range(len(sides)) if a != skip]
+    out = np.zeros([sides[a] for a in keep], dtype=object)
+    for b, w in zip(boxes, itertools.repeat(1) if weights is None else weights):
+        out[np.ix_(*[[c - 1 for c in b.factors[a]] for a in keep])] += w
+    return out
 
 
 def _dense_first_point(bad):
     return tuple(int(c) + 1 for c in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
-def _dense_line_minima(csr, sides, weights=None):
-    w = np.ones_like(csr[2]) if weights is None else weights
-    return tuple(int(_scatter_sum(csr, sides, i, w[:, i]).min()) for i in range(len(sides)))
+def _dense_line_minima(sides, boxes, weights=None):
+    columns = [None] * len(sides) if weights is None else list(zip(*weights))
+    return tuple(_dense(sides, boxes, w, i).min() for i, w in enumerate(columns))
 
 
 def dense_verify_cover(family, multiplicity=1, mode="exact"):
-    sides = family.ambient.sides
-    csr = _factor_csr(family.boxes, family.ambient.dim)
-    cover = _scatter_sum(csr, sides)
-    cmin, cmax = int(cover.min()), int(cover.max())
-    bad = cover != multiplicity if mode == "exact" else cover < multiplicity
-    ok = not bool(bad.any())
-    vals, starts, lens = csr
-    brick = all(
-        bool((v[s + n - 1] - v[s] + 1 == n).all()) for v, s, n in zip(vals, starts.T, lens.T)
-    )
-    per_axis = _dense_line_minima(csr, sides)
+    sides, boxes = family.ambient.sides, family.boxes
+    cover = _dense(sides, boxes)
+    cmin, cmax = cover.min(), cover.max()
+    bad = (cover != multiplicity if mode == "exact" else cover < multiplicity).astype(bool)
+    ok = not bad.any()
+    factors = [(f, n) for b in boxes for f, n in zip(b.factors, sides)]
+    per_axis = _dense_line_minima(sides, boxes)
     return VerificationReport(
         is_partition=(cmin == 1 and cmax == 1),
         cover_multiplicity_min=cmin,
         cover_multiplicity_max=cmax,
-        all_proper=bool((lens != np.array(sides)).all()),
-        all_odd=bool((lens % 2 == 1).all()),
-        all_brick=brick,
+        all_proper=all(len(f) != n for f, n in factors),
+        all_odd=all(len(f) % 2 == 1 for f, _ in factors),
+        all_brick=all(f[-1] - f[0] + 1 == len(f) for f, _ in factors),
         piercing_number=min(per_axis),
         per_axis_piercing=per_axis,
         multiplicity_ok=ok,
@@ -80,27 +77,29 @@ def dense_verify_cover(family, multiplicity=1, mode="exact"):
 
 
 def dense_piercing_number(family):
-    per_axis = _dense_line_minima(
-        _factor_csr(family.boxes, family.ambient.dim), family.ambient.sides
-    )
+    per_axis = _dense_line_minima(family.ambient.sides, family.boxes)
     return min(per_axis), per_axis
 
 
 def dense_weighted_piercing_ok(ambient, boxes, labels, k):
-    csr = _factor_csr(boxes, ambient.dim)
-    w = np.array(labels, dtype=np.int64).reshape(len(boxes), ambient.dim)
-    return min(_dense_line_minima(csr, ambient.sides, w)) >= k
+    return min(_dense_line_minima(ambient.sides, boxes, labels)) >= k
 
 
 def dense_tiling_error(ambient, boxes):
     """The tiling message of an intermediate partition, or None."""
-    bad = _scatter_sum(_factor_csr(boxes, ambient.dim), ambient.sides) != 1
+    bad = (_dense(ambient.sides, boxes) != 1).astype(bool)
     if not bad.any():
         return None
     return (
         "parts of an intermediate partition must tile the ambient; "
         f"first bad point {_dense_first_point(bad)}"
     )
+
+
+def forced_split(s):
+    """``_split`` made to walk the first ``s`` axes of every tensor (all of
+    them when it has fewer) and pack the rest."""
+    return mock.patch.object(geometry, "_split", lambda q, axes: min(s, len(axes)))
 
 
 # -- families ----------------------------------------------------------------
@@ -165,52 +164,86 @@ def products(draw):
 
 
 families = st.one_of(any_families(), refined_partitions(), lifted(), products())
-# 1 and 3 put almost every box in a batch of its own, bigger than the budget
-batch_budgets = st.sampled_from([1, 3, geometry._BATCH_CELLS])
-# the count-list kernel for every tensor, or numpy for every tensor
-COUNTS, ARRAYS = geometry._CELL_LIMIT, 0
-kernels = st.sampled_from([COUNTS, ARRAYS])
-# the count-list side keeps the id "masks", the name of the kernel it replaced,
-# so that the test ids stay the same
-KERNEL_IDS = ["masks", "arrays"]
+# every axis packed, or every axis walked cell by cell; the ids keep the names
+# of the two kernels these forced splits replaced, so that the test ids stay
+# the same
+EVERY, NONE = 0, 99
+SPLITS, SPLIT_IDS = [EVERY, NONE], ["masks", "arrays"]
 
 
 # -- differential tests ------------------------------------------------------
 
 
-@given(families, batch_budgets, kernels)
+@given(families)
 @settings(max_examples=300, deadline=None)
-def test_reports_match_the_dense_check(fam, budget, kernel):
-    with mock.patch.object(geometry, "_BATCH_CELLS", budget):
-        with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
-            for t, mode in itertools.product((1, 2, 3), ("exact", "at_least")):
-                assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
-            assert piercing_number(fam) == dense_piercing_number(fam)
+def test_reports_match_the_dense_check(fam):
+    for t, mode in itertools.product((1, 2, 3), ("exact", "at_least")):
+        assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
+    assert piercing_number(fam) == dense_piercing_number(fam)
 
 
-@given(families, kernels, st.data())
+@given(families, st.data())
 @settings(max_examples=200, deadline=None)
-def test_intermediate_partitions_match_the_dense_check(fam, kernel, data):
+def test_intermediate_partitions_match_the_dense_check(fam, data):
     """The tiling error text, and on a tiling the weighted piercing answer,
     from labels up to 9."""
     d = fam.ambient.dim
     labels = [data.draw(st.tuples(*[st.integers(1, 9)] * d)) for _ in fam.boxes]
     parts = tuple(zip(fam.boxes, map(PiercingVector, labels)))
     want = dense_tiling_error(fam.ambient, fam.boxes)
-    with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
-        try:
-            ip = IntermediatePartition(fam.ambient, parts)
-        except GeometryError as exc:
-            assert str(exc) == want
-            return
-        assert want is None
-        for k in range(1, 9 * d + 2):
-            assert weighted_piercing_ok(ip, k) == dense_weighted_piercing_ok(
-                fam.ambient, fam.boxes, labels, k
-            )
+    try:
+        ip = IntermediatePartition(fam.ambient, parts)
+    except GeometryError as exc:
+        assert str(exc) == want
+        return
+    assert want is None
+    for k in range(1, 9 * d + 2):
+        assert weighted_piercing_ok(ip, k) == dense_weighted_piercing_ok(
+            fam.ambient, fam.boxes, labels, k
+        )
 
 
-@pytest.mark.parametrize("kernel", [COUNTS, ARRAYS], ids=KERNEL_IDS)
+@given(families, st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_every_split_matches_the_dense_check(fam, s):
+    """Every split point, from every axis packed (s = 0) to every axis
+    walked (s = d), gives the dense check's reports."""
+    with forced_split(s):
+        for t, mode in itertools.product((1, 2), ("exact", "at_least")):
+            assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
+        assert piercing_number(fam) == dense_piercing_number(fam)
+
+
+@given(refined_partitions(), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_wide_labels_match_the_dense_check(fam, s, data):
+    """Labels up to 2^100 need fields of up to 13 bytes, past a machine
+    word; at every split point the answer matches the dense check just
+    below, at and above the least line sum."""
+    d = fam.ambient.dim
+    labels = [data.draw(st.tuples(*[st.integers(1, 2**100)] * d)) for _ in fam.boxes]
+    ip = IntermediatePartition(fam.ambient, tuple(zip(fam.boxes, map(PiercingVector, labels))))
+    least = min(_dense_line_minima(fam.ambient.sides, fam.boxes, labels))
+    with forced_split(s):
+        assert [weighted_piercing_ok(ip, k) for k in (least - 1, least, least + 1)] == [
+            True, True, False
+        ]
+
+
+@pytest.mark.parametrize("label", [2**62, 10**30], ids=["2^62", "10^30"])
+def test_wide_labels_sum_exactly(label):
+    """Every part of the quadrant partition of [16]^4 (4,096 quotient cells)
+    labeled ``label``: every line meets 4 parts, so its sum is exactly 4
+    labels, with numpy loaded as it is here.  An int64 tensor wrapped at
+    2^62 and could not hold 10^30 at all."""
+    fam = quadrant_construction(4, 4)
+    ip = IntermediatePartition(fam.ambient, tuple((b, PiercingVector((label,) * 4)) for b in fam.boxes))
+    assert weighted_piercing_ok(ip, 4) is True
+    assert weighted_piercing_ok(ip, 4 * label) is True
+    assert weighted_piercing_ok(ip, 4 * label + 1) is False
+
+
+@pytest.mark.parametrize("split", SPLITS, ids=SPLIT_IDS)
 @pytest.mark.parametrize(
     "fam",
     [
@@ -220,10 +253,11 @@ def test_intermediate_partitions_match_the_dense_check(fam, kernel, data):
     ],
     ids=["empty", "300-repeats", "300-repeats-1d"],
 )
-def test_edge_families_match_the_dense_check(fam, kernel):
+def test_edge_families_match_the_dense_check(fam, split):
     """No boxes at all (every sum 0), and one box 300 times, whose 300
-    copies share one list of cells; targets below, at and above 300."""
-    with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
+    copies share one number; targets below, at and above 300, which need
+    fields of two bytes."""
+    with forced_split(split):
         for t, mode in itertools.product((1, 299, 300, 301, 512), ("exact", "at_least")):
             assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
         assert piercing_number(fam) == dense_piercing_number(fam)
@@ -234,14 +268,25 @@ def test_edge_families_match_the_dense_check(fam, kernel):
         assert rep.per_axis_piercing == (0, 0)
 
 
-@pytest.mark.parametrize("kernel", [COUNTS, ARRAYS], ids=KERNEL_IDS)
-def test_repeated_parts_match_the_dense_check(kernel):
+@pytest.mark.parametrize("copies", [127, 128, 200, 255, 256])
+def test_counts_past_seven_bits_keep_a_guard_bit(copies):
+    """Counts of 128-256 over a cell with no box: the at-least test adds
+    2^(width - 1) - target to every field, which must not carry into the
+    next field, so each field keeps a spare top bit."""
+    fam = BoxFamily(Ambient((3,)), (DiscreteBox.of([1, 2]),) * copies)
+    for t, mode in itertools.product((1, copies, copies + 1), ("exact", "at_least")):
+        assert verify_cover(fam, t, mode) == dense_verify_cover(fam, t, mode)
+    assert verify_cover(fam, 1, "at_least").first_violation == (3,)
+
+
+@pytest.mark.parametrize("split", SPLITS, ids=SPLIT_IDS)
+def test_repeated_parts_match_the_dense_check(split):
     """A tiling of [2] x [3] whose least line sums are 151 (axis 0) and 255
     (axis 1), from labels of up to nine bits; doubled, it tiles nothing."""
     boxes = (DiscreteBox.of([1], [1, 2, 3]), DiscreteBox.of([2], [1, 2]), DiscreteBox.of([2], [3]))
     labels = [(150, 255), (300, 7), (1, 511)]
     amb = Ambient((2, 3))
-    with mock.patch.object(geometry, "_COUNT_CELLS", kernel):
+    with forced_split(split):
         ip = IntermediatePartition(amb, tuple(zip(boxes, map(PiercingVector, labels))))
         targets = (150, 151, 152, 255, 256, 512)
         got = [weighted_piercing_ok(ip, k) for k in targets]
@@ -250,53 +295,6 @@ def test_repeated_parts_match_the_dense_check(kernel):
         with pytest.raises(GeometryError) as exc:
             IntermediatePartition(amb, tuple(zip(boxes * 2, map(PiercingVector, labels * 2))))
     assert str(exc.value) == dense_tiling_error(amb, boxes * 2)
-
-
-def test_the_kernel_follows_the_quotient_size():
-    """Every tensor of a family whose quotient grid has at most
-    ``_COUNT_CELLS`` cells is summed on a count list, and every tensor of a
-    bigger one by numpy: the quotient of the quadrant partition of [8]^2 has
-    64 cells, and each line tensor 8."""
-    q25 = quadrant_construction(2, 5)
-    calls = []
-    real = geometry._count_sums
-
-    def spy(q, skip, weights):
-        calls.append(skip)
-        return real(q, skip, weights)
-
-    with mock.patch.object(geometry, "_count_sums", spy):
-        for limit, counted in [(64, [None, 0, 1]), (63, []), (8, [])]:
-            calls.clear()
-            with mock.patch.object(geometry, "_COUNT_CELLS", limit):
-                assert verify_cover(q25) == dense_verify_cover(q25)
-            assert calls == counted
-
-
-def test_the_kernel_follows_whether_numpy_is_loaded():
-    """The quotient grid of the quadrant partition of [16]^4 has 4,096
-    cells: above ``_COUNT_CELLS`` once numpy is loaded, so numpy sums it,
-    but within ``_COLD_COUNT_CELLS`` while numpy is not, so a count list
-    does and nothing imports numpy.  The reports are equal."""
-    q44 = quadrant_construction(4, 4)
-    calls = []
-    real = geometry._count_sums
-
-    def spy(q, skip, weights):
-        calls.append(skip)
-        return real(q, skip, weights)
-
-    with mock.patch.object(geometry, "_count_sums", spy):
-        assert "numpy" in sys.modules
-        warm = verify_cover(q44)
-        assert calls == []
-        with mock.patch.dict(sys.modules):
-            del sys.modules["numpy"]
-            cold = verify_cover(q44)
-            assert "numpy" not in sys.modules
-        assert calls == [None, 0, 1, 2, 3]
-    assert cold == warm == dense_verify_cover(q44)
-    assert cold.is_partition and cold.piercing_number == 4
 
 
 @pytest.mark.parametrize(

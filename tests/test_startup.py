@@ -1,7 +1,6 @@
 """Start-up: ``import boxkit`` loads no submodule, each command loads only
-the modules it uses and neither ``dataclasses`` nor ``inspect``, and
-commands and calls that sum no tensor above ``geometry._COLD_COUNT_CELLS``
-cells never import numpy; the numpy kernel imports it on first use.
+the modules it uses and neither ``dataclasses`` nor ``inspect``, and no
+command or call imports numpy, whatever the size of the tensors it sums.
 
 Each check runs in a fresh interpreter, since the test modules import numpy
 themselves."""
@@ -93,14 +92,14 @@ print(json.dumps({"steps": steps, "codes": codes, "partitions": partitions}))
 
 
 def test_numpy_loads_only_with_the_incidence_kernel(tmp_path):
-    """The 125 quotient cells of p25 and, while numpy is not loaded, the
-    4,096 of the quadrant partition of [16]^4 are summed on a count list;
-    the 20,160 of the realized fig6 partition of [32]^4 by numpy."""
+    """No step loads numpy, since no incidence kernel is left that would:
+    not the 125 quotient cells of p25, not the 4,096 of the quadrant
+    partition of [16]^4, and not the 20,160 of the realized fig6 partition
+    of [32]^4."""
     out = _fresh(SCRIPT, str(tmp_path / "q25.txt"))
     assert out["codes"] == [0, 0, 0, 0]
     assert out["partitions"] == [True, True]
     steps = out["steps"]
-    assert steps.pop("verify_cover") is True
     assert steps == dict.fromkeys(steps, False)
 
 
@@ -153,9 +152,8 @@ print(json.dumps({"code": code, "loaded": sorted(loaded)}))
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     """The exact boxkit modules a command loads besides the CLI and
-    geometry; no numpy, since the families these commands verify have at
-    most 4,096 quotient cells; and no ``dataclasses`` or ``inspect``, which
-    cost every command a few milliseconds to import."""
+    geometry; no numpy, which no module imports; and no ``dataclasses`` or
+    ``inspect``, which cost every command a few milliseconds to import."""
     files = {}
     for name, fam in [("p25", partition_25()), ("q25", quadrant_construction(2, 5))]:
         files[name] = tmp_path / f"{name}.txt"
