@@ -47,9 +47,11 @@ same instance and ``max_nodes`` unless ``wall_seconds`` stops it first.
 instance (pool order included), the same seed and a ``max_nodes`` that binds
 before ``wall_seconds``; a run stopped by the wall clock ends after however
 many steps the machine managed.  Its docstring lists the random draws each
-step makes: a change to them changes the results.  Both search engines say
-why they stopped (``SearchResult.stop_reason``): "exhausted", "node cap" or
-"wall clock".
+step makes: a change to them changes the results.  Both search engines read
+the wall clock at the start and then once per ``CLOCK_BLOCK`` (1,024) nodes
+or steps, so a run stopped by the wall clock may go up to 1,023 of them past
+its budget.  Both say why they stopped (``SearchResult.stop_reason``):
+"exhausted", "node cap" or "wall clock".
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .geometry import (
     _distinct,
     _flat_cells,
     _gc_paused,
+    _integer,
     _is_interval,
     _normalize_factor,
     _unchecked_boxes,
@@ -94,6 +97,9 @@ __all__ = [
 ]
 
 CANDIDATE_SIDE_CAP = 9
+
+# the engines read the wall clock once per this many nodes or steps
+CLOCK_BLOCK = 1024
 
 # why a search ended: it ran out of things to try, or of its node (step)
 # budget, or of its wall-clock budget
@@ -121,6 +127,9 @@ class SearchBudget(_Record):
     def __init__(
         self, max_nodes: int = 10_000_000, wall_seconds: float = 60.0, seed: int = 0
     ) -> None:
+        max_nodes = _integer(max_nodes, "node budgets")
+        if isinstance(wall_seconds, bool) or not isinstance(wall_seconds, (int, float)):
+            raise GeometryError(f"wall_seconds must be a real number, got {wall_seconds!r}")
         if max_nodes < 1 or not (wall_seconds > 0):  # NaN too
             raise GeometryError("budget fields must be positive")
         self._set(max_nodes, wall_seconds, seed)
@@ -339,6 +348,15 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     demand - max_card * (incumbent - child's chosen - 1) points is pruned,
     banned and counted in one step (stopping at exactly ``max_nodes``).
 
+    The pivot scan walks the candidate masks of the deficit points
+    (``itertools.compress``), keeping the first with the fewest usable
+    candidates and stopping at one with none.  The wall clock is read at
+    the first option and then at the first option after the node count
+    has grown by ``CLOCK_BLOCK`` (1,024) since the last reading (a count,
+    not every 1,024th option, because a run of pruned children adds many
+    nodes at once), so a run stopped by it may count up to 1,023 nodes
+    past its budget.
+
     ``proven_optimal`` is true iff the tree was exhausted inside the budget;
     an infeasible instance yields best None, best_size infinity, proven.
     ``stop_reason`` is "exhausted", "node cap" or "wall clock".  Masks over
@@ -379,23 +397,25 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     max_nodes, wall_seconds, monotonic = budget.max_nodes, budget.wall_seconds, time.monotonic
     start = monotonic()
     nodes, stop = 1, ("node cap" if max_nodes == 1 else None)  # the root: never pruned
+    next_check = 0  # the node count at which the clock is next read
     # one frame per open node: [levels, gone (with the node's own bans),
     # demand, options left to try, the option being tried below it]
     stack: list[list] = []
     while not stop:
-        # the node (levels, gone, demand) is counted; its pivot: the first
-        # deficit point with the fewest usable candidates; none is fewer than 0
+        # the node (levels, gone, demand) is counted; its pivot: the candidate
+        # mask of the first deficit point with the fewest usable candidates;
+        # none is fewer than 0
         free = everyone ^ gone
         fewest = n_cand + 1
         deficit = format(levels[-1], width)[::-1].encode().translate(unset)
-        for p in itertools.compress(range(n_pts), deficit):
-            n_opts = (cand_mask[p] & free).bit_count()
+        for mask in itertools.compress(cand_mask, deficit):
+            n_opts = (mask & free).bit_count()
             if n_opts < fewest:
-                fewest, pivot = n_opts, p
+                fewest, pivot = n_opts, mask
                 if not n_opts:
                     break
         if fewest:
-            stack.append([levels, gone, demand, cand_mask[pivot] & free, -1])
+            stack.append([levels, gone, demand, pivot & free, -1])
         # try the deepest open node's options, closing those used up; settle
         # leaves and pruned children here, and build only a child to expand
         while stack:
@@ -427,9 +447,11 @@ def solve_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
             if nodes >= max_nodes:
                 nodes, stop = max_nodes, "node cap"
                 break
-            if monotonic() - start > wall_seconds:
-                stop = "wall clock"
-                break
+            if nodes >= next_check:
+                if monotonic() - start > wall_seconds:
+                    stop = "wall clock"
+                    break
+                next_check = nodes + CLOCK_BLOCK
             if pruned or depth + -(-demand // max_card) >= best:
                 continue
             if not demand:  # a leaf that beats the incumbent
@@ -502,7 +524,9 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     on CPython 3.10 and 3.11, so the stream and the results are those of
     ``randrange``.  Given the same instance (pool order included), the same
     seed and a ``max_nodes`` that binds before ``wall_seconds``, it returns
-    the same selection and step count.
+    the same selection and step count.  The wall clock is read at step 0,
+    then once per ``CLOCK_BLOCK`` (1,024) steps and before each shrink, so a
+    run stopped by it may take up to 1,023 steps past its budget.
     """
     rng = random.Random(budget.seed)
     bits, uniform, exp, monotonic = rng.getrandbits, rng.random, math.exp, time.monotonic
@@ -527,6 +551,9 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
     gain = card if exact else [0] * n_cand
     everyone = (1 << n_pts) - 1
     high = t.bit_length()  # a bit past t's puts a point above t
+
+    def in_time() -> bool:
+        return monotonic() - start <= wall_seconds
 
     def add(planes: list[int], m: int) -> None:
         """One more cover on m's points: a ripple carry up the planes."""
@@ -569,7 +596,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         below, _, above = classes(planes)
         viol = t * n_pts
         weight, temp = 3, 1.0
-        while steps < max_nodes and not (monotonic() - start > wall_seconds):
+        while steps < max_nodes and (steps % CLOCK_BLOCK or in_time()):
             steps += 1
             ci = bits(k_cand)
             while ci >= n_cand:
@@ -612,7 +639,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
             add(planes, pt_mask[ci])
             below, at, above = classes(planes)
         temp, stagnation = 1.0, 0
-        while steps < max_nodes and not (monotonic() - start > wall_seconds):
+        while steps < max_nodes and (steps % CLOCK_BLOCK or in_time()):
             steps += 1
             slot = bits(k_size)
             while slot >= size:
@@ -654,7 +681,7 @@ def anneal_cover(instance: CoverInstance, budget: SearchBudget) -> SearchResult:
         best_feasible is not None
         and len(best_feasible) > 1
         and steps < max_nodes
-        and not (monotonic() - start > wall_seconds)
+        and in_time()
     ):
         smaller = shrink(best_feasible)
         if smaller is None:

@@ -113,6 +113,14 @@ CASES = {
         [
             ({"max_nodes": 0}, "budget fields must be positive"),
             ({"wall_seconds": float("nan")}, "budget fields must be positive"),
+            # a fractional node cap would come back from solve_cover as a
+            # fractional node count; a string would fail with a bare TypeError
+            ({"max_nodes": 1.5}, "node budgets must be integers, got 1.5"),
+            ({"max_nodes": "5"}, "node budgets must be integers, got '5'"),
+            ({"max_nodes": True}, "node budgets must be integers, got True"),
+            ({"wall_seconds": "5"}, "wall_seconds must be a real number, got '5'"),
+            ({"wall_seconds": True}, "wall_seconds must be a real number, got True"),
+            ({"wall_seconds": None}, "wall_seconds must be a real number, got None"),
         ],
     ),
     SearchResult: (

@@ -703,6 +703,29 @@ def test_budget_seconds_must_be_positive(seconds):
         SearchBudget(wall_seconds=seconds)
 
 
+def test_budget_takes_numpy_numbers_as_plain_ones():
+    """The node cap is stored as an int, so node counts stay ints."""
+    import numpy as np
+
+    budget = SearchBudget(max_nodes=np.int64(5), wall_seconds=np.float64(2.5))
+    assert type(budget.max_nodes) is int and budget.max_nodes == 5
+    assert budget.wall_seconds == 2.5
+    assert solve_cover(instance((5, 5), "odd_proper_box"), budget).nodes == 5
+
+
+@pytest.mark.parametrize("engine", [solve_cover, anneal_cover])
+def test_wall_clock_stop_past_the_first_clock_block(engine):
+    """The clock is read once per block of nodes or steps: a run on [5]^3,
+    which neither engine finishes in seconds, still stops on it, after
+    more than one block, and soon after its budget (the bound is generous
+    for a shared host)."""
+    budget = SearchBudget(max_nodes=10**9, wall_seconds=0.3)
+    r = engine(instance((5, 5, 5), "odd_proper_box"), budget)
+    assert r.stop_reason == "wall clock"
+    assert r.nodes > search.CLOCK_BLOCK
+    assert r.elapsed < 5
+
+
 class TestAnneal:
     def test_finds_known_double_cover_optimum(self):
         r = anneal_cover(
