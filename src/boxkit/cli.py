@@ -202,13 +202,8 @@ def _cmd_graph(args) -> int:
             raise GeometryError("--k is required with --from-partition")
         k = args.k
         g = partition_to_graph(_read_document(args.from_partition).family())
-    sys.stdout.write(
-        f"graph: {g.vertex_count} vertices, "
-        + ", ".join(
-            f"{len(e)} edges color {c}" for c, e in enumerate(g.colored_edges)
-        )
-        + "\n"
-    )
+    counts = ", ".join(f"{len(e)} edges color {c}" for c, e in enumerate(g.colored_edges))
+    sys.stdout.write(f"graph: {g.vertex_count} vertices, {counts}\n")
     if args.check or args.from_partition:
         report = clique_property_check(g, k)
         if report.holds:

@@ -47,9 +47,9 @@ from .geometry import (
     _check_cells,
     _factors,
     _gc_paused,
+    _is_interval,
     _normalize_factor,
     _unchecked_boxes,
-    classify_box,
     weighted_piercing_ok,
 )
 
@@ -534,7 +534,7 @@ def stack_lemma(
     if X == Y:
         raise GeometryError("corners X and Y must differ")
     sides = ip.ambient.sides
-    if not all(classify_box(box, ip.ambient).brick for box, _ in ip.parts):
+    if not all(_is_interval(f) for box, _ in ip.parts for f in box.factors):
         raise GeometryError("stacking requires all parts to be bricks")
 
     bottom = _reflect_parts(ip, X)

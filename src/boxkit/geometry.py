@@ -49,7 +49,8 @@ instance check their boxes by one maximum per axis (``_validate_boxes``),
 re-running the per-box ``validate_in`` on a failure for its error.
 ``_Record._trusted`` builds a record from fields already checked (the
 families of the constructions, of a document or of an intermediate
-partition, a document of a family, a search result, the CLI's instance).
+partition, a document of a family, a search result's family, the CLI's
+instance, the graphs of ``partition_to_graph`` and ``fig9_graph``).
 Every per-axis column (``_columns``) is a strided slice of one flat list.
 """
 
@@ -90,9 +91,20 @@ class _Record:
     """Base of the immutable records: equality and hash over the fields
     named in ``__slots__``, in that order, a repr naming them, and no
     assignment or deletion: ``__init__``, or ``_trusted``, sets the fields
-    once, through ``_set``."""
+    once, through ``_set``.  The default ``__init__`` binds the fields, in
+    order or by name, with no check, falling back on ``_defaults``; a record
+    that checks its values has an ``__init__`` of its own."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        bound = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        repeated = not kwargs.keys().isdisjoint(names[: len(args)])
+        if repeated or len(args) > len(names) or bound.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {names}, each once")
+        self._set(*map(bound.__getitem__, names))
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -295,12 +307,10 @@ def _is_interval(cells: tuple[int, ...]) -> bool:
 
 
 class BoxFlags(_Record):
-    """Properness, oddness and brickness of one box inside its ambient."""
+    """Properness, oddness and brickness of one box inside its ambient:
+    ``proper``, ``odd`` and ``brick``, each a bool."""
 
     __slots__ = ("proper", "odd", "brick")
-
-    def __init__(self, proper: bool, odd: bool, brick: bool) -> None:
-        self._set(proper, odd, brick)
 
 
 class BoxFamily(_Record):
@@ -322,29 +332,19 @@ class BoxFamily(_Record):
 
 
 class VerificationReport(_Record):
+    """What ``verify_cover`` found.  Bools: ``is_partition``, ``all_proper``,
+    ``all_odd``, ``all_brick`` and ``multiplicity_ok`` (True by default).
+    Ints: ``cover_multiplicity_min``, ``cover_multiplicity_max`` (a point's
+    least and greatest multiplicity) and ``piercing_number``.  Int tuples:
+    ``per_axis_piercing`` (one per axis) and ``first_violation`` (the first
+    bad point, or None by default)."""
+
     __slots__ = (
         "is_partition", "cover_multiplicity_min", "cover_multiplicity_max", "all_proper",
         "all_odd", "all_brick", "piercing_number", "per_axis_piercing", "multiplicity_ok",
         "first_violation",
     )
-
-    def __init__(
-        self,
-        is_partition: bool,
-        cover_multiplicity_min: int,
-        cover_multiplicity_max: int,
-        all_proper: bool,
-        all_odd: bool,
-        all_brick: bool,
-        piercing_number: int,
-        per_axis_piercing: tuple[int, ...],
-        multiplicity_ok: bool = True,
-        first_violation: tuple[int, ...] | None = None,
-    ) -> None:
-        self._set(
-            is_partition, cover_multiplicity_min, cover_multiplicity_max, all_proper, all_odd,
-            all_brick, piercing_number, per_axis_piercing, multiplicity_ok, first_violation,
-        )
+    _defaults = {"multiplicity_ok": True, "first_violation": None}
 
 
 class PiercingVector(_Record):
@@ -532,10 +532,10 @@ def _cells(runs, sides: Sequence[int], axes: tuple[int, ...], memo: dict) -> lis
     return cells
 
 
-def _flat_cells(runs, which, sides: Sequence[int], skip: int | None = None):
-    """(keys, cells): box b's cells over every axis but ``skip`` are
-    ``cells[keys[b]]``, from each axis's distinct factors ``runs[a]``."""
-    axes, memo = tuple(a for a in range(len(sides)) if a != skip), {}
+def _flat_cells(runs, which, sides: Sequence[int]):
+    """(keys, cells): box b's row-major cells are ``cells[keys[b]]``, from
+    each axis's distinct factors ``runs[a]``."""
+    axes, memo = tuple(range(len(sides))), {}
     return _numbered(which, axes, memo)[0], _cells(runs, sides, axes, memo)
 
 

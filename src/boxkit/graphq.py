@@ -36,12 +36,6 @@ __all__ = [
     "prop43_lower",
 ]
 
-def _norm_edge(e) -> tuple[int, int]:
-    a, b = e
-    if a == b:
-        raise GeometryError("self-loop")
-    return (a, b) if a < b else (b, a)
-
 
 class TwoColoredGraph(_Record):
     """Vertices 0..n-1 with one edge set per color."""
@@ -53,15 +47,17 @@ class TwoColoredGraph(_Record):
     ) -> None:
         if vertex_count < 1:
             raise GeometryError("graph needs at least one vertex")
-        seen: dict[tuple[int, int], int] = {}
-        for color, edges in enumerate(colored_edges):
-            for e in edges:
-                e = _norm_edge(e)
+        seen: set[tuple[int, int]] = set()
+        for edges in colored_edges:
+            for a, b in edges:
+                if a == b:
+                    raise GeometryError("self-loop")
+                e = (a, b) if a < b else (b, a)
                 if not (0 <= e[0] < e[1] < vertex_count):
                     raise GeometryError(f"edge {e} out of range")
                 if e in seen:
                     raise GeometryError(f"edge {e} colored twice")
-                seen[e] = color
+                seen.add(e)
         self._set(vertex_count, colored_edges)
 
     @property
@@ -79,16 +75,12 @@ class TwoColoredGraph(_Record):
 
 
 class CliquePropertyReport(_Record):
-    __slots__ = ("holds", "witnesses", "failing_vertex", "failing_color")
+    """What ``clique_property_check`` found: ``holds`` (bool), ``witnesses``
+    (tuple of tuples of int tuples: ``witnesses[color][vertex]`` is a clique
+    holding the vertex), and ``failing_vertex`` and ``failing_color`` (the
+    first vertex and color with no K_k, each an int, or None)."""
 
-    def __init__(
-        self,
-        holds: bool,
-        witnesses: tuple[tuple[tuple[int, ...], ...], ...],  # [color][vertex] -> clique
-        failing_vertex: int | None,
-        failing_color: int | None,
-    ) -> None:
-        self._set(holds, witnesses, failing_vertex, failing_color)
+    __slots__ = ("holds", "witnesses", "failing_vertex", "failing_color")
 
 
 def partition_to_graph(p: BoxFamily) -> TwoColoredGraph:
@@ -98,8 +90,7 @@ def partition_to_graph(p: BoxFamily) -> TwoColoredGraph:
     no pair gets both colors."""
     if p.ambient.dim != 2:
         raise GeometryError("graph reduction is defined for dimension 2")
-    report = verify_cover(p)
-    if not report.is_partition:
+    if not verify_cover(p).is_partition:
         raise GeometryError("graph reduction expects a verified partition")
     colored = []
     for a, side in enumerate(p.ambient.sides):
@@ -111,7 +102,8 @@ def partition_to_graph(p: BoxFamily) -> TwoColoredGraph:
         colored.append(
             frozenset(e for group in owners for e in itertools.combinations(group, 2))
         )
-    return TwoColoredGraph(len(p.boxes), tuple(colored))
+    # pairs (a, b), a < b, of a verified partition's boxes: in range, one color each
+    return TwoColoredGraph._trusted(len(p.boxes), tuple(colored))
 
 
 def _find_clique_with(v: int, nbr: list[int], k: int, budget: list[int]) -> tuple[int, ...] | None:
@@ -206,19 +198,14 @@ def fig9_graph(k: int, colors: int = 2) -> TwoColoredGraph:
     n = 2 * colors * m
     _check_cells([math.comb(n, 2) - colors * m * m], f"the edges of a {colors}-color fig9 graph")
     group = lambda g: range(g * m, (g + 1) * m)
-    edges: list[set[tuple[int, int]]] = [set() for _ in range(colors)]
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(colors)]
     for g in range(2 * colors):
-        c = g // 2
-        for a, b in itertools.combinations(group(g), 2):
-            edges[c].add((a, b))
+        edges[g // 2] += itertools.combinations(group(g), 2)
     for g, h in itertools.combinations(range(2 * colors), 2):
-        if g // 2 == h // 2:
-            continue
-        c = h // 2 if g % 2 == h % 2 else g // 2
-        for a in group(g):
-            for b in group(h):
-                edges[c].add(_norm_edge((a, b)))
-    return TwoColoredGraph(n, tuple(frozenset(e) for e in edges))
+        if g // 2 != h // 2:
+            edges[h // 2 if g % 2 == h % 2 else g // 2] += itertools.product(group(g), group(h))
+    # each pair (a, b), a < b < n, comes once: within a group or between groups g < h
+    return TwoColoredGraph._trusted(n, tuple(map(frozenset, edges)))
 
 
 def prop43_lower(k: int) -> BoundValue:

@@ -12,7 +12,7 @@ limit raises GeometryError before anything is allocated.
 from __future__ import annotations
 
 from .formats import PartitionDocument
-from .geometry import GeometryError, _check_cells, _columns, _distinct, _flat_cells, classify_box
+from .geometry import GeometryError, _check_cells, _columns, _distinct, _flat_cells, _is_interval
 
 __all__ = ["render"]
 
@@ -75,7 +75,7 @@ def _svg(doc: PartitionDocument) -> str:
             f'font-size="10">{label}</text>'
         )
 
-    bricks = [classify_box(box, doc.ambient).brick for box in doc.boxes]
+    bricks = [all(map(_is_interval, box.factors)) for box in doc.boxes]
     rects = sum(1 if brick else b.cardinality for b, brick in zip(doc.boxes, bricks))
     _check_cells([rects, _RECT_BYTES], "the text of a picture over 2 axes")
     for i, (box, brick) in enumerate(zip(doc.boxes, bricks), start=1):

@@ -127,7 +127,7 @@ class SearchBudget(_Record):
     def __init__(
         self, max_nodes: int = 10_000_000, wall_seconds: float = 60.0, seed: int = 0
     ) -> None:
-        max_nodes = _integer(max_nodes, "node budgets")
+        max_nodes, seed = _integer(max_nodes, "node budgets"), _integer(seed, "seeds")
         if isinstance(wall_seconds, bool) or not isinstance(wall_seconds, (int, float)):
             raise GeometryError(f"wall_seconds must be a real number, got {wall_seconds!r}")
         if max_nodes < 1 or not (wall_seconds > 0):  # NaN too
@@ -136,18 +136,12 @@ class SearchBudget(_Record):
 
 
 class SearchResult(_Record):
-    __slots__ = ("best", "best_size", "proven_optimal", "nodes", "elapsed", "stop_reason")
+    """What a search found: ``best`` (the best family, a BoxFamily, or None),
+    ``best_size`` (float, inf with no family), ``proven_optimal`` (bool),
+    ``nodes`` (int, nodes or steps run), ``elapsed`` (float seconds) and
+    ``stop_reason`` (a StopReason)."""
 
-    def __init__(
-        self,
-        best: BoxFamily | None,
-        best_size: float,
-        proven_optimal: bool,
-        nodes: int,
-        elapsed: float,
-        stop_reason: StopReason,
-    ) -> None:
-        self._set(best, best_size, proven_optimal, nodes, elapsed, stop_reason)
+    __slots__ = ("best", "best_size", "proven_optimal", "nodes", "elapsed", "stop_reason")
 
 
 @_gc_paused

@@ -276,6 +276,28 @@ class TestFig9:
             fig9_graph(3, colors=1)
 
 
+TRUSTED_GRAPHS = [
+    *((f"fig9_graph({k}, {c})", fig9_graph, k, c) for k in range(2, 8) for c in range(2, 5)),
+    *((f"quadrant_construction(2, {k})", quadrant_construction, 2, k) for k in range(2, 8)),
+    *((f"grid_partition(2, {k})", grid_partition, 2, k) for k in range(2, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, first, second", [t[1:] for t in TRUSTED_GRAPHS], ids=[t[0] for t in TRUSTED_GRAPHS]
+)
+def test_trusted_graphs_pass_the_public_check(build, first, second):
+    """``fig9_graph`` and ``partition_to_graph`` build their graphs with no
+    check: each equals, and hashes like, the graph the checking constructor
+    builds from its fields, and every edge is (a, b) with a < b."""
+    g = build(first, second)
+    if isinstance(g, BoxFamily):
+        g = partition_to_graph(g)
+    checked = TwoColoredGraph(g.vertex_count, g.colored_edges)
+    assert g == checked and hash(g) == hash(checked)
+    assert all(a < b for edges in g.colored_edges for a, b in edges)
+
+
 class TestProp43:
     def test_large_k_ratio(self):
         b = prop43_lower(10**4)

@@ -121,6 +121,13 @@ CASES = {
             ({"wall_seconds": "5"}, "wall_seconds must be a real number, got '5'"),
             ({"wall_seconds": True}, "wall_seconds must be a real number, got True"),
             ({"wall_seconds": None}, "wall_seconds must be a real number, got None"),
+            # None would seed from the system's entropy, a list or a float
+            # would reach random.Random
+            ({"seed": None}, "seeds must be integers, got None"),
+            ({"seed": [1]}, "seeds must be integers, got [1]"),
+            ({"seed": 1.5}, "seeds must be integers, got 1.5"),
+            ({"seed": "a"}, "seeds must be integers, got 'a'"),
+            ({"seed": True}, "seeds must be integers, got True"),
         ],
     ),
     SearchResult: (
@@ -213,3 +220,27 @@ def test_records_are_immutable_values(cls):
         with pytest.raises(GeometryError) as exc:
             cls(**bad)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls", [BoxFlags, VerificationReport, SearchResult, CliquePropertyReport], ids=lambda c: c.__name__
+)
+def test_plain_records_take_each_field_once(cls):
+    """The records that check nothing are bound by ``_Record``'s one
+    constructor: a missing, repeated (given by position and by keyword),
+    unknown or surplus field raises TypeError naming the fields."""
+    fields, defaults, _ = CASES[cls]
+    names = tuple(fields)
+    required = [k for k in names if k not in defaults]
+    calls = [
+        ((), {k: v for k, v in fields.items() if k != required[-1]}),  # missing
+        ((), {}),  # all missing
+        ((fields[names[0]],), fields),  # the first field twice
+        (tuple(fields.values())[:-1], {names[-2]: fields[names[-2]]}),  # another twice
+        ((), {**fields, "extra": 1}),  # unknown
+        ((*fields.values(), 1), {}),  # surplus
+    ]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError) as exc:
+            cls(*args, **kwargs)
+        assert str(exc.value) == f"{cls.__name__} takes the fields {names}, each once"

@@ -704,11 +704,13 @@ def test_budget_seconds_must_be_positive(seconds):
 
 
 def test_budget_takes_numpy_numbers_as_plain_ones():
-    """The node cap is stored as an int, so node counts stay ints."""
+    """The node cap and the seed are stored as ints, so node counts stay
+    ints and ``random.Random`` takes the seed."""
     import numpy as np
 
-    budget = SearchBudget(max_nodes=np.int64(5), wall_seconds=np.float64(2.5))
+    budget = SearchBudget(max_nodes=np.int64(5), wall_seconds=np.float64(2.5), seed=np.int64(3))
     assert type(budget.max_nodes) is int and budget.max_nodes == 5
+    assert type(budget.seed) is int and budget.seed == 3
     assert budget.wall_seconds == 2.5
     assert solve_cover(instance((5, 5), "odd_proper_box"), budget).nodes == 5
 
